@@ -11,6 +11,8 @@ is built on the same iterative machinery.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,69 +99,98 @@ def default_config(reg: RegularizerSpec) -> SolverConfig:
     return SolverConfig(method=EXPONENTIATED_GRADIENT)
 
 
-def _objective(w: np.ndarray, s: Scores, reg: RegularizerSpec) -> float:
+def _nonzero(w: np.ndarray) -> np.ndarray:
+    # An exact zero only appears when a multiplicative step underflows; it
+    # is replaced by 1 so its log is 0 rather than -inf.
+    return w if np.count_nonzero(w) == w.size else np.where(w > 0.0, w, 1.0)
+
+
+def _descent_terms(s: Scores, reg: RegularizerSpec):
+    """The objective and its gradient for one solve, every per-solve
+    invariant computed once.
+
+    ``objective(w)`` returns the value and, for the entropic kinds, the
+    log of ``w`` (0 at exact zeros), which ``gradient(w, log_w)`` and the
+    multiplicative step reuse once ``w`` is accepted.  Each expression is
+    evaluated in one fixed order, so every iterate is reproducible bit for
+    bit.
+    """
     # Exactly-rounded summation: step acceptance near the optimum compares
     # objective values whose true differences sit far below the noise of a
     # naive left-to-right accumulation, and every spurious rejection raises
     # the solver's error floor.
-    terms = [-(w * s.values)]
+    neg_s = -s.values
     kind = reg.kind
-    safe_log = np.log(np.where(w > 0.0, w, 1.0))
-    if kind == SHANNON:
-        terms.append(reg.temperature * (w * safe_log))
-    elif kind == L2:
-        terms.append(0.5 * w * w)
+    if kind == L2:
+
+        def objective(w):
+            return math.fsum((w * neg_s).tolist() + (0.5 * w * w).tolist()), None
+
+        def gradient(w, log_w):
+            return neg_s + w
+
     elif kind == TSALLIS:
         a = reg.alpha
-        terms.append((w**a - w) / (a * (a - 1.0)))
+        a1 = a - 1.0
+        scale = a * a1
+
+        def objective(w):
+            return math.fsum((w * neg_s).tolist() + ((w**a - w) / scale).tolist()), None
+
+        def gradient(w, log_w):
+            return neg_s + (a * w**a1 - 1.0) / scale
+
+    elif kind == SHANNON:
+        tau = reg.temperature
+
+        def objective(w):
+            log_w = np.log(_nonzero(w))
+            return math.fsum((w * neg_s).tolist() + (tau * (w * log_w)).tolist()), log_w
+
+        def gradient(w, log_w):
+            return neg_s + tau * (log_w + 1.0)
+
     elif kind == ALIBI:
-        terms.append(reg.temperature * (w * safe_log))
-        terms.append(reg.gamma * w * key_distances(reg.query_position, w.size))
+        tau, gamma = reg.temperature, reg.gamma
+        d = key_distances(reg.query_position, s.values.size)
+        gamma_d = gamma * d
+
+        def objective(w):
+            log_w = np.log(_nonzero(w))
+            terms = (w * neg_s).tolist() + (tau * (w * log_w)).tolist()
+            return math.fsum(terms + (gamma * w * d).tolist()), log_w
+
+        def gradient(w, log_w):
+            return neg_s + tau * (log_w + 1.0) + gamma_d
+
     elif kind == KL_PRIOR:
-        terms.append(reg.temperature * w * (safe_log - np.log(reg.prior.weights)))
+        tau = reg.temperature
+        prior = reg.prior.weights
+        log_prior = np.log(prior)
+
+        def objective(w):
+            log_w = np.log(_nonzero(w))
+            terms = (w * neg_s).tolist() + (tau * w * (log_w - log_prior)).tolist()
+            return math.fsum(terms), log_w
+
+        def gradient(w, log_w):
+            return neg_s + tau * (np.log(_nonzero(w) / prior) + 1.0)
+
     else:
         raise ValueError(f"unknown regularizer kind {kind!r}")
-    return math.fsum(np.concatenate(terms))
+    return objective, gradient
 
 
-def _objective_gradient(w: np.ndarray, s: Scores, reg: RegularizerSpec) -> np.ndarray:
-    kind = reg.kind
-    g = -s.values
-    if kind == SHANNON:
-        return g + reg.temperature * (np.log(w) + 1.0)
-    if kind == L2:
-        return g + w
-    if kind == TSALLIS:
-        a = reg.alpha
-        return g + (a * w ** (a - 1.0) - 1.0) / (a * (a - 1.0))
-    if kind == ALIBI:
-        d = key_distances(reg.query_position, w.size)
-        return g + reg.temperature * (np.log(w) + 1.0) + reg.gamma * d
-    if kind == KL_PRIOR:
-        return g + reg.temperature * (np.log(w / reg.prior.weights) + 1.0)
-    raise ValueError(f"unknown regularizer kind {kind!r}")
-
-
-def _multiplicative_step(w: np.ndarray, g: np.ndarray, eta: float) -> np.ndarray:
-    t = np.log(w) - eta * g
-    e = np.exp(t - t.max())
-    return e / e.sum()
-
-
-def _project_simplex(v: np.ndarray) -> np.ndarray:
+def _project_simplex(v: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     # Deliberately local: the oracle must not lean on the closed forms it
     # certifies, so the Euclidean projection is written out here.
+    # ``ranks`` is 1..v.size.
     v = v - v.max()
     u = np.sort(v)[::-1]
-    cssv = np.cumsum(u)
-    k = np.arange(1, u.size + 1)
-    rho = int(np.count_nonzero(1.0 + k * u > cssv))
+    cssv = u.cumsum()
+    rho = int(np.count_nonzero(1.0 + ranks * u > cssv))
     theta = (cssv[rho - 1] - 1.0) / rho
     return np.maximum(v - theta, 0.0)
-
-
-def _projected_step(w: np.ndarray, g: np.ndarray, eta: float) -> np.ndarray:
-    return _project_simplex(w - eta * g)
 
 
 def minimize_on_simplex(
@@ -172,17 +203,22 @@ def minimize_on_simplex(
     best values is non-increasing.  Convergence is declared on sup-norm
     iterate change below ``cfg.tolerance``; running out of iterations
     returns ``converged=False`` and leaves the verdict to the caller.
+    A weight that underflows to exactly 0 under the multiplicative step
+    stays 0; projected gradient on an entropic kind raises
+    ``NumericalFailure`` once it lands on the boundary, where that
+    objective's gradient is infinite.
     """
     if cfg is None:
         cfg = default_config(reg)
     if cfg.method == GRID_SEARCH:
         raise ValueError("use grid_search_simplex for exhaustive search")
-    step = (
-        _multiplicative_step if cfg.method == EXPONENTIATED_GRADIENT else _projected_step
-    )
+    multiplicative = cfg.method == EXPONENTIATED_GRADIENT
+    objective, gradient = _descent_terms(s, reg)
     m = len(s)
+    ranks = np.arange(1, m + 1)
+    tolerance = cfg.tolerance
     w = np.full(m, 1.0 / m)
-    best = _objective(w, s, reg)
+    best, log_w = objective(w)
     if math.isnan(best):
         raise NumericalFailure("objective is NaN at the uniform start")
     trace = [best]
@@ -191,7 +227,16 @@ def minimize_on_simplex(
     converged = False
     for it in range(1, cfg.max_iterations + 1):
         iterations = it
-        g = _objective_gradient(w, s, reg)
+        if multiplicative:
+            if log_w is None:
+                log_w = np.log(_nonzero(w))
+            # log w - eta * g, with -inf keeping an exact zero at zero.
+            log_base = log_w if np.count_nonzero(w) == m else np.where(w > 0.0, log_w, -np.inf)
+        elif log_w is not None and np.count_nonzero(w) < m:  # entropic kinds only
+            raise NumericalFailure(
+                "projected gradient reached the boundary, where the entropic gradient is infinite"
+            )
+        g = gradient(w, log_w)
         # Accept within one rounding unit of the best value seen: near the
         # optimum the true per-step decrease falls below the resolution of
         # the objective value itself, and a strict comparison would freeze
@@ -201,8 +246,13 @@ def minimize_on_simplex(
         slack = 2.0 * math.ulp(max(1.0, abs(best)))
         candidate = None
         while eta >= _MIN_STEP:
-            trial = step(w, g, eta)
-            trial_obj = _objective(trial, s, reg)
+            if multiplicative:
+                t = log_base - eta * g
+                e = np.exp(t - t.max())
+                trial = e / e.sum()
+            else:
+                trial = _project_simplex(w - eta * g, ranks)
+            trial_obj, trial_log = objective(trial)
             if math.isnan(trial_obj):
                 raise NumericalFailure("objective became NaN during descent")
             if trial_obj <= best + slack:
@@ -212,14 +262,69 @@ def minimize_on_simplex(
         if candidate is None:
             converged = True  # ascent at every step size: float-stationary
             break
-        delta = float(np.max(np.abs(candidate - w)))
-        w = candidate
+        delta = abs(candidate - w).max()
+        w, log_w = candidate, trial_log
         best = min(best, trial_obj)
         trace.append(best)
-        if delta < cfg.tolerance:
+        if delta < tolerance:
             converged = True
             break
     return OracleResult(SimplexDistribution(w), best, iterations, converged, tuple(trace))
+
+
+def _barycentric_grid(m: int, resolution: int) -> np.ndarray:
+    """Every point of the simplex in R^m (m <= 3) whose coordinates are
+    multiples of 1/resolution, one per row."""
+    if m == 1:
+        return np.ones((1, 1))
+    if m == 2:
+        i = np.arange(resolution + 1, dtype=np.float64)
+        return np.column_stack([i, resolution - i]) / resolution
+    counts = np.arange(resolution + 1, 0, -1)
+    i = np.repeat(np.arange(resolution + 1), counts)
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    j = np.arange(i.size) - starts
+    return np.column_stack([i, j, resolution - i - j]).astype(np.float64) / resolution
+
+
+class _GridCache:
+    """The most recently used barycentric grids, read-only: at most
+    ``entries`` of them, together at most ``max_bytes``.  A grid that does
+    not fit is built for its call and not kept."""
+
+    def __init__(self, entries: int, max_bytes: int):
+        self.entries = entries
+        self.max_bytes = max_bytes
+        self._grids: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._grids)
+
+    def get(self, m: int, resolution: int) -> np.ndarray:
+        key = (m, resolution)
+        grids = self._grids
+        with self._lock:
+            grid = grids.get(key)
+            if grid is None:
+                grid = _barycentric_grid(m, resolution)
+                grid.flags.writeable = False
+                grids[key] = grid
+            grids.move_to_end(key)
+            while len(grids) > self.entries or (
+                sum(g.nbytes for g in grids.values()) > self.max_bytes
+            ):
+                grids.popitem(last=False)
+        return grid
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._grids.clear()
+
+
+# The suites search m=2 at resolution 1e6 (16 MB) and m=3 at 2000 (48 MB).
+_GRIDS = _GridCache(entries=2, max_bytes=64 * 2**20)
 
 
 def grid_search_simplex(s: Scores, reg: RegularizerSpec, resolution: int) -> OracleResult:
@@ -236,17 +341,7 @@ def grid_search_simplex(s: Scores, reg: RegularizerSpec, resolution: int) -> Ora
     resolution = int(resolution)
     if resolution < 100:
         raise ValueError("resolution must be at least 100")
-    if m == 1:
-        grid = np.ones((1, 1))
-    elif m == 2:
-        i = np.arange(resolution + 1, dtype=np.float64)
-        grid = np.column_stack([i, resolution - i]) / resolution
-    else:
-        counts = np.arange(resolution + 1, 0, -1)
-        i = np.repeat(np.arange(resolution + 1), counts)
-        starts = np.repeat(np.cumsum(counts) - counts, counts)
-        j = np.arange(i.size) - starts
-        grid = np.column_stack([i, j, resolution - i - j]).astype(np.float64) / resolution
+    grid = _GRIDS.get(m, resolution)
     objectives = objective_rows(grid, s, reg)
     best = int(np.argmin(objectives))
     return OracleResult(
