@@ -314,28 +314,38 @@ def objective_value(p: SimplexDistribution, s: Scores, reg: RegularizerSpec) -> 
     return float(-np.dot(p.weights, s.values)) + regularizer_value(p, reg)
 
 
-def objective_rows(candidates: np.ndarray, s: Scores, reg: RegularizerSpec) -> np.ndarray:
+def objective_rows(
+    candidates: np.ndarray, s: Scores, reg: RegularizerSpec, *, xlogx: np.ndarray | None = None
+) -> np.ndarray:
     """Objective evaluated for every row of ``candidates`` at once.
 
     Rows are treated as probability vectors; used by the brute-force search
     and the random-point optimality certificates, where the per-call cost of
-    the scalar entry point would dominate.
+    the scalar entry point would dominate.  ``xlogx``, when given, holds
+    sum_j P_ij log P_ij for every row as ``_xlogx_rows`` computes it; the
+    entropic kinds then use it instead of recomputing it.
     """
     P = np.asarray(candidates, dtype=np.float64)
     if P.ndim != 2 or P.shape[1] != len(s):
         raise ValueError(f"candidate rows must have shape (k, {len(s)})")
-    return -(P @ s.values) + _omega_rows(P, reg)
+    if xlogx is not None and np.shape(xlogx) != (P.shape[0],):
+        raise ValueError(f"xlogx must hold one value per candidate row, {P.shape[0]}")
+    return -(P @ s.values) + _omega_rows(P, reg, xlogx)
 
 
 def _xlogx_rows(P: np.ndarray) -> np.ndarray:
-    safe = np.where(P > 0.0, P, 1.0)
-    return np.sum(P * np.log(safe), axis=1)
+    terms = np.where(P > 0.0, P, 1.0)
+    np.log(terms, out=terms)
+    terms *= P
+    return np.sum(terms, axis=1)
 
 
-def _omega_rows(P: np.ndarray, reg: RegularizerSpec) -> np.ndarray:
+def _omega_rows(P: np.ndarray, reg: RegularizerSpec, xlogx: np.ndarray | None = None) -> np.ndarray:
     kind = reg.kind
+    if xlogx is None and kind in (SHANNON, ALIBI, KL_PRIOR):
+        xlogx = _xlogx_rows(P)
     if kind == SHANNON:
-        return reg.temperature * _xlogx_rows(P)
+        return reg.temperature * xlogx
     if kind == L2:
         return 0.5 * np.sum(P * P, axis=1)
     if kind == TSALLIS:
@@ -343,11 +353,11 @@ def _omega_rows(P: np.ndarray, reg: RegularizerSpec) -> np.ndarray:
         return np.sum(P**a - P, axis=1) / (a * (a - 1.0))
     if kind == ALIBI:
         d = key_distances(reg.query_position, P.shape[1])
-        return reg.temperature * _xlogx_rows(P) + reg.gamma * (P @ d)
+        return reg.temperature * xlogx + reg.gamma * (P @ d)
     if kind == KL_PRIOR:
         if len(reg.prior) != P.shape[1]:
             raise ValueError(
                 f"length mismatch: prior {len(reg.prior)} vs distribution {P.shape[1]}"
             )
-        return reg.temperature * (_xlogx_rows(P) - P @ np.log(reg.prior.weights))
+        return reg.temperature * (xlogx - P @ np.log(reg.prior.weights))
     raise ValueError(f"unknown regularizer kind {kind!r}")

@@ -8,6 +8,7 @@ report off-support entries as exact 0.0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,16 +71,30 @@ def _result(weights: np.ndarray, potential: float | None) -> SolveResult:
     return SolveResult(dist, potential, int(np.count_nonzero(dist.weights > 0.0)))
 
 
+def _shifted_gap(v: np.ndarray, top: float, t: float) -> np.ndarray:
+    # (v - top) / t where the plain expressions would overflow: halving
+    # first keeps the difference finite, and an entry whose true value
+    # lies below -DBL_MAX comes out -inf, whose exp is exactly 0.
+    with np.errstate(over="ignore"):
+        return 2.0 * ((0.5 * v - 0.5 * top) / t)
+
+
 def softmax(s: Scores, temperature: float) -> SolveResult:
     """exp(s_j / tau) / sum_l exp(s_l / tau), computed max-shifted.
 
     The attached potential is ``lse(s, temperature)``; the distribution is
-    the gradient of that potential.
+    the gradient of that potential.  Scores whose quotients by tau, or
+    their spread, overflow take an overflow-safe path.
     """
     t = _check_temperature(temperature)
-    z = s.values / t
-    e = np.exp(z - z.max())
-    return _result(e / e.sum(), lse(s, t))
+    v = s.values
+    top, bottom = float(v.max()), float(v.min())
+    z_top = top / t
+    if math.isfinite(bottom / t - z_top):  # s / tau and its max-shift are finite
+        e = np.exp(v / t - z_top)
+    else:
+        e = np.exp(_shifted_gap(v, top, t))
+    return _result(e / e.sum(), _lse(v, t, top, bottom))
 
 
 def sparsemax(s: Scores) -> SolveResult:
@@ -234,8 +249,16 @@ def lse(s: Scores, temperature: float) -> float:
     ``primal_value``.
     """
     t = _check_temperature(temperature)
-    top = float(s.values.max())
-    return top + t * float(np.log(np.sum(np.exp((s.values - top) / t))))
+    v = s.values
+    return _lse(v, t, float(v.max()), float(v.min()))
+
+
+def _lse(v: np.ndarray, t: float, top: float, bottom: float) -> float:
+    if math.isfinite((bottom - top) / t):  # the shifted quotients are finite
+        gap = (v - top) / t
+    else:
+        gap = _shifted_gap(v, top, t)
+    return top + t * float(np.log(np.sum(np.exp(gap))))
 
 
 def primal_value(s: Scores, temperature: float) -> float:

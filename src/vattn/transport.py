@@ -113,22 +113,33 @@ def eot_matrix_objective(plan: TransportPlan, cost: CostMatrix, epsilon: float) 
 def solve_full_eot(
     batch: QueryKeyBatch, epsilon: float, cfg: oracle.SolverConfig | None = None
 ) -> TransportPlan:
-    """Solve every row's problem with the iterative oracle and assemble the
-    plan; never touches the closed form it is meant to certify."""
+    """Solve every row's problem with the iterative oracle, all rows in
+    one lock-step descent, and assemble the plan; never touches the closed
+    form it is meant to certify.
+
+    A failure names the lowest-index row that fails, as solving the rows
+    one after another would.
+    """
     eps = float(epsilon)
     if not (np.isfinite(eps) and eps > 0.0):
         raise ValueError("epsilon must be a positive finite real")
     reg = RegularizerSpec.shannon(eps)
     scores = batch.queries @ batch.keys.T
-    rows = []
-    for index, row in enumerate(scores):
-        result = oracle.minimize_on_simplex(Scores(row), reg, cfg)
-        if not result.converged:
+    # Rows from the first non-finite one on are never solved: that row is
+    # rejected as Scores would reject it, unless an earlier row fails first.
+    finite = np.isfinite(scores).all(axis=1)
+    solvable = len(scores) if finite.all() else int(finite.argmin())
+    outcomes = oracle._descend(scores[:solvable], reg, cfg) if solvable else []
+    for index, outcome in enumerate(outcomes):
+        if isinstance(outcome, NumericalFailure):
+            raise outcome
+        if not outcome.converged:
             raise NumericalFailure(
                 f"row {index} did not converge within the iteration budget"
             )
-        rows.append(result.distribution.weights)
-    return TransportPlan(np.vstack(rows))
+    if solvable < len(scores):
+        Scores(scores[solvable])
+    return TransportPlan(np.vstack([outcome.distribution.weights for outcome in outcomes]))
 
 
 def context(plan: TransportPlan, values: ValueSet) -> np.ndarray:

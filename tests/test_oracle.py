@@ -13,16 +13,19 @@ from vattn import (
     EXPONENTIATED_GRADIENT,
     GRID_SEARCH,
     PROJECTED_GRADIENT,
+    QueryKeyBatch,
     RegularizerSpec,
     Scores,
     SimplexDistribution,
     SolverConfig,
+    attention_matrix,
     fenchel_conjugate,
     grid_search_simplex,
     lse,
     minimize_on_simplex,
     softmax,
     solve,
+    solve_full_eot,
     sparsemax,
 )
 from vattn import oracle
@@ -533,3 +536,162 @@ def test_eg_keeps_an_underflowed_weight_at_zero(scores, reg):
     assert found.converged
     assert found.distribution.weights[1] == 0.0
     assert _sup(found.distribution.weights, closed) < 1e-6
+
+
+# ------------------------------------------------- lock-step rows (one descent)
+#
+# ``oracle._descend`` runs every row of a score matrix in lock-step; each row
+# must follow exactly the iterates of the original loop run on it alone.
+
+
+def _assert_same_as_reference(outcome, reference):
+    w, best, iterations, converged, trace = reference
+    assert outcome.iterations == iterations
+    assert outcome.converged == converged
+    assert _hex_trace(outcome.objective_trace) == _hex_trace(trace)
+    assert outcome.objective.hex() == best.hex()
+    assert outcome.distribution.weights.tobytes() == w.tobytes()
+
+
+def _lockstep_batches():
+    """Seeded score matrices: n and m from 1 to 8 (both 1 included), the
+    transport suite's scale of scores, and its temperatures."""
+    rng = np.random.default_rng(20261018)
+    batches = [(np.array([[0.7]]), 1.0), (np.array([[0.3, -0.2, 0.9]]), 0.5), (np.zeros((3, 1)), 2.0)]
+    for _ in range(60):
+        n, m, d = int(rng.integers(1, 9)), int(rng.integers(1, 9)), int(rng.integers(1, 17))
+        scale = 1.0 / np.sqrt(d)
+        queries = rng.uniform(-1.0, 1.0, (n, d)) * scale
+        keys = rng.uniform(-1.0, 1.0, (m, d)) * scale
+        batches.append((queries @ keys.T, float(rng.choice([0.5, 1.0, np.sqrt(d)]))))
+    return batches
+
+
+def test_lockstep_rows_are_bit_identical_to_the_reference_loop():
+    staggered = 0
+    for scores, eps in _lockstep_batches():
+        reg = RegularizerSpec.shannon(eps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcomes = oracle._descend(scores, reg, None)
+        assert len(outcomes) == len(scores)
+        for row, outcome in zip(scores, outcomes):
+            _assert_same_as_reference(outcome, _reference_minimize(Scores(row), reg))
+        staggered += len({outcome.iterations for outcome in outcomes}) > 1
+    # Rows that finish at different iterations leave the lock-step early.
+    assert staggered >= 30
+
+
+def test_full_eot_plan_rows_are_the_reference_rows():
+    for scores, eps in _lockstep_batches()[:20]:
+        n, m = scores.shape
+        # queries @ I = scores, so the plan solves exactly these score rows.
+        plan = solve_full_eot(QueryKeyBatch(scores, np.eye(m)), eps)
+        for row, weights in zip(scores, plan.entries):
+            w = _reference_minimize(Scores(row), RegularizerSpec.shannon(eps))[0]
+            assert weights.tobytes() == w.tobytes()
+
+
+def test_lockstep_rows_under_every_kind_and_both_methods():
+    rng = np.random.default_rng(31)
+    for index in range(40):
+        kind = REGULARIZER_KINDS[index % len(REGULARIZER_KINDS)]
+        n, m = int(rng.integers(2, 6)), int(rng.integers(1, 9))
+        reg = _random_regularizer(rng, kind, m)
+        scores = rng.uniform(-5.0, 5.0, (n, m))
+        other = PROJECTED_GRADIENT if kind in (SHANNON, ALIBI, KL_PRIOR) else EXPONENTIATED_GRADIENT
+        for cfg in (None, SolverConfig(method=other, max_iterations=300)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                outcomes = oracle._descend(scores, reg, cfg)
+            for row, outcome in zip(scores, outcomes):
+                try:
+                    with np.errstate(all="ignore"):
+                        reference = _reference_minimize(Scores(row), reg, cfg)
+                except NumericalFailure:
+                    # Projected gradient on an entropic kind at the boundary.
+                    assert isinstance(outcome, NumericalFailure)
+                    continue
+                _assert_same_as_reference(outcome, reference)
+
+
+def test_lockstep_keeps_an_underflowed_row_at_zero_beside_ordinary_rows():
+    scores = np.array([[0.5, -0.5, 0.0], [0.0, -800.0, 3.0], [1.0, 2.0, 3.0]])
+    reg = RegularizerSpec.shannon(0.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcomes = oracle._descend(scores, reg, None)
+        alone = minimize_on_simplex(Scores(scores[1]), reg)
+    for index in (0, 2):
+        _assert_same_as_reference(outcomes[index], _reference_minimize(Scores(scores[index]), reg))
+    underflowed = outcomes[1]
+    assert underflowed.converged
+    assert underflowed.distribution.weights[1] == 0.0
+    assert underflowed.distribution.weights.tobytes() == alone.distribution.weights.tobytes()
+    assert _hex_trace(underflowed.objective_trace) == _hex_trace(alone.objective_trace)
+    closed = softmax(Scores(scores[1]), 0.25).distribution.weights
+    assert _sup(underflowed.distribution.weights, closed) < 1e-6
+
+
+def test_full_eot_with_an_underflowed_row():
+    batch = QueryKeyBatch([[1.0], [0.5]], [[0.0], [-800.0], [3.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plan = solve_full_eot(batch, 0.25)
+    assert plan.entries[0, 1] == 0.0
+    assert _sup(plan.entries, attention_matrix(batch, 0.25).entries) < 1e-6
+
+
+def test_lockstep_step_size_below_the_floor_stops_at_once():
+    scores = np.array([[0.3, -0.2], [1.0, 0.0]])
+    reg = RegularizerSpec.shannon(1.0)
+    cfg = SolverConfig(step_size=1e-40)
+    for row, outcome in zip(scores, oracle._descend(scores, reg, cfg)):
+        _assert_same_as_reference(outcome, _reference_minimize(Scores(row), reg, cfg))
+        assert outcome.iterations == 1 and outcome.converged
+
+
+# ------------------------------------------ grid entropy terms in the cache
+
+
+def test_grid_entries_carry_their_entropy_terms():
+    oracle._GRIDS.cache_clear()
+    for m, resolution in ((2, 150), (3, 120)):
+        entry = oracle._GRIDS.entry(m, resolution)
+        points = oracle._barycentric_grid(m, resolution)
+        assert entry.points.tobytes() == points.tobytes()
+        assert len(points) == oracle._grid_points(m, resolution)
+        safe = np.where(points > 0.0, points, 1.0)
+        assert entry.xlogx.tobytes() == np.sum(points * np.log(safe), axis=1).tobytes()
+        assert not entry.xlogx.flags.writeable
+        assert entry.nbytes == entry.points.nbytes + entry.xlogx.nbytes
+    assert oracle._grid_points(1, 100) == len(oracle._barycentric_grid(1, 100))
+
+
+def test_objective_rows_reuse_the_entropy_terms_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for m, resolution in ((2, 1000), (3, 200)):
+        entry = oracle._GRIDS.entry(m, resolution)
+        for kind in REGULARIZER_KINDS:
+            s = Scores(rng.uniform(-5.0, 5.0, m))
+            reg = _random_regularizer(rng, kind, m)
+            plain = objective_rows(entry.points, s, reg)
+            reused = objective_rows(entry.points, s, reg, xlogx=entry.xlogx)
+            assert reused.tobytes() == plain.tobytes()
+    with pytest.raises(ValueError):
+        objective_rows(entry.points, s, reg, xlogx=entry.xlogx[:-1])
+
+
+def test_grid_cache_makes_room_before_building(monkeypatch):
+    small, large = oracle._GRIDS.entry(2, 100), oracle._GRIDS.entry(3, 100)
+    # Room for the large entry alone: it evicts the small one.
+    monkeypatch.setattr(oracle._GRIDS, "max_bytes", large.nbytes + small.nbytes - 1)
+    oracle._GRIDS.cache_clear()
+    oracle._GRIDS.entry(2, 100)
+    oracle._GRIDS.entry(3, 100)
+    assert list(oracle._GRIDS._grids) == [(3, 100)]
+    # An entry that can never fit is built for its call; the cache keeps
+    # what it holds.
+    found = grid_search_simplex(Scores([0.1, 0.2, 0.3]), RegularizerSpec.shannon(1.0), 400)
+    assert found.iterations == oracle._grid_points(3, 400)
+    assert list(oracle._GRIDS._grids) == [(3, 100)]

@@ -1,5 +1,8 @@
 """Closed-form solvers: worked examples, invariants, and degenerate cases."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -416,3 +419,54 @@ def test_single_key_returns_exactly_one():
     s = Scores([3.7])
     for reg in _all_regularizers(rng, 1):
         assert solve(s, reg).distribution.weights[0] == 1.0
+
+
+# --------------------------------------- softmax and lse at extreme scores
+
+
+@pytest.mark.parametrize(
+    "scores, t, weights, potential",
+    [
+        # s / tau overflows: the max-shift was inf - inf.
+        ([1e308, 0.0], 0.5, [1.0, 0.0], 1e308),
+        ([1e308, 1e308], 0.5, [0.5, 0.5], 1e308),
+        ([2.0, 0.0], 1e-308, [1.0, 0.0], 2.0),
+        # The spread overflows: the shifted quotient is below -DBL_MAX.
+        ([1e308, -1e308], 1.0, [1.0, 0.0], 1e308),
+        ([0.0, -1e308], 0.5, [1.0, 0.0], 0.0),
+    ],
+)
+def test_softmax_and_lse_overflow_safely_without_warnings(scores, t, weights, potential):
+    s = Scores(scores)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = softmax(s, t)
+        value = lse(s, t)
+    assert np.array_equal(result.distribution.weights, weights)
+    assert result.potential == value == potential
+
+
+def test_softmax_spread_beyond_dbl_max_at_a_huge_temperature():
+    # (s - max s) / tau is -2 here, although s - max s alone overflows.
+    s = Scores([1e308, -1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = softmax(s, 1e308)
+    expected = np.array([1.0, math.exp(-2.0)]) / (1.0 + math.exp(-2.0))
+    assert _sup(result.distribution.weights, expected) < 1e-15
+    assert abs(result.potential / (1e308 * (1.0 + math.log1p(math.exp(-2.0)))) - 1.0) < 1e-15
+
+
+def test_softmax_and_lse_keep_their_bits_on_finite_inputs():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        m = int(rng.integers(1, 20))
+        values = rng.uniform(-5.0, 5.0, m) * 10.0 ** rng.uniform(-3.0, 3.0)
+        t = float(10.0 ** rng.uniform(-3.0, 3.0))
+        z = values / t
+        e = np.exp(z - z.max())
+        top = float(values.max())
+        potential = top + t * float(np.log(np.sum(np.exp((values - top) / t))))
+        result = softmax(Scores(values), t)
+        assert result.distribution.weights.tobytes() == (e / e.sum()).tobytes()
+        assert result.potential.hex() == potential.hex() == lse(Scores(values), t).hex()

@@ -8,6 +8,7 @@ from vattn import (
     RegularizerSpec,
     Scores,
     SimplexDistribution,
+    PROJECTED_GRADIENT,
     SolverConfig,
     TransportPlan,
     ValueSet,
@@ -202,3 +203,75 @@ def test_context_rejects_shape_mismatch():
     plan = TransportPlan([[0.5, 0.5]])
     with pytest.raises(ValueError):
         context(plan, ValueSet([[1.0], [2.0], [3.0]]))
+
+
+# --------------------------------------- failures of the lock-step solve
+
+
+def _row_by_row(batch, epsilon, cfg=None):
+    """The plan solved one row after another, each failure raised in row
+    order: the behaviour the lock-step solve must keep."""
+    reg = RegularizerSpec.shannon(epsilon)
+    rows = []
+    for index, row in enumerate(batch.queries @ batch.keys.T):
+        result = minimize_on_simplex(Scores(row), reg, cfg)
+        if not result.converged:
+            raise NumericalFailure(f"row {index} did not converge within the iteration budget")
+        rows.append(result.distribution.weights)
+    return TransportPlan(np.vstack(rows))
+
+
+def _same_outcome(batch, epsilon, cfg=None):
+    try:
+        expected = _row_by_row(batch, epsilon, cfg)
+    except (NumericalFailure, ValueError) as error:
+        with pytest.raises(type(error)) as raised:
+            solve_full_eot(batch, epsilon, cfg)
+        assert str(raised.value) == str(error)
+        return error
+    assert solve_full_eot(batch, epsilon, cfg).entries.tobytes() == expected.entries.tobytes()
+    return None
+
+
+def test_full_eot_equals_the_row_by_row_solve():
+    rng = np.random.default_rng(8)
+    for _ in range(30):
+        assert _same_outcome(_random_batch(rng), float(rng.choice([0.5, 1.0, 2.0]))) is None
+
+
+def test_full_eot_capped_budget_names_the_lowest_failing_row():
+    rng = np.random.default_rng(9)
+    batch = QueryKeyBatch(rng.uniform(-1, 1, (6, 4)), rng.uniform(-1, 1, (5, 4)))
+    reg = RegularizerSpec.shannon(0.5)
+    scores = batch.queries @ batch.keys.T
+    needed = sorted(minimize_on_simplex(Scores(row), reg).iterations for row in scores)
+    assert needed[0] < needed[-1]
+    # Some rows converge within the cap and some do not.
+    for cap in (needed[0], needed[2], needed[-1] - 1):
+        error = _same_outcome(batch, 0.5, SolverConfig(max_iterations=cap))
+        assert error is not None and "did not converge" in str(error)
+    assert _same_outcome(batch, 0.5, SolverConfig(max_iterations=needed[-1])) is None
+
+
+def test_full_eot_projected_gradient_failure_is_the_row_by_row_failure():
+    # Row scores [0, -800, 3] drive projected gradient onto the boundary,
+    # where the entropic gradient is infinite.
+    keys = [[0.0], [-800.0], [3.0]]
+    cfg = SolverConfig(method=PROJECTED_GRADIENT)
+    error = _same_outcome(QueryKeyBatch([[0.001], [1.0]], keys), 0.25, cfg)
+    assert error is not None and "boundary" in str(error)
+    # A lower row that runs out of iterations fails first, although the
+    # boundary is reached at an earlier iteration.
+    capped = SolverConfig(method=PROJECTED_GRADIENT, max_iterations=5, tolerance=1e-15)
+    error = _same_outcome(QueryKeyBatch([[0.001], [1.0]], keys), 0.25, capped)
+    assert str(error) == "row 0 did not converge within the iteration budget"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
+def test_full_eot_non_finite_scores_fail_in_row_order():
+    keys = [[1e200], [1.0]]
+    error = _same_outcome(QueryKeyBatch([[0.5], [1e200]], keys), 1.0)
+    assert isinstance(error, ValueError) and "finite" in str(error)
+    capped = SolverConfig(max_iterations=1, tolerance=1e-15)
+    error = _same_outcome(QueryKeyBatch([[0.5], [1e200]], keys), 1.0, capped)
+    assert str(error) == "row 0 did not converge within the iteration budget"

@@ -7,8 +7,12 @@ checkout's ``src/``).  Each tree runs ``suites.run_suite`` for every suite
 and seed in its own subprocess, one tree after the other.  A check's
 canonical report is its ``CheckResult`` repr (residuals at full
 precision); a suite's is its ``RunReport`` with ``wall_time_ms`` zeroed.
-Prints the first report that differs and exits 1, or exits 0 when every
-report is byte-identical.
+A report keeps only a check's worst residual, so a changed plan could hide
+behind an unchanged maximum: each tree also solves, per seed and transport
+check, the ``solve_full_eot`` plan of every batch the transport suite
+draws (same generator keys) and reports a SHA-256 of the plan bytes, or
+the error a solve raised.  Prints the first report that differs and exits
+1, or exits 0 when every report is byte-identical.
 """
 
 from __future__ import annotations
@@ -23,8 +27,11 @@ CHILD = """
 import dataclasses, json, sys
 src, trials, seeds = sys.argv[1], int(sys.argv[2]), [int(x) for x in sys.argv[3:]]
 sys.path.insert(0, src)
+import hashlib
+import numpy as np
 import vattn
-from vattn import suites
+from vattn import suites, transport
+from vattn.core import NumericalFailure
 print(json.dumps(["module", vattn.__file__]), flush=True)
 for seed in seeds:
     for name in suites.SUITE_NAMES:
@@ -33,6 +40,18 @@ for seed in seeds:
             print(json.dumps([f"seed {seed} {name} {check.name}", repr(check)]), flush=True)
         suite = dataclasses.replace(report, wall_time_ms=0)
         print(json.dumps([f"seed {seed} {name}", repr(suite)]), flush=True)
+    # run_suite keys each trial's generator by (seed, suite, check, trial).
+    ordinal = suites.SUITE_NAMES.index("transport")
+    for index, check in enumerate(suites._SUITE_BUILDERS["transport"](trials)):
+        digest = hashlib.sha256()
+        for trial in range(check.trials):
+            batch, eps = suites._rand_batch(np.random.default_rng([seed, ordinal, index, trial]))
+            try:
+                digest.update(transport.solve_full_eot(batch, eps).entries.tobytes())
+            except (NumericalFailure, ValueError) as error:
+                digest.update(repr(error).encode())
+        label = f"seed {seed} transport {check.name} solve_full_eot plans"
+        print(json.dumps([label, digest.hexdigest()]), flush=True)
 """
 
 
