@@ -37,12 +37,17 @@ EXIT_NUMERICAL = 1
 EXIT_INPUT = 2
 EXIT_FLAGS = 3
 
-_CLI_KINDS = {
-    "shannon": core.SHANNON,
-    "l2": core.L2,
-    "tsallis": core.TSALLIS,
-    "alibi": core.ALIBI,
-    "kl": core.KL_PRIOR,
+# The command line spells kl_prior as kl.
+_CLI_KINDS = {"kl": core.KL_PRIOR}
+_REG_CHOICES = sorted(set(core.REGULARIZER_KINDS) - set(_CLI_KINDS.values()) | set(_CLI_KINDS))
+
+# The attn flag that sets each RegularizerSpec field.
+_FIELD_FLAGS = {
+    "temperature": "tau",
+    "alpha": "alpha",
+    "gamma": "gamma",
+    "query_position": "pos",
+    "prior": "prior",
 }
 
 
@@ -151,7 +156,7 @@ def _scalar_field(document: dict, name: str):
     raw = document[name]
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise InputError(f"field {name!r} must be a number")
-    return float(raw)
+    return raw
 
 
 def _load_scores(document: dict) -> Scores:
@@ -178,6 +183,14 @@ def _load_prior(spec: str, m: int) -> SimplexDistribution:
         raise InputError(f"prior file {spec}: {exc}") from exc
 
 
+def _file_prior(raw, m: int) -> SimplexDistribution | None:
+    if raw is None:
+        return None
+    if raw == "uniform":
+        return SimplexDistribution.uniform(m)
+    return SimplexDistribution.renormalized(np.asarray(raw, dtype=np.float64))
+
+
 def _build_regularizer(args, document: dict, m: int) -> RegularizerSpec:
     """Resolve the regularizer from flags first, then the input document."""
     file_reg = document.get("regularizer")
@@ -185,71 +198,47 @@ def _build_regularizer(args, document: dict, m: int) -> RegularizerSpec:
         raise InputError("field 'regularizer' must be an object")
     file_reg = file_reg or {}
 
-    cli_kind = getattr(args, "reg", None)
-    kind = _CLI_KINDS.get(cli_kind) if cli_kind else None
-    if kind is None:
-        file_kind = file_reg.get("kind")
-        if file_kind is None:
+    name = getattr(args, "reg", None)
+    if name is None:
+        name = file_reg.get("kind")
+        if name is None:
             raise FlagError("no regularizer given: pass --reg or a 'regularizer' object")
-        if file_kind not in _CLI_KINDS and file_kind not in core.REGULARIZER_KINDS:
-            raise InputError(f"unknown regularizer kind {file_kind!r} in input")
-        kind = _CLI_KINDS.get(file_kind, file_kind)
+    kind = _CLI_KINDS.get(name, name) if isinstance(name, str) else None
+    if kind not in core.REGULARIZER_KINDS:  # only a file's kind can be unknown
+        raise InputError(f"unknown regularizer kind {name!r} in input")
 
-    def pick(flag_name: str, file_name: str):
-        flag_value = getattr(args, flag_name, None)
-        return flag_value if flag_value is not None else file_reg.get(file_name)
-
+    # The document's top-level temperature is read for every kind.
     tau = getattr(args, "tau", None)
     if tau is None:
         tau = _scalar_field(document, "temperature")
-    alpha = pick("alpha", "alpha")
-    gamma = pick("gamma", "gamma")
-    position = pick("pos", "query_position")
 
-    allowed = {
-        core.SHANNON: {"tau"},
-        core.L2: set(),
-        core.TSALLIS: {"alpha"},
-        core.ALIBI: {"tau", "gamma", "pos"},
-        core.KL_PRIOR: {"tau", "prior"},
-    }[kind]
-    for flag in ("tau", "alpha", "gamma", "pos", "prior"):
-        if getattr(args, flag, None) is not None and flag not in allowed:
-            raise FlagError(f"--{flag} is not valid with --reg {cli_kind or kind}")
+    fields = core._KINDS[kind].fields
+    for field, flag in _FIELD_FLAGS.items():
+        if getattr(args, flag, None) is not None and field not in fields:
+            raise FlagError(f"--{flag} is not valid with --reg {name}")
 
+    values = {}
     try:
-        if kind == core.SHANNON:
-            if tau is None:
-                raise FlagError("the entropy regularizer needs --tau")
-            return RegularizerSpec.shannon(tau)
-        if kind == core.L2:
-            return RegularizerSpec.l2()
-        if kind == core.TSALLIS:
-            if alpha is None:
-                raise FlagError("the tsallis regularizer needs --alpha")
-            return RegularizerSpec.tsallis(alpha)
-        if kind == core.ALIBI:
-            if tau is None or gamma is None or position is None:
-                raise FlagError("the alibi regularizer needs --tau, --gamma and --pos")
-            return RegularizerSpec.alibi(gamma, int(position), tau)
-        if kind == core.KL_PRIOR:
-            prior_spec = getattr(args, "prior", None)
-            if prior_spec is not None:
-                prior = _load_prior(prior_spec, m)
-            elif file_reg.get("prior") is not None:
-                raw = file_reg["prior"]
-                if raw == "uniform":
-                    prior = SimplexDistribution.uniform(m)
-                else:
-                    prior = SimplexDistribution.renormalized(np.asarray(raw, dtype=np.float64))
+        for field in fields:
+            flag_value = getattr(args, _FIELD_FLAGS[field], None)
+            if field == "temperature":
+                values[field] = tau
+            elif field == "prior":
+                values[field] = (
+                    _load_prior(flag_value, m)
+                    if flag_value is not None
+                    else _file_prior(file_reg.get("prior"), m)
+                )
             else:
-                raise FlagError("the kl regularizer needs --prior (path or 'uniform')")
-            if tau is None:
-                raise FlagError("the kl regularizer needs --tau")
-            return RegularizerSpec.kl_prior(prior, tau)
+                values[field] = (
+                    flag_value if flag_value is not None else _scalar_field(file_reg, field)
+                )
+        missing = [f"--{_FIELD_FLAGS[field]}" for field in fields if values[field] is None]
+        if missing:
+            raise FlagError(f"the {name} regularizer needs {', '.join(missing)}")
+        return RegularizerSpec(kind, **values)
     except (TypeError, ValueError) as exc:
         raise FlagError(str(exc)) from exc
-    raise FlagError(f"unknown regularizer kind {kind!r}")
 
 
 def _report_document(report: RunReport) -> dict:
@@ -287,12 +276,9 @@ def _summarize(report: RunReport) -> None:
 def _tolerance_scale() -> float:
     raw = os.environ.get("VATTN_TOL_SCALE", "1")
     try:
-        scale = float(raw)
+        return core._check_positive_real(raw, "VATTN_TOL_SCALE")
     except ValueError as exc:
-        raise InputError(f"VATTN_TOL_SCALE must be a number, got {raw!r}") from exc
-    if not (np.isfinite(scale) and scale > 0.0):
-        raise InputError(f"VATTN_TOL_SCALE must be positive, got {raw!r}")
-    return scale
+        raise InputError(f"VATTN_TOL_SCALE must be a positive finite real, got {raw!r}") from exc
 
 
 def _cmd_attn(args) -> int:
@@ -321,8 +307,6 @@ def _check_run_flags(args) -> None:
         raise FlagError("--seed must be a nonnegative 64-bit integer")
     if getattr(args, "trials", 1) < 1:
         raise FlagError("--trials must be at least 1")
-    if getattr(args, "jobs", 1) < 1:
-        raise FlagError("--jobs must be at least 1")
 
 
 def _cmd_verify(args) -> int:
@@ -330,7 +314,7 @@ def _cmd_verify(args) -> int:
     scale = _tolerance_scale()
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     reports = [
-        suites.run_suite(name, args.seed, args.trials, jobs=args.jobs, tolerance_scale=scale)
+        suites.run_suite(name, args.seed, args.trials, tolerance_scale=scale)
         for name in names
     ]
     for report in reports:
@@ -418,7 +402,7 @@ def _build_parser() -> _Parser:
 
     attn = sub.add_parser("attn", help="solve one score vector under a chosen regularizer")
     attn.add_argument("input", help="JSON file with a 'scores' array")
-    attn.add_argument("--reg", choices=sorted(_CLI_KINDS), help="regularizer kind")
+    attn.add_argument("--reg", choices=_REG_CHOICES, help="regularizer kind")
     attn.add_argument("--tau", type=float, help="temperature (entropy weight)")
     attn.add_argument("--alpha", type=float, help="tsallis exponent (> 1)")
     attn.add_argument("--gamma", type=float, help="locality penalty weight (>= 0)")
@@ -431,7 +415,6 @@ def _build_parser() -> _Parser:
     verify.add_argument("suite", choices=list(SUITE_NAMES) + ["all"])
     verify.add_argument("--seed", type=int, default=0, help="RNG seed (PCG64)")
     verify.add_argument("--trials", type=int, default=100, help="trials per check")
-    verify.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
     verify.add_argument("--out", help="output path (default stdout)")
     verify.set_defaults(handler=_cmd_verify)
 

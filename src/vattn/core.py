@@ -8,7 +8,9 @@ are pure functions of their inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,15 +49,21 @@ L2 = "l2"
 TSALLIS = "tsallis"
 ALIBI = "alibi"
 KL_PRIOR = "kl_prior"
-REGULARIZER_KINDS = (SHANNON, L2, TSALLIS, ALIBI, KL_PRIOR)
 
-_REQUIRED_FIELDS = {
-    SHANNON: ("temperature",),
-    L2: (),
-    TSALLIS: ("alpha",),
-    ALIBI: ("temperature", "gamma", "query_position"),
-    KL_PRIOR: ("temperature", "prior"),
+
+class _Kind(NamedTuple):
+    fields: tuple[str, ...]  # the RegularizerSpec fields the kind requires
+    entropic: bool  # Omega carries tau * sum p log p
+
+
+_KINDS = {
+    SHANNON: _Kind(("temperature",), True),
+    L2: _Kind((), False),
+    TSALLIS: _Kind(("alpha",), False),
+    ALIBI: _Kind(("temperature", "gamma", "query_position"), True),
+    KL_PRIOR: _Kind(("temperature", "prior"), True),
 }
+REGULARIZER_KINDS = tuple(_KINDS)
 
 
 class NumericalFailure(RuntimeError):
@@ -144,6 +152,60 @@ class SimplexDistribution:
         return cls(arr / total)
 
 
+# One check per regularizer parameter.  Every entry point that takes the
+# raw value calls the same function, which returns the value normalized.
+
+
+def _check_positive_real(value, name: str = "temperature") -> float:
+    x = float(value)
+    if not (math.isfinite(x) and x > 0.0):
+        raise ValueError(f"{name} must be a positive finite real")
+    return x
+
+
+def _check_alpha(alpha) -> float:
+    a = float(alpha)
+    if not (math.isfinite(a) and a > 1.0):
+        raise ValueError("alpha must exceed 1 (the alpha -> 1 limit is softmax)")
+    return a
+
+
+def _check_gamma(gamma) -> float:
+    g = float(gamma)
+    if not (math.isfinite(g) and g >= 0.0):
+        raise ValueError("gamma must be a nonnegative finite real")
+    return g
+
+
+def _check_query_position(query_position) -> int:
+    try:
+        i = int(query_position)
+    except (ValueError, OverflowError):  # nan, inf
+        i = 0
+    if i != query_position or i < 1:
+        raise ValueError("query_position must be an integer index >= 1")
+    return i
+
+
+def _check_positive_distribution(dist, name: str = "prior") -> SimplexDistribution:
+    if not isinstance(dist, SimplexDistribution):
+        dist = SimplexDistribution(dist)
+    if np.any(dist.weights <= 0.0):
+        raise ValueError(f"{name} must be strictly positive")
+    return dist
+
+
+# In dataclass field order, which fixes which error a spec with several
+# faults reports.
+_FIELD_CHECKS = {
+    "temperature": _check_positive_real,
+    "alpha": _check_alpha,
+    "gamma": _check_gamma,
+    "query_position": _check_query_position,
+    "prior": _check_positive_distribution,
+}
+
+
 @dataclass(frozen=True)
 class RegularizerSpec:
     """Tagged choice of the penalty Omega(p) with exactly its required fields.
@@ -170,40 +232,16 @@ class RegularizerSpec:
     def __post_init__(self):
         if self.kind not in REGULARIZER_KINDS:
             raise ValueError(f"unknown regularizer kind {self.kind!r}")
-        required = _REQUIRED_FIELDS[self.kind]
-        for field_name in ("temperature", "alpha", "gamma", "query_position", "prior"):
+        required = _KINDS[self.kind].fields
+        for field_name in _FIELD_CHECKS:
             populated = getattr(self, field_name) is not None
             if populated and field_name not in required:
                 raise ValueError(f"{self.kind!r} regularizer does not take {field_name!r}")
             if not populated and field_name in required:
                 raise ValueError(f"{self.kind!r} regularizer requires {field_name!r}")
-        if self.temperature is not None:
-            t = float(self.temperature)
-            if not (np.isfinite(t) and t > 0.0):
-                raise ValueError("temperature must be a positive finite real")
-            object.__setattr__(self, "temperature", t)
-        if self.alpha is not None:
-            a = float(self.alpha)
-            if not (np.isfinite(a) and a > 1.0):
-                raise ValueError("alpha must exceed 1")
-            object.__setattr__(self, "alpha", a)
-        if self.gamma is not None:
-            g = float(self.gamma)
-            if not (np.isfinite(g) and g >= 0.0):
-                raise ValueError("gamma must be a nonnegative finite real")
-            object.__setattr__(self, "gamma", g)
-        if self.query_position is not None:
-            i = int(self.query_position)
-            if i != self.query_position or i < 1:
-                raise ValueError("query_position must be an integer index >= 1")
-            object.__setattr__(self, "query_position", i)
-        if self.prior is not None:
-            prior = self.prior
-            if not isinstance(prior, SimplexDistribution):
-                prior = SimplexDistribution(prior)
-            if np.any(prior.weights <= 0.0):
-                raise ValueError("prior must be strictly positive")
-            object.__setattr__(self, "prior", prior)
+        for field_name in required:
+            checked = _FIELD_CHECKS[field_name](getattr(self, field_name))
+            object.__setattr__(self, field_name, checked)
 
     @classmethod
     def shannon(cls, temperature: float) -> "RegularizerSpec":
@@ -294,9 +332,7 @@ def kl_divergence(p: SimplexDistribution, q: SimplexDistribution) -> float:
     """KL(p || q) = sum p_j log(p_j / q_j); q must be strictly positive."""
     if len(p) != len(q):
         raise ValueError(f"length mismatch: {len(p)} vs {len(q)}")
-    qw = q.weights
-    if np.any(qw <= 0.0):
-        raise ValueError("reference distribution must be strictly positive")
+    qw = _check_positive_distribution(q, "reference distribution").weights
     w = p.weights
     pos = w > 0.0
     return float(np.sum(w[pos] * (np.log(w[pos]) - np.log(qw[pos]))))
@@ -342,7 +378,7 @@ def _xlogx_rows(P: np.ndarray) -> np.ndarray:
 
 def _omega_rows(P: np.ndarray, reg: RegularizerSpec, xlogx: np.ndarray | None = None) -> np.ndarray:
     kind = reg.kind
-    if xlogx is None and kind in (SHANNON, ALIBI, KL_PRIOR):
+    if xlogx is None and _KINDS[kind].entropic:
         xlogx = _xlogx_rows(P)
     if kind == SHANNON:
         return reg.temperature * xlogx

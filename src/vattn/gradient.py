@@ -21,6 +21,8 @@ from .core import (
     SimplexDistribution,
     UtilityVector,
     ValueSet,
+    _check_positive_distribution,
+    _check_positive_real,
 )
 
 __all__ = [
@@ -44,24 +46,28 @@ _EIGENVALUE_ATOL = 1e-10
 _GRADIENT_SUM_ATOL = 1e-10
 
 
-def _check_temperature(temperature: float) -> float:
-    t = float(temperature)
-    if not (np.isfinite(t) and t > 0.0):
-        raise ValueError("temperature must be a positive finite real")
-    return t
-
-
-def _check_interior(p: SimplexDistribution) -> np.ndarray:
-    if np.any(p.weights <= 0.0):
-        raise ValueError("distribution must be strictly positive (softmax output)")
-    return p.weights
-
-
 def _weight_covariance(w: np.ndarray) -> np.ndarray:
     """diag(p) - p p^T, the matrix behind both the Jacobian and the Fisher
     metric; continuous in p, so it extends to saturated (underflowed)
     softmax outputs where the validated matrix types refuse to go."""
     return np.diag(w) - np.outer(w, w)
+
+
+def _freeze_covariance(matrix, name: str) -> np.ndarray:
+    """The checks a Jacobian and a Fisher matrix share: square, symmetric,
+    rows summing to 0, a valid temperature.  Stores both frozen and returns
+    the entries for the caller's own check."""
+    e = np.array(matrix.entries, dtype=np.float64)
+    if e.ndim != 2 or e.shape[0] != e.shape[1]:
+        raise ValueError("entries must be a square matrix")
+    if np.max(np.abs(e - e.T)) > _MATRIX_ATOL:
+        raise ValueError(f"{name} must be symmetric")
+    if np.max(np.abs(e.sum(axis=1))) > _MATRIX_ATOL:
+        raise ValueError(f"{name} rows must sum to 0")
+    e.flags.writeable = False
+    object.__setattr__(matrix, "entries", e)
+    object.__setattr__(matrix, "temperature", _check_positive_real(matrix.temperature))
+    return e
 
 
 @dataclass(frozen=True)
@@ -73,18 +79,9 @@ class JacobianMatrix:
     temperature: float
 
     def __post_init__(self):
-        e = np.array(self.entries, dtype=np.float64)
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise ValueError("entries must be a square matrix")
-        if np.max(np.abs(e - e.T)) > _MATRIX_ATOL:
-            raise ValueError("Jacobian must be symmetric")
-        if np.max(np.abs(e.sum(axis=1))) > _MATRIX_ATOL:
-            raise ValueError("Jacobian rows must sum to 0")
+        e = _freeze_covariance(self, "Jacobian")
         if np.max(np.abs(e.sum(axis=0))) > _MATRIX_ATOL:
             raise ValueError("Jacobian columns must sum to 0")
-        e.flags.writeable = False
-        object.__setattr__(self, "entries", e)
-        object.__setattr__(self, "temperature", _check_temperature(self.temperature))
 
 
 @dataclass(frozen=True)
@@ -96,18 +93,9 @@ class FisherMatrix:
     temperature: float
 
     def __post_init__(self):
-        e = np.array(self.entries, dtype=np.float64)
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise ValueError("entries must be a square matrix")
-        if np.max(np.abs(e - e.T)) > _MATRIX_ATOL:
-            raise ValueError("Fisher matrix must be symmetric")
-        if np.max(np.abs(e.sum(axis=1))) > _MATRIX_ATOL:
-            raise ValueError("Fisher matrix rows must sum to 0")
+        e = _freeze_covariance(self, "Fisher matrix")
         if float(np.linalg.eigvalsh(e)[0]) < -_EIGENVALUE_ATOL:
             raise ValueError("Fisher matrix must be positive semidefinite")
-        e.flags.writeable = False
-        object.__setattr__(self, "entries", e)
-        object.__setattr__(self, "temperature", _check_temperature(self.temperature))
 
 
 @dataclass(frozen=True)
@@ -139,8 +127,8 @@ class GradientReport:
 
 def softmax_jacobian(p: SimplexDistribution, temperature: float) -> JacobianMatrix:
     """Jacobian of the softmax map at the distribution it produced."""
-    t = _check_temperature(temperature)
-    w = _check_interior(p)
+    t = _check_positive_real(temperature)
+    w = _check_positive_distribution(p, "distribution").weights
     return JacobianMatrix(_weight_covariance(w) / t, t)
 
 
@@ -165,7 +153,7 @@ def advantage_gradient(
     p: SimplexDistribution, u: UtilityVector, temperature: float
 ) -> GradientReport:
     """Score gradient dL/ds_j = -(p_j / tau)(u_j - E_p[u]) in closed form."""
-    t = _check_temperature(temperature)
+    t = _check_positive_real(temperature)
     if len(p) != len(u):
         raise ValueError(f"length mismatch: distribution {len(p)} vs utilities {len(u)}")
     w = p.weights
@@ -182,7 +170,7 @@ def chain_rule_gradient(
     """The same score gradient computed the long way, as -J^T u through the
     explicit softmax Jacobian; must agree with ``advantage_gradient`` to
     machine precision."""
-    t = _check_temperature(temperature)
+    t = _check_positive_real(temperature)
     if len(p) != len(u):
         raise ValueError(f"length mismatch: distribution {len(p)} vs utilities {len(u)}")
     jacobian = _weight_covariance(p.weights) / t
@@ -191,8 +179,8 @@ def chain_rule_gradient(
 
 def fisher_matrix(p: SimplexDistribution, temperature: float) -> FisherMatrix:
     """Fisher information of the score-parameterized weight distribution."""
-    t = _check_temperature(temperature)
-    w = _check_interior(p)
+    t = _check_positive_real(temperature)
+    w = _check_positive_distribution(p, "distribution").weights
     return FisherMatrix(_weight_covariance(w) / (t * t), t)
 
 
@@ -205,7 +193,7 @@ def natural_gradient_identity_check(
     the Fisher matrix applied to the utilities; the two code paths share
     nothing but p, u, and tau.
     """
-    t = _check_temperature(temperature)
+    t = _check_positive_real(temperature)
     lhs = advantage_gradient(p, u, t).score_gradient
     fisher = _weight_covariance(p.weights) / (t * t)
     rhs = -t * (fisher @ u.values)
@@ -268,7 +256,7 @@ def lse_hessian_check(s: Scores, temperature: float, h: float) -> float:
     For smooth regimes the residual is O(h^2); at the default h = 1e-4 it
     sits comfortably below 1e-6.
     """
-    t = _check_temperature(temperature)
+    t = _check_positive_real(temperature)
     numeric = finite_difference_hessian(lambda x: solvers.lse(Scores(x), t), s.values, h)
     target = _weight_covariance(solvers.softmax(s, t).distribution.weights) / t
     return float(np.max(np.abs(numeric - target)))
@@ -281,7 +269,7 @@ def envelope_check(s: Scores, temperature: float, h: float) -> float:
     The optimal-value landscape has gradient -p*(s); the residual is O(h^2)
     and sits below 1e-7 at the default h = 1e-5.
     """
-    t = _check_temperature(temperature)
+    t = _check_positive_real(temperature)
     numeric = finite_difference_gradient(
         lambda x: solvers.primal_value(Scores(x), t), s.values, h
     )

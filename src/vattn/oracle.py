@@ -29,6 +29,7 @@ from .core import (
     RegularizerSpec,
     Scores,
     SimplexDistribution,
+    _KINDS,
     _xlogx_rows,
     key_distances,
     objective_rows,
@@ -97,9 +98,8 @@ def default_config(reg: RegularizerSpec) -> SolverConfig:
     iterates stay interior, where those objectives' gradients blow up at
     the boundary), projected gradient for L2/Tsallis whose optima are
     sparse."""
-    if reg.kind in (L2, TSALLIS):
-        return SolverConfig(method=PROJECTED_GRADIENT)
-    return SolverConfig(method=EXPONENTIATED_GRADIENT)
+    entropic = _KINDS[reg.kind].entropic
+    return SolverConfig(method=EXPONENTIATED_GRADIENT if entropic else PROJECTED_GRADIENT)
 
 
 def _nonzero(w: np.ndarray) -> np.ndarray:

@@ -23,6 +23,11 @@ from .core import (
     RegularizerSpec,
     Scores,
     SimplexDistribution,
+    _check_alpha,
+    _check_gamma,
+    _check_positive_real,
+    _check_positive_distribution,
+    _check_query_position,
     key_distances,
     objective_value,
 )
@@ -59,13 +64,6 @@ class SolveResult:
             raise ValueError("support_size must count the strictly positive entries")
 
 
-def _check_temperature(temperature: float) -> float:
-    t = float(temperature)
-    if not (np.isfinite(t) and t > 0.0):
-        raise ValueError("temperature must be a positive finite real")
-    return t
-
-
 def _result(weights: np.ndarray, potential: float | None) -> SolveResult:
     dist = SimplexDistribution(weights)
     return SolveResult(dist, potential, int(np.count_nonzero(dist.weights > 0.0)))
@@ -86,7 +84,7 @@ def softmax(s: Scores, temperature: float) -> SolveResult:
     the gradient of that potential.  Scores whose quotients by tau, or
     their spread, overflow take an overflow-safe path.
     """
-    t = _check_temperature(temperature)
+    t = _check_positive_real(temperature)
     v = s.values
     top, bottom = float(v.max()), float(v.min())
     z_top = top / t
@@ -129,9 +127,7 @@ def entmax(s: Scores, alpha: float) -> SolveResult:
     residual |sum p - 1| drops below 1e-12.  Interpolates softmax
     (alpha -> 1) and sparsemax (alpha = 2).
     """
-    a = float(alpha)
-    if not (np.isfinite(a) and a > 1.0):
-        raise ValueError("alpha must exceed 1 (the alpha -> 1 limit is softmax)")
+    a = _check_alpha(alpha)
     m = len(s)
     if m == 1:
         return _result(np.ones(1), None)
@@ -215,12 +211,8 @@ def alibi_softmax(
     position; this solves the entropy objective augmented with a linear
     locality cost.
     """
-    i = int(query_position)
-    if i != query_position or i < 1:
-        raise ValueError("query_position must be an integer index >= 1")
-    g = float(gamma)
-    if not (np.isfinite(g) and g >= 0.0):
-        raise ValueError("gamma must be a nonnegative finite real")
+    i = _check_query_position(query_position)
+    g = _check_gamma(gamma)
     penalized = Scores(s.values - g * key_distances(i, len(s)))
     return softmax(penalized, temperature)
 
@@ -232,11 +224,10 @@ def prior_softmax(s: Scores, prior: SimplexDistribution, temperature: float) -> 
     additive log-prior is the multiplicative Bayes update on the evidence
     exp(s_j / tau).  A uniform prior recovers plain softmax.
     """
-    t = _check_temperature(temperature)
+    t = _check_positive_real(temperature)
     if len(prior) != len(s):
         raise ValueError(f"length mismatch: prior {len(prior)} vs scores {len(s)}")
-    if np.any(prior.weights <= 0.0):
-        raise ValueError("prior must be strictly positive")
+    prior = _check_positive_distribution(prior)
     effective = Scores(s.values + t * np.log(prior.weights))
     return softmax(effective, t)
 
@@ -248,7 +239,7 @@ def lse(s: Scores, temperature: float) -> float:
     gradient is the softmax distribution and its value is the negative of
     ``primal_value``.
     """
-    t = _check_temperature(temperature)
+    t = _check_positive_real(temperature)
     v = s.values
     return _lse(v, t, float(v.max()), float(v.min()))
 
@@ -267,9 +258,8 @@ def primal_value(s: Scores, temperature: float) -> float:
     Evaluated as the entropy objective at the softmax solution; strong
     duality makes this equal to ``-lse(s, temperature)``.
     """
-    t = _check_temperature(temperature)
-    dist = softmax(s, t).distribution
-    return objective_value(dist, s, RegularizerSpec.shannon(t))
+    dist = softmax(s, temperature).distribution
+    return objective_value(dist, s, RegularizerSpec.shannon(temperature))
 
 
 def solve(s: Scores, reg: RegularizerSpec) -> SolveResult:

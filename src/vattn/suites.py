@@ -2,15 +2,13 @@
 
 Each suite aggregates one named check per identity; a check draws its
 instances from a PCG64 generator keyed by (seed, suite, check, trial), so
-reports are reproducible bit-for-bit regardless of how trials are fanned
-out across workers.  The reported residual of a check is the worst value
-seen across its trials.
+reports are reproducible bit-for-bit.  The reported residual of a check is
+the worst value seen across its trials.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -458,12 +456,16 @@ def _envelope_trial(rng) -> float:
     return gradient.envelope_check(s, t, 1e-5)
 
 
+def _lse_gradient_residual(s: Scores, t: float, h: float, weights: np.ndarray) -> float:
+    """Sup-norm distance between the finite-difference gradient of lse and
+    the softmax weights of ``s``."""
+    numeric = gradient.finite_difference_gradient(lambda x: solvers.lse(Scores(x), t), s.values, h)
+    return _sup_norm(numeric, weights)
+
+
 def _lse_gradient_trial(rng) -> float:
     s, t = _duality_instance(rng)
-    numeric = gradient.finite_difference_gradient(
-        lambda x: solvers.lse(Scores(x), t), s.values, 1e-5
-    )
-    return _sup_norm(numeric, solvers.softmax(s, t).distribution.weights)
+    return _lse_gradient_residual(s, t, 1e-5, solvers.softmax(s, t).distribution.weights)
 
 
 def _duality_strong_trial(rng) -> float:
@@ -577,7 +579,6 @@ def run_suite(
     name: str,
     seed: int,
     trials: int,
-    jobs: int = 1,
     tolerance_scale: float = 1.0,
 ) -> RunReport:
     """Run one named suite; deterministic given (name, seed, trials)."""
@@ -585,21 +586,14 @@ def run_suite(
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
     started = time.perf_counter()
     ordinal = SUITE_NAMES.index(name)
     results = []
     for check_index, check in enumerate(_SUITE_BUILDERS[name](trials)):
-        rngs = [
-            np.random.default_rng([int(seed), ordinal, check_index, trial])
+        residuals = [
+            check.run_trial(np.random.default_rng([int(seed), ordinal, check_index, trial]))
             for trial in range(check.trials)
         ]
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                residuals = list(pool.map(check.run_trial, rngs))
-        else:
-            residuals = [check.run_trial(rng) for rng in rngs]
         residual = float(max(residuals))
         tolerance = check.tolerance * tolerance_scale
         results.append(CheckResult(check.name, residual, tolerance, residual <= tolerance))
@@ -651,9 +645,7 @@ def gradcheck_report(
     plus a context gradient) the advantage identities are checked too.
     """
     started = time.perf_counter()
-    t = float(temperature)
-    if not (np.isfinite(t) and t > 0.0):
-        raise ValueError("temperature must be a positive finite real")
+    t = core._check_positive_real(temperature)
     h_grad = _GRAD_H0 * min(1.0, t) ** (2.0 / 3.0)
     h_hess = max(_HESS_H0 * min(1.0, t) ** 0.75, _HESS_H_MIN)
     grad_widening = max(1.0, _GRAD_TAU_REF / t)
@@ -672,13 +664,10 @@ def gradcheck_report(
     def _record(name: str, residual: float, tolerance: float, details: str) -> None:
         checks.append(CheckResult(name, float(residual), tolerance, residual <= tolerance, details))
 
-    softmax_weights = solvers.softmax(scores, t).distribution.weights
-    numeric_lse_grad = gradient.finite_difference_gradient(
-        lambda x: solvers.lse(Scores(x), t), scores.values, h_grad
-    )
+    p = solvers.softmax(scores, t).distribution
     _record(
         "lse-gradient-matches-softmax",
-        _sup_norm(numeric_lse_grad, softmax_weights),
+        _lse_gradient_residual(scores, t, h_grad, p.weights),
         tol_grad,
         _note(h_grad, grad_widening),
     )
@@ -688,7 +677,7 @@ def gradcheck_report(
         tol_grad,
         _note(h_grad, grad_widening),
     )
-    covariance = np.diag(softmax_weights) - np.outer(softmax_weights, softmax_weights)
+    covariance = gradient._weight_covariance(p.weights)
     hessian_scale = max(1.0, float(np.max(np.abs(covariance / t))))
     _record(
         "lse-hessian-matches-tau-fisher",
@@ -704,7 +693,6 @@ def gradcheck_report(
         utility_source = "utilities supplied directly"
 
     if utilities is not None:
-        p = solvers.softmax(scores, t).distribution
         report = gradient.advantage_gradient(p, utilities, t)
         _record(
             "advantage-equals-chain-rule",

@@ -21,6 +21,7 @@ from .core import (
     RegularizerSpec,
     Scores,
     ValueSet,
+    _check_positive_real,
 )
 
 __all__ = [
@@ -78,14 +79,21 @@ class TransportPlan:
         return self.entries.shape
 
 
+def _similarities(batch: QueryKeyBatch) -> np.ndarray:
+    # Products that overflow come out inf or nan, which every caller
+    # rejects with a ValueError; numpy's warning would only say it first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return batch.queries @ batch.keys.T
+
+
 def cost_matrix(batch: QueryKeyBatch) -> CostMatrix:
     """Negative query-key similarities for the whole batch."""
-    return CostMatrix(-(batch.queries @ batch.keys.T))
+    return CostMatrix(-_similarities(batch))
 
 
 def attention_matrix(batch: QueryKeyBatch, temperature: float) -> TransportPlan:
     """Row-wise softmax of the similarity matrix at the given temperature."""
-    scores = batch.queries @ batch.keys.T
+    scores = _similarities(batch)
     rows = [
         solvers.softmax(Scores(row), temperature).distribution.weights for row in scores
     ]
@@ -102,9 +110,7 @@ def eot_matrix_objective(plan: TransportPlan, cost: CostMatrix, epsilon: float) 
         raise ValueError(
             f"shape mismatch: plan {plan.entries.shape} vs cost {cost.entries.shape}"
         )
-    eps = float(epsilon)
-    if not (np.isfinite(eps) and eps > 0.0):
-        raise ValueError("epsilon must be a positive finite real")
+    eps = _check_positive_real(epsilon, "epsilon")
     P = plan.entries
     safe = np.where(P > 0.0, P, 1.0)
     return float(np.sum(P * cost.entries) + eps * np.sum(P * np.log(safe)))
@@ -120,11 +126,8 @@ def solve_full_eot(
     A failure names the lowest-index row that fails, as solving the rows
     one after another would.
     """
-    eps = float(epsilon)
-    if not (np.isfinite(eps) and eps > 0.0):
-        raise ValueError("epsilon must be a positive finite real")
-    reg = RegularizerSpec.shannon(eps)
-    scores = batch.queries @ batch.keys.T
+    reg = RegularizerSpec.shannon(_check_positive_real(epsilon, "epsilon"))
+    scores = _similarities(batch)
     # Rows from the first non-finite one on are never solved: that row is
     # rejected as Scores would reject it, unless an earlier row fails first.
     finite = np.isfinite(scores).all(axis=1)

@@ -151,15 +151,6 @@ def test_verify_reports_are_deterministic(tmp_path, capsys):
     assert scrub(paths[0].read_text()) == scrub(paths[1].read_text())
 
 
-def test_verify_jobs_match_serial(tmp_path, capsys):
-    serial, parallel = tmp_path / "serial.json", tmp_path / "parallel.json"
-    base = ["verify", "gradient-identities", "--seed", "11", "--trials", "8"]
-    assert _run(capsys, base + ["--out", str(serial)])[0] == 0
-    assert _run(capsys, base + ["--jobs", "4", "--out", str(parallel)])[0] == 0
-    scrub = lambda text: re.sub(r'"wall_time_ms": \d+', '"wall_time_ms": 0', text)
-    assert scrub(serial.read_text()) == scrub(parallel.read_text())
-
-
 def test_verify_tolerance_scale_env(tmp_path, capsys, monkeypatch):
     # an absurdly small scale must fail the machine-precision checks
     monkeypatch.setenv("VATTN_TOL_SCALE", "1e-30")
@@ -316,3 +307,61 @@ def test_transport_requires_epsilon(tmp_path, capsys):
 def test_transport_malformed_matrices(tmp_path, capsys):
     path = _write(tmp_path, "in.json", {"queries": [[1.0], [2.0, 3.0]], "keys": [[1.0]]})
     assert _run(capsys, ["transport", path, "--tau", "1"])[0] == 2
+
+
+# Each kind's flags, and one valid value for every regularizer flag.
+_KIND_FLAGS = {
+    "shannon": ["--tau"],
+    "l2": [],
+    "tsallis": ["--alpha"],
+    "alibi": ["--tau", "--gamma", "--pos"],
+    "kl": ["--tau", "--prior"],
+}
+_FLAG_VALUES = {
+    "--tau": "0.8",
+    "--alpha": "1.5",
+    "--gamma": "0.5",
+    "--pos": "2",
+    "--prior": "uniform",
+}
+
+
+def _flag_args(flags):
+    return [arg for flag in flags for arg in (flag, _FLAG_VALUES[flag])]
+
+
+def test_attn_takes_exactly_each_kinds_flags(tmp_path, capsys):
+    path = _write(tmp_path, "in.json", {"scores": [0.3, -0.2, 0.9]})
+    for kind, flags in _KIND_FLAGS.items():
+        base = ["attn", path, "--reg", kind]
+        assert _run(capsys, base + _flag_args(flags))[0] == 0, kind
+        for extra in sorted(set(_FLAG_VALUES) - set(flags)):
+            assert _run(capsys, base + _flag_args(flags + [extra]))[0] == 3, (kind, extra)
+        for dropped in flags:
+            kept = [flag for flag in flags if flag != dropped]
+            assert _run(capsys, base + _flag_args(kept))[0] == 3, (kind, dropped)
+
+
+def test_attn_file_regularizer_fields_are_type_checked(tmp_path, capsys):
+    def attn(regularizer):
+        doc = {"scores": [0.3, -0.2, 0.9], "temperature": 0.8, "regularizer": regularizer}
+        return _run(capsys, ["attn", _write(tmp_path, "in.json", doc)])
+
+    scores = _write(tmp_path, "scores.json", {"scores": [0.3, -0.2, 0.9]})
+    flags = ["--reg", "alibi"] + _flag_args(_KIND_FLAGS["alibi"])
+    code, out, _ = _run(capsys, ["attn", scores] + flags)
+    assert code == 0
+    alibi = {"kind": "alibi", "gamma": 0.5, "query_position": 2}
+    assert attn(alibi)[:2] == (0, out)
+    assert attn({**alibi, "query_position": 2.0})[:2] == (0, out)
+    assert attn({**alibi, "query_position": 2.5})[0] == 3  # not truncated to 2
+    assert attn({**alibi, "query_position": 0})[0] == 3
+    assert attn({**alibi, "query_position": True})[0] == 2
+    assert attn({**alibi, "query_position": "x"})[0] == 2
+    assert attn({**alibi, "gamma": "0.5"})[0] == 2
+    assert attn({**alibi, "gamma": -1})[0] == 3
+    assert attn({"kind": "tsallis", "alpha": "1.5"})[0] == 2
+    assert attn({"kind": "tsallis", "alpha": False})[0] == 2
+    assert attn({"kind": "tsallis", "alpha": 1})[0] == 3
+    assert attn({"kind": "tsallis", "alpha": 1.5})[0] == 0
+    assert attn({"kind": ["l2"]})[0] == 2

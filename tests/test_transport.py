@@ -1,5 +1,7 @@
 """Full-matrix transport plans: costs, objectives, and row-wise optimality."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -275,3 +277,22 @@ def test_full_eot_non_finite_scores_fail_in_row_order():
     capped = SolverConfig(max_iterations=1, tolerance=1e-15)
     error = _same_outcome(QueryKeyBatch([[0.5], [1e200]], keys), 1.0, capped)
     assert str(error) == "row 0 did not converge within the iteration budget"
+
+
+OVERFLOWING_BATCHES = [
+    QueryKeyBatch([[1e200, 1e200]], [[1e200, 1e200]]),  # overflow in matmul
+    # Products of both signs summed: inf - inf, invalid in matmul.
+    QueryKeyBatch(np.full((2, 64), 1e200), np.tile([1e200, -1e200], (3, 32))),
+]
+
+
+@pytest.mark.parametrize("batch", OVERFLOWING_BATCHES)
+@pytest.mark.parametrize(
+    "entry",
+    [cost_matrix, lambda b: attention_matrix(b, 1.0), lambda b: solve_full_eot(b, 1.0)],
+)
+def test_overflowing_similarities_are_rejected_without_warnings(entry, batch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            entry(batch)

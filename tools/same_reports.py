@@ -11,8 +11,14 @@ A report keeps only a check's worst residual, so a changed plan could hide
 behind an unchanged maximum: each tree also solves, per seed and transport
 check, the ``solve_full_eot`` plan of every batch the transport suite
 draws (same generator keys) and reports a SHA-256 of the plan bytes, or
-the error a solve raised.  Prints the first report that differs and exits
-1, or exits 0 when every report is byte-identical.
+the error a solve raised.  Last, each tree makes a fixed list of in-process
+``vattn.cli.main`` calls (``attn`` for every kind, by flags and by a file
+``regularizer`` object; ``transport`` closed form and oracle;
+``gradcheck``; malformed inputs and flag combinations) on inputs written
+to a temporary directory, and reports each call's exit code and stdout,
+with ``wall_time_ms`` zeroed; stderr is not compared.  Prints the first
+report that differs and exits 1, or exits 0 when every report is
+byte-identical.
 """
 
 from __future__ import annotations
@@ -52,6 +58,78 @@ for seed in seeds:
                 digest.update(repr(error).encode())
         label = f"seed {seed} transport {check.name} solve_full_eot plans"
         print(json.dumps([label, digest.hexdigest()]), flush=True)
+
+import contextlib, io, os, re, tempfile
+from vattn.cli import main
+SCORES = [0.7, -1.3, 2.1, 0.2, -0.4]
+INPUTS = {
+    "scores": {"scores": SCORES},
+    "nan": {"scores": ["a", 1.0]},
+    "prior": [0.1, 0.2, 0.3, 0.25, 0.15],
+    "file-shannon": {"scores": SCORES, "temperature": 0.7, "regularizer": {"kind": "shannon"}},
+    "file-l2": {"scores": SCORES, "regularizer": {"kind": "l2"}},
+    "file-tsallis": {"scores": SCORES, "regularizer": {"kind": "tsallis", "alpha": 1.5}},
+    "file-alibi": {
+        "scores": SCORES,
+        "temperature": 0.9,
+        "regularizer": {"kind": "alibi", "gamma": 0.3, "query_position": 2},
+    },
+    "file-kl": {
+        "scores": SCORES,
+        "temperature": 1.1,
+        "regularizer": {"kind": "kl", "prior": [0.1, 0.2, 0.3, 0.25, 0.15]},
+    },
+    "file-kl-uniform": {
+        "scores": SCORES,
+        "temperature": 1.1,
+        "regularizer": {"kind": "kl_prior", "prior": "uniform"},
+    },
+    "qk": {
+        "queries": [[0.3, -0.8, 0.5], [1.2, 0.1, -0.4]],
+        "keys": [[0.9, 0.2, -0.1], [-0.5, 0.7, 0.3], [0.0, -1.1, 0.6], [0.4, 0.4, 0.4]],
+    },
+    "grad": {"scores": SCORES, "temperature": 0.8, "utilities": [0.5, -1.0, 0.25, 2.0, -0.3]},
+}
+CALLS = [
+    ["attn", "scores", "--reg", "shannon", "--tau", "0.7"],
+    ["attn", "scores", "--reg", "l2"],
+    ["attn", "scores", "--reg", "tsallis", "--alpha", "1.5"],
+    ["attn", "scores", "--reg", "alibi", "--tau", "0.9", "--gamma", "0.3", "--pos", "2"],
+    ["attn", "scores", "--reg", "kl", "--tau", "1.1", "--prior", "prior"],
+    ["attn", "scores", "--reg", "kl", "--tau", "1.1", "--prior", "uniform"],
+    ["attn", "file-shannon"],
+    ["attn", "file-l2"],
+    ["attn", "file-tsallis"],
+    ["attn", "file-alibi"],
+    ["attn", "file-kl"],
+    ["attn", "file-kl-uniform"],
+    ["transport", "qk", "--tau", "0.8"],
+    ["transport", "qk", "--tau", "0.8", "--method", "oracle"],
+    ["gradcheck", "grad"],
+    ["attn", "missing", "--reg", "l2"],
+    ["attn", "badjson", "--reg", "l2"],
+    ["attn", "nan", "--reg", "l2"],
+    ["attn", "scores", "--reg", "shannon"],
+    ["attn", "scores", "--reg", "l2", "--tau", "1"],
+    ["attn", "scores", "--reg", "shannon", "--tau", "1", "--alpha", "2"],
+    ["attn", "scores", "--reg", "tsallis", "--alpha", "0.5"],
+    ["attn", "scores", "--reg", "bogus"],
+    ["attn", "scores"],
+]
+with tempfile.TemporaryDirectory() as tmp:
+    for name, payload in INPUTS.items():
+        with open(os.path.join(tmp, name), "w") as handle:
+            json.dump(payload, handle)
+    with open(os.path.join(tmp, "badjson"), "w") as handle:
+        handle.write("{not json")
+    files = {*INPUTS, "missing", "badjson"}
+    for argv in CALLS:
+        resolved = [os.path.join(tmp, arg) if arg in files else arg for arg in argv]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(resolved)
+        text = re.sub(r'"wall_time_ms": \\d+', '"wall_time_ms": 0', out.getvalue())
+        print(json.dumps(["cli " + " ".join(argv), [code, text]]), flush=True)
 """
 
 
