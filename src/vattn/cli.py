@@ -114,6 +114,15 @@ def _load_document(path: str) -> dict:
     return document
 
 
+def _doubles(raw, name: str) -> np.ndarray:
+    # A JSON integer has no size limit; one beyond the double range is
+    # malformed input, not a number to solve with.
+    try:
+        return np.asarray(raw, dtype=np.float64)
+    except OverflowError as exc:
+        raise InputError(f"field {name!r} holds a number beyond the double range") from exc
+
+
 def _vector_field(document: dict, name: str, required: bool = False):
     if name not in document:
         if required:
@@ -124,7 +133,7 @@ def _vector_field(document: dict, name: str, required: bool = False):
         isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw
     ):
         raise InputError(f"field {name!r} must be a non-empty array of numbers")
-    arr = np.asarray(raw, dtype=np.float64)
+    arr = _doubles(raw, name)
     if not np.all(np.isfinite(arr)):
         raise InputError(f"field {name!r} must be finite")
     return arr
@@ -142,7 +151,7 @@ def _matrix_field(document: dict, name: str, required: bool = False):
     if len(widths) != 1 or 0 in widths:
         raise InputError(f"field {name!r} must have equal-length non-empty rows")
     try:
-        arr = np.asarray(raw, dtype=np.float64)
+        arr = _doubles(raw, name)
     except (TypeError, ValueError) as exc:
         raise InputError(f"field {name!r} must contain only numbers") from exc
     if not np.all(np.isfinite(arr)):
@@ -156,6 +165,7 @@ def _scalar_field(document: dict, name: str):
     raw = document[name]
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise InputError(f"field {name!r} must be a number")
+    _doubles(raw, name)
     return raw
 
 
@@ -179,7 +189,7 @@ def _load_prior(spec: str, m: int) -> SimplexDistribution:
         raise InputError(f"prior file {spec} must hold an array (or an object with 'prior')")
     try:
         return SimplexDistribution.renormalized(np.asarray(raw, dtype=np.float64))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"prior file {spec}: {exc}") from exc
 
 
@@ -188,7 +198,7 @@ def _file_prior(raw, m: int) -> SimplexDistribution | None:
         return None
     if raw == "uniform":
         return SimplexDistribution.uniform(m)
-    return SimplexDistribution.renormalized(np.asarray(raw, dtype=np.float64))
+    return SimplexDistribution.renormalized(_doubles(raw, "prior"))
 
 
 def _build_regularizer(args, document: dict, m: int) -> RegularizerSpec:
@@ -276,7 +286,7 @@ def _summarize(report: RunReport) -> None:
 def _tolerance_scale() -> float:
     raw = os.environ.get("VATTN_TOL_SCALE", "1")
     try:
-        return core._check_positive_real(raw, "VATTN_TOL_SCALE")
+        return core._check_positive_real(float(raw), "VATTN_TOL_SCALE")
     except ValueError as exc:
         raise InputError(f"VATTN_TOL_SCALE must be a positive finite real, got {raw!r}") from exc
 

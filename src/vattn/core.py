@@ -156,22 +156,29 @@ class SimplexDistribution:
 # raw value calls the same function, which returns the value normalized.
 
 
+def _number(value, name: str):
+    # float() and int() would also read a string or a bool as a number.
+    if isinstance(value, (str, bytes, bool, np.bool_)):
+        raise TypeError(f"{name} must be a number, not {type(value).__name__}")
+    return value
+
+
 def _check_positive_real(value, name: str = "temperature") -> float:
-    x = float(value)
+    x = float(_number(value, name))
     if not (math.isfinite(x) and x > 0.0):
         raise ValueError(f"{name} must be a positive finite real")
     return x
 
 
 def _check_alpha(alpha) -> float:
-    a = float(alpha)
+    a = float(_number(alpha, "alpha"))
     if not (math.isfinite(a) and a > 1.0):
         raise ValueError("alpha must exceed 1 (the alpha -> 1 limit is softmax)")
     return a
 
 
 def _check_gamma(gamma) -> float:
-    g = float(gamma)
+    g = float(_number(gamma, "gamma"))
     if not (math.isfinite(g) and g >= 0.0):
         raise ValueError("gamma must be a nonnegative finite real")
     return g
@@ -179,8 +186,9 @@ def _check_gamma(gamma) -> float:
 
 def _check_query_position(query_position) -> int:
     try:
-        i = int(query_position)
-    except (ValueError, OverflowError):  # nan, inf
+        i = int(_number(query_position, "query_position"))
+        float(i)  # key distances are doubles
+    except (ValueError, OverflowError):  # nan, inf, beyond the double range
         i = 0
     if i != query_position or i < 1:
         raise ValueError("query_position must be an integer index >= 1")

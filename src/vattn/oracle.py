@@ -148,26 +148,41 @@ _ONE = _const(1.0)
 _ZERO = _const(0.0)
 
 
-def _descent_terms(reg: RegularizerSpec, m: int):
-    """The objective and its gradient for rows of ``m`` weights, every
-    per-solve invariant computed once.
+def _per_row(values, m: int) -> np.ndarray:
+    # One value per row, repeated across the row's m entries: numpy
+    # multiplies arrays of one shape faster than it broadcasts an (n, 1)
+    # column, and as fast as a 0-d constant, with the same bits.
+    return np.repeat(np.array(list(values))[:, np.newaxis], m, axis=1)
 
-    ``objective(w, neg_s)`` returns one value per row of ``w`` and, for the
-    entropic kinds, ``_logs(w)``, which ``gradient(w, logs, neg_s)`` and the
-    multiplicative step reuse once ``w`` is accepted.  ``neg_s`` holds the
-    negated scores of the same rows.  Every expression is elementwise or
-    per row and evaluated in one fixed order, so each row's iterates are
-    reproducible bit for bit whatever rows it shares the arrays with.
+
+def _descent_terms(regs: list[RegularizerSpec], m: int):
+    """The objective and its gradient for rows of ``m`` weights, row ``i``
+    under ``regs[i]`` (one kind, and for tsallis one alpha), every per-solve
+    invariant computed once.
+
+    Returns ``(objective, gradient, columns)``.  ``columns`` holds each
+    row's own parameters as (n, m) arrays, one array row per row: tau,
+    gamma, the key distances and gamma*d (alibi), the prior and its log
+    (kl_prior).  ``objective(w, given)`` returns one value per
+    row of ``w`` and, for the entropic kinds, ``_logs(w)``, which
+    ``gradient(w, logs, given)`` and the multiplicative step reuse once
+    ``w`` is accepted; ``given`` is ``(neg_s, *columns)`` for the same rows
+    of ``w``, ``neg_s`` their negated scores.  Every expression is
+    elementwise or per row and evaluated in one fixed order, so each row's
+    iterates are reproducible bit for bit whatever rows, or parameters, it
+    shares the arrays with.
     """
+    reg = regs[0]
     kind = reg.kind
+    columns = ()
     if kind == L2:
         half = _const(0.5)
 
-        def objective(w, neg_s):
-            return _fsum_rows(w * neg_s, half * w * w), None
+        def objective(w, given):
+            return _fsum_rows(w * given[0], half * w * w), None
 
-        def gradient(w, logs, neg_s):
-            return neg_s + w
+        def gradient(w, logs, given):
+            return given[0] + w
 
     elif kind == TSALLIS:
         # The exponents stay Python floats: numpy takes its fast paths
@@ -177,49 +192,54 @@ def _descent_terms(reg: RegularizerSpec, m: int):
         scale = _const(a * a1)
         factor = _const(a)
 
-        def objective(w, neg_s):
-            return _fsum_rows(w * neg_s, (w**a - w) / scale), None
+        def objective(w, given):
+            return _fsum_rows(w * given[0], (w**a - w) / scale), None
 
-        def gradient(w, logs, neg_s):
-            return neg_s + (factor * w**a1 - _ONE) / scale
+        def gradient(w, logs, given):
+            return given[0] + (factor * w**a1 - _ONE) / scale
 
     elif kind == SHANNON:
-        tau = _const(reg.temperature)
+        columns = (_per_row((r.temperature for r in regs), m),)
 
-        def objective(w, neg_s):
+        def objective(w, given):
+            neg_s, tau = given
             logs = _logs(w)
             return _fsum_rows(w * neg_s, tau * (w * logs[0])), logs
 
-        def gradient(w, logs, neg_s):
+        def gradient(w, logs, given):
+            neg_s, tau = given
             return neg_s + tau * (logs[0] + _ONE)
 
     elif kind == ALIBI:
-        tau, gamma = _const(reg.temperature), _const(reg.gamma)
-        d = key_distances(reg.query_position, m)
-        gamma_d = gamma * d
+        gamma = _per_row((r.gamma for r in regs), m)
+        d = np.array([key_distances(r.query_position, m) for r in regs])
+        columns = (_per_row((r.temperature for r in regs), m), gamma, d, gamma * d)
 
-        def objective(w, neg_s):
+        def objective(w, given):
+            neg_s, tau, gamma, d, _ = given
             logs = _logs(w)
             return _fsum_rows(w * neg_s, tau * (w * logs[0]), gamma * w * d), logs
 
-        def gradient(w, logs, neg_s):
+        def gradient(w, logs, given):
+            neg_s, tau, _, _, gamma_d = given
             return neg_s + tau * (logs[0] + _ONE) + gamma_d
 
     elif kind == KL_PRIOR:
-        tau = _const(reg.temperature)
-        prior = reg.prior.weights
-        log_prior = np.log(prior)
+        prior = np.array([r.prior.weights for r in regs])
+        columns = (_per_row((r.temperature for r in regs), m), prior, np.log(prior))
 
-        def objective(w, neg_s):
+        def objective(w, given):
+            neg_s, tau, _, log_prior = given
             logs = _logs(w)
             return _fsum_rows(w * neg_s, tau * w * (logs[0] - log_prior)), logs
 
-        def gradient(w, logs, neg_s):
+        def gradient(w, logs, given):
+            neg_s, tau, prior, _ = given
             return neg_s + tau * (np.log(_nonzero(w) / prior) + _ONE)
 
     else:
         raise ValueError(f"unknown regularizer kind {kind!r}")
-    return objective, gradient
+    return objective, gradient, columns
 
 
 def _project_simplex(v: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -253,10 +273,11 @@ def _acceptance_limit(best: float) -> float:
 
 
 def _descend(
-    S: np.ndarray, reg: RegularizerSpec, cfg: SolverConfig | None
+    S: np.ndarray, regs: list[RegularizerSpec], cfg: SolverConfig | None
 ) -> list[OracleResult | NumericalFailure]:
     """Minimize -<p, s> + Omega(p) from the uniform start for every row s
-    of ``S`` at once.
+    of ``S`` at once, row ``i`` under ``regs[i]`` (one kind, and for
+    tsallis one alpha).
 
     The rows run in lock-step: the array work of an iteration is done once
     for every row still running, while each row keeps its own step size,
@@ -264,21 +285,22 @@ def _descend(
     exactly the iterates it would follow alone.  Returns, per row, its
     ``OracleResult`` or the ``NumericalFailure`` that ended its descent.
     """
+    n, m = S.shape
     if cfg is None:
-        cfg = default_config(reg)
+        cfg = default_config(regs[0])
     if cfg.method == GRID_SEARCH:
         raise ValueError("use grid_search_simplex for exhaustive search")
     multiplicative = cfg.method == EXPONENTIATED_GRADIENT
-    n, m = S.shape
-    objective, gradient = _descent_terms(reg, m)
+    objective, gradient, columns = _descent_terms(regs, m)
     ranks = np.arange(1.0, m + 1.0)
     tolerance, max_iterations = cfg.tolerance, cfg.max_iterations
     outcomes: list = [None] * n
-    # The rows still running, by position: their row of S, and their state.
+    # The rows still running, by position: their row of S, their negated
+    # scores and parameters, and their state.
     rows = list(range(n))
-    neg_s = -S
+    given = (-S, *columns)
     w = np.full((n, m), 1.0 / m)
-    best, logs = objective(w, neg_s)
+    best, logs = objective(w, given)
     limits = list(map(_acceptance_limit, best))
     traces = [[value] for value in best]
     etas = [cfg.step_size] * n
@@ -286,7 +308,7 @@ def _descend(
 
     def end(ended):
         # Record each ended row's outcome and drop it from the running set.
-        nonlocal rows, best, limits, traces, etas, w, neg_s, logs
+        nonlocal rows, best, limits, traces, etas, w, given, logs
         for p, outcome in ended.items():
             if outcome is None:
                 outcome = OracleResult(
@@ -297,7 +319,8 @@ def _descend(
         rows, best, limits, traces, etas = (
             [state[p] for p in keep] for state in (rows, best, limits, traces, etas)
         )
-        w, neg_s = w[keep], neg_s[keep]
+        w = w[keep]
+        given = tuple(a[keep] for a in given)
         if logs is not None:
             logs = (logs[0][keep], logs[1][keep])
 
@@ -324,14 +347,14 @@ def _descend(
                 if not rows:
                     break
             base = w
-        g = gradient(w, logs, neg_s)
+        g = gradient(w, logs, given)
         k = len(rows)
         # The first trial takes every row at its own step size, as whole
         # arrays; when a row rejects, each rejecting row halves its step
         # size and tries again, until it accepts or no step size is left.
         # In-place updates keep each expression's bits.
         eta = etas[0] if k == 1 else np.array(etas)[:, np.newaxis]
-        start, grad, scores = base, g, neg_s
+        start, grad, trial_given = base, g, given
         stepped = None
         ended = {}
         while True:
@@ -342,7 +365,7 @@ def _descend(
                 trial /= np.add.reduce(trial, axis=1, keepdims=True)
             else:
                 trial = _project_simplex(start - eta * grad, ranks)
-            values, trial_logs = objective(trial, scores)
+            values, trial_logs = objective(trial, trial_given)
             if stepped is None:
                 if (values[0] <= limits[0]) if k == 1 else all(map(operator.le, values, limits)):
                     new_w, new_logs, stepped = trial, trial_logs, values
@@ -370,7 +393,8 @@ def _descend(
             searching = rejected
             eta = np.array([etas[p] for p in rejected])[:, np.newaxis]
             if len(rejected) < k:
-                start, grad, scores = base[rejected], g[rejected], neg_s[rejected]
+                start, grad = base[rejected], g[rejected]
+                trial_given = tuple(a[rejected] for a in given)
         change = new_w - w
         delta = np.maximum.reduce(np.abs(change, out=change), axis=1).tolist()
         w, logs = new_w, new_logs
@@ -409,10 +433,32 @@ def minimize_on_simplex(
     ``NumericalFailure`` once it lands on the boundary, where that
     objective's gradient is infinite.
     """
-    (outcome,) = _descend(s.values[np.newaxis, :], reg, cfg)
+    (outcome,) = _minimize_many([(s, reg)], cfg)
     if isinstance(outcome, NumericalFailure):
         raise outcome
     return outcome
+
+
+def _minimize_many(
+    pairs: list[tuple[Scores, RegularizerSpec]], cfg: SolverConfig | None = None
+) -> list[OracleResult | NumericalFailure]:
+    """``minimize_on_simplex`` of every ``(scores, regularizer)`` pair, its
+    ``NumericalFailure`` returned rather than raised, in input order.
+
+    Pairs with the same m, kind and alpha (hence the same method) run as
+    the rows of one lock-step descent, each under its own parameters, so
+    every outcome is the one its pair gets alone.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for index, (s, reg) in enumerate(pairs):
+        groups.setdefault((len(s), reg.kind, reg.alpha), []).append(index)
+    outcomes: list = [None] * len(pairs)
+    for members in groups.values():
+        S = np.array([pairs[i][0].values for i in members])
+        regs = [pairs[i][1] for i in members]
+        for i, outcome in zip(members, _descend(S, regs, cfg)):
+            outcomes[i] = outcome
+    return outcomes
 
 
 def _barycentric_grid(m: int, resolution: int) -> np.ndarray:

@@ -2,12 +2,17 @@
 
 Each suite aggregates one named check per identity; a check draws its
 instances from a PCG64 generator keyed by (seed, suite, check, trial), so
-reports are reproducible bit-for-bit.  The reported residual of a check is
-the worst value seen across its trials.
+reports are reproducible bit-for-bit.  A check draws every trial's instance
+first and then computes their residuals together: the oracle solves of all
+its trials run as one lock-step descent per group of equal m, kind and
+alpha, each row under its own parameters, which gives each trial exactly
+the result it gets alone, since no draw depends on a solve.  The reported
+residual of a check is the worst value seen across its trials.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -65,10 +70,21 @@ class RunReport:
 
 @dataclass(frozen=True)
 class _Check:
+    """``draw`` makes one trial's instance from that trial's generator;
+    ``residuals`` takes every instance, in trial order, and returns their
+    residuals, solving them together where that saves work."""
+
     name: str
     tolerance: float
     trials: int
-    run_trial: Callable[[np.random.Generator], float]
+    draw: Callable[[np.random.Generator], object]
+    residuals: Callable[[list], list[float]]
+
+
+def _each(name: str, tolerance: float, trials: int, trial) -> _Check:
+    """A check whose trials run one by one: the instance is the trial's
+    generator, which ``trial(rng)`` draws from and returns a residual for."""
+    return _Check(name, tolerance, trials, lambda rng: rng, lambda rngs: list(map(trial, rngs)))
 
 
 def _rand_m(rng, low=2, high=16) -> int:
@@ -234,23 +250,23 @@ def _single_key_trial(rng) -> float:
 
 def _closed_forms_checks(trials: int) -> list[_Check]:
     checks = [
-        _Check("softmax-shift-invariance", 1e-12, trials, _shift_invariance_trial),
-        _Check("softmax-temperature-identity", 1e-12, trials, _temperature_identity_trial),
+        _each("softmax-shift-invariance", 1e-12, trials, _shift_invariance_trial),
+        _each("softmax-temperature-identity", 1e-12, trials, _temperature_identity_trial),
     ]
     for kind in core.REGULARIZER_KINDS:
         checks.append(
-            _Check(f"optimality-{kind.replace('_', '-')}", 1e-9, trials, _optimality_trial(kind))
+            _each(f"optimality-{kind.replace('_', '-')}", 1e-9, trials, _optimality_trial(kind))
         )
     checks += [
-        _Check("sparsemax-support-monotonicity", 0.0, trials, _support_monotonicity_trial),
-        _Check("entmax-mass-residual", 1e-12, trials, _entmax_mass_trial),
-        _Check("entmax-2-equals-sparsemax", 1e-10, trials, _entmax_sparsemax_trial),
-        _Check("entmax-shannon-limit", 1e-3, trials, _entmax_shannon_limit_trial),
-        _Check("prior-uniform-recovers-softmax", 1e-12, trials, _prior_uniform_trial),
-        _Check("alibi-zero-gamma-recovers-softmax", 1e-15, trials, _alibi_zero_gamma_trial),
-        _Check("lse-bounds", 1e-12, trials, _lse_bounds_trial),
-        _Check("strong-duality-primal-plus-lse", 1e-10, trials, _strong_duality_trial),
-        _Check("single-key-degenerate", 0.0, 1, _single_key_trial),
+        _each("sparsemax-support-monotonicity", 0.0, trials, _support_monotonicity_trial),
+        _each("entmax-mass-residual", 1e-12, trials, _entmax_mass_trial),
+        _each("entmax-2-equals-sparsemax", 1e-10, trials, _entmax_sparsemax_trial),
+        _each("entmax-shannon-limit", 1e-3, trials, _entmax_shannon_limit_trial),
+        _each("prior-uniform-recovers-softmax", 1e-12, trials, _prior_uniform_trial),
+        _each("alibi-zero-gamma-recovers-softmax", 1e-15, trials, _alibi_zero_gamma_trial),
+        _each("lse-bounds", 1e-12, trials, _lse_bounds_trial),
+        _each("strong-duality-primal-plus-lse", 1e-10, trials, _strong_duality_trial),
+        _each("single-key-degenerate", 0.0, 1, _single_key_trial),
     ]
     return checks
 
@@ -260,63 +276,48 @@ def _closed_forms_checks(trials: int) -> list[_Check]:
 # brute-force solvers that know nothing about it.
 
 
-def _oracle_distance(s: Scores, reg: RegularizerSpec, closed: np.ndarray) -> float:
-    result = oracle.minimize_on_simplex(s, reg)
-    distance = _sup_norm(result.distribution.weights, closed)
-    # A non-converged solve must not pass quietly just because its last
-    # iterate happened to land close.
-    return distance if result.converged else max(distance, 1.0)
+def _oracle_check(name: str, tolerance: float, trials: int, draw, residual) -> _Check:
+    """A check whose instances are ``(scores, regularizer)`` pairs that the
+    oracle solves, all of them together; ``residual(s, reg, found)`` scores
+    each pair's ``OracleResult``.  A failed solve raises, the first trial's
+    first."""
+
+    def residuals(instances):
+        found = oracle._minimize_many(instances)
+        for outcome in found:
+            if isinstance(outcome, core.NumericalFailure):
+                raise outcome
+        return [residual(s, reg, result) for (s, reg), result in zip(instances, found)]
+
+    return _Check(name, tolerance, trials, draw, residuals)
 
 
-def _eg_softmax_trial(rng) -> float:
-    m = _rand_m(rng)
-    s = _rand_scores(rng, m)
-    t = float(rng.choice([0.5, 1.0, np.sqrt(m)]))
-    return _oracle_distance(s, RegularizerSpec.shannon(t), solvers.softmax(s, t).distribution.weights)
+def _draw_with(regularizer) -> Callable[[np.random.Generator], tuple]:
+    """Draws m, scores of length m, then ``regularizer(rng, m)``."""
 
-
-def _pg_sparsemax_trial(rng) -> float:
-    m = _rand_m(rng)
-    s = _rand_scores(rng, m)
-    return _oracle_distance(s, RegularizerSpec.l2(), solvers.sparsemax(s).distribution.weights)
-
-
-def _pg_support_trial(rng) -> float:
-    m = _rand_m(rng)
-    s = _rand_scores(rng, m)
-    found = oracle.minimize_on_simplex(s, RegularizerSpec.l2())
-    closed = solvers.sparsemax(s).distribution.weights
-    same = np.array_equal(found.distribution.weights > 0.0, closed > 0.0)
-    return 0.0 if (same and found.converged) else 1.0
-
-
-def _entmax_oracle_trial(alpha: float) -> Callable[[np.random.Generator], float]:
-    def trial(rng) -> float:
+    def draw(rng):
         m = _rand_m(rng)
         s = _rand_scores(rng, m)
-        return _oracle_distance(
-            s, RegularizerSpec.tsallis(alpha), solvers.entmax(s, alpha).distribution.weights
-        )
+        return s, regularizer(rng, m)
 
-    return trial
+    return draw
 
 
-def _alibi_oracle_trial(rng) -> float:
-    m = _rand_m(rng)
-    s = _rand_scores(rng, m)
-    reg = _rand_regularizer(rng, core.ALIBI, m)
-    closed = solvers.alibi_softmax(
-        s, reg.query_position, reg.gamma, reg.temperature
-    ).distribution.weights
-    return _oracle_distance(s, reg, closed)
+def _rand_kind_regularizer(rng, m: int) -> RegularizerSpec:
+    return _rand_regularizer(rng, str(rng.choice(core.REGULARIZER_KINDS)), m)
 
 
-def _prior_oracle_trial(rng) -> float:
-    m = _rand_m(rng)
-    s = _rand_scores(rng, m)
-    reg = _rand_regularizer(rng, core.KL_PRIOR, m)
-    closed = solvers.prior_softmax(s, reg.prior, reg.temperature).distribution.weights
-    return _oracle_distance(s, reg, closed)
+def _closed_form_distance(s: Scores, reg: RegularizerSpec, found) -> float:
+    distance = _sup_norm(found.distribution.weights, solvers.solve(s, reg).distribution.weights)
+    # A non-converged solve must not pass quietly just because its last
+    # iterate happened to land close.
+    return distance if found.converged else max(distance, 1.0)
+
+
+def _support_mismatch(s: Scores, reg: RegularizerSpec, found) -> float:
+    closed = solvers.solve(s, reg).distribution.weights
+    same = np.array_equal(found.distribution.weights > 0.0, closed > 0.0)
+    return 0.0 if (same and found.converged) else 1.0
 
 
 def _grid_softmax_trial(m: int, resolution: int) -> Callable[[np.random.Generator], float]:
@@ -332,40 +333,57 @@ def _grid_softmax_trial(m: int, resolution: int) -> Callable[[np.random.Generato
 def _grid_sandwich_trial(rng) -> float:
     m = int(rng.integers(2, 4))
     s = _rand_scores(rng, m)
-    kind = str(rng.choice(core.REGULARIZER_KINDS))
-    reg = _rand_regularizer(rng, kind, m)
+    reg = _rand_kind_regularizer(rng, m)
     found = oracle.grid_search_simplex(s, reg, 2000)
     best = solvers.solve(s, reg)
     return core.objective_value(best.distribution, s, reg) - found.objective
 
 
-def _descent_monotone_trial(rng) -> float:
-    m = _rand_m(rng)
-    s = _rand_scores(rng, m)
-    kind = str(rng.choice(core.REGULARIZER_KINDS))
-    reg = _rand_regularizer(rng, kind, m)
-    trace = oracle.minimize_on_simplex(s, reg).objective_trace
+def _trace_ascent(trace: tuple[float, ...]) -> float:
     if len(trace) < 2:
         return 0.0
     return max(0.0, float(np.max(np.diff(np.asarray(trace)))))
 
 
+def _descent_monotone_residuals(instances) -> list[float]:
+    # One minimize_on_simplex per trial: at most 20 trials spread over ~75
+    # (m, kind) groups, so solving them together would save nothing, and
+    # these calls keep the traced benchmark's per-solve oracle figures.
+    return [
+        _trace_ascent(oracle.minimize_on_simplex(s, reg).objective_trace) for s, reg in instances
+    ]
+
+
 def _oracle_equivalence_checks(trials: int) -> list[_Check]:
     grid_trials = min(trials, _GRID_TRIAL_CAP)
+    l2 = _draw_with(lambda rng, m: RegularizerSpec.l2())
+
+    def closed(name, regularizer):
+        return _oracle_check(name, 1e-6, trials, _draw_with(regularizer), _closed_form_distance)
+
     return [
-        _Check("eg-matches-softmax", 1e-6, trials, _eg_softmax_trial),
-        _Check("pg-matches-sparsemax", 1e-6, trials, _pg_sparsemax_trial),
-        _Check("pg-sparsemax-support-match", 0.0, trials, _pg_support_trial),
-        _Check("oracle-matches-entmax-1.5", 1e-6, trials, _entmax_oracle_trial(1.5)),
-        _Check("oracle-matches-entmax-2", 1e-6, trials, _entmax_oracle_trial(2.0)),
-        _Check("oracle-matches-entmax-3", 1e-6, trials, _entmax_oracle_trial(3.0)),
-        _Check("eg-matches-alibi-softmax", 1e-6, trials, _alibi_oracle_trial),
-        _Check("eg-matches-prior-softmax", 1e-6, trials, _prior_oracle_trial),
+        closed(
+            "eg-matches-softmax",
+            lambda rng, m: RegularizerSpec.shannon(float(rng.choice([0.5, 1.0, np.sqrt(m)]))),
+        ),
+        _oracle_check("pg-matches-sparsemax", 1e-6, trials, l2, _closed_form_distance),
+        _oracle_check("pg-sparsemax-support-match", 0.0, trials, l2, _support_mismatch),
+        closed("oracle-matches-entmax-1.5", lambda rng, m: RegularizerSpec.tsallis(1.5)),
+        closed("oracle-matches-entmax-2", lambda rng, m: RegularizerSpec.tsallis(2.0)),
+        closed("oracle-matches-entmax-3", lambda rng, m: RegularizerSpec.tsallis(3.0)),
+        closed("eg-matches-alibi-softmax", lambda rng, m: _rand_regularizer(rng, core.ALIBI, m)),
+        closed("eg-matches-prior-softmax", lambda rng, m: _rand_regularizer(rng, core.KL_PRIOR, m)),
         # Tolerance for the exhaustive searches is twice the grid spacing.
-        _Check("grid-matches-softmax-m2", 2e-6, grid_trials, _grid_softmax_trial(2, 10**6)),
-        _Check("grid-matches-softmax-m3", 1e-3, grid_trials, _grid_softmax_trial(3, 2000)),
-        _Check("grid-objective-sandwich", 1e-12, grid_trials, _grid_sandwich_trial),
-        _Check("descent-objective-monotone", 0.0, min(trials, _TRACE_TRIAL_CAP), _descent_monotone_trial),
+        _each("grid-matches-softmax-m2", 2e-6, grid_trials, _grid_softmax_trial(2, 10**6)),
+        _each("grid-matches-softmax-m3", 1e-3, grid_trials, _grid_softmax_trial(3, 2000)),
+        _each("grid-objective-sandwich", 1e-12, grid_trials, _grid_sandwich_trial),
+        _Check(
+            "descent-objective-monotone",
+            0.0,
+            min(trials, _TRACE_TRIAL_CAP),
+            _draw_with(_rand_kind_regularizer),
+            _descent_monotone_residuals,
+        ),
     ]
 
 
@@ -426,13 +444,13 @@ def _sign_semantics_trial(rng) -> float:
 
 def _gradient_identities_checks(trials: int) -> list[_Check]:
     return [
-        _Check("advantage-equals-chain-rule", 1e-12, trials, _advantage_chain_rule_trial),
-        _Check("score-gradient-zero-sum", 1e-10, trials, _gradient_zero_sum_trial),
-        _Check("natural-gradient-identity", 1e-12, trials, _natural_gradient_trial),
-        _Check("fisher-positive-semidefinite", 1e-10, trials, _fisher_psd_trial),
-        _Check("jacobian-ones-kernel", 1e-12, trials, _jacobian_kernel_trial),
-        _Check("fisher-ones-kernel", 1e-12, trials, _fisher_kernel_trial),
-        _Check("advantage-sign-semantics", 0.0, trials, _sign_semantics_trial),
+        _each("advantage-equals-chain-rule", 1e-12, trials, _advantage_chain_rule_trial),
+        _each("score-gradient-zero-sum", 1e-10, trials, _gradient_zero_sum_trial),
+        _each("natural-gradient-identity", 1e-12, trials, _natural_gradient_trial),
+        _each("fisher-positive-semidefinite", 1e-10, trials, _fisher_psd_trial),
+        _each("jacobian-ones-kernel", 1e-12, trials, _jacobian_kernel_trial),
+        _each("fisher-ones-kernel", 1e-12, trials, _fisher_kernel_trial),
+        _each("advantage-sign-semantics", 0.0, trials, _sign_semantics_trial),
     ]
 
 
@@ -473,28 +491,38 @@ def _duality_strong_trial(rng) -> float:
     return abs(solvers.primal_value(s, t) + solvers.lse(s, t))
 
 
-def _fenchel_lse_trial(rng) -> float:
+def _shannon_duality_instance(rng) -> tuple[Scores, RegularizerSpec]:
     s, t = _duality_instance(rng)
-    return abs(oracle.fenchel_conjugate(RegularizerSpec.shannon(t), s) - solvers.lse(s, t))
+    return s, RegularizerSpec.shannon(t)
 
 
-def _fenchel_young_trial(rng) -> float:
-    s, t = _duality_instance(rng)
-    reg = RegularizerSpec.shannon(t)
-    best = solvers.softmax(s, t).distribution
+# ``found`` is the oracle's minimum of -<p, s> + Omega(p); its negation is
+# the numerical Fenchel conjugate, as ``oracle.fenchel_conjugate`` gives it.
+
+
+def _conjugate_lse_gap(s: Scores, reg: RegularizerSpec, found) -> float:
+    return abs(-found.objective - solvers.lse(s, reg.temperature))
+
+
+def _fenchel_young_gap(s: Scores, reg: RegularizerSpec, found) -> float:
+    best = solvers.softmax(s, reg.temperature).distribution
     omega = core.regularizer_value(best, reg)
-    conjugate = oracle.fenchel_conjugate(reg, s)
+    conjugate = -found.objective
     return abs(omega + conjugate - float(np.dot(best.weights, s.values)))
 
 
 def _duality_checks(trials: int) -> list[_Check]:
     return [
-        _Check("lse-hessian-matches-tau-fisher", 1e-6, trials, _lse_hessian_trial),
-        _Check("primal-gradient-matches-neg-softmax", 1e-7, trials, _envelope_trial),
-        _Check("lse-gradient-matches-softmax", 1e-7, trials, _lse_gradient_trial),
-        _Check("strong-duality-primal-plus-lse", 1e-10, trials, _duality_strong_trial),
-        _Check("fenchel-conjugate-matches-lse", 1e-8, trials, _fenchel_lse_trial),
-        _Check("fenchel-young-equality", 1e-8, trials, _fenchel_young_trial),
+        _each("lse-hessian-matches-tau-fisher", 1e-6, trials, _lse_hessian_trial),
+        _each("primal-gradient-matches-neg-softmax", 1e-7, trials, _envelope_trial),
+        _each("lse-gradient-matches-softmax", 1e-7, trials, _lse_gradient_trial),
+        _each("strong-duality-primal-plus-lse", 1e-10, trials, _duality_strong_trial),
+        _oracle_check(
+            "fenchel-conjugate-matches-lse", 1e-8, trials, _shannon_duality_instance, _conjugate_lse_gap
+        ),
+        _oracle_check(
+            "fenchel-young-equality", 1e-8, trials, _shannon_duality_instance, _fenchel_young_gap
+        ),
     ]
 
 
@@ -515,14 +543,26 @@ def _rand_batch(rng):
     return batch, eps
 
 
-def _full_eot_trial(rng) -> float:
-    batch, eps = _rand_batch(rng)
-    solved = transport.solve_full_eot(batch, eps)
-    closed = transport.attention_matrix(batch, eps)
-    return float(np.max(np.abs(solved.entries - closed.entries)))
+def _eot_plans(instances):
+    """``solve_full_eot``'s plan of every ``(batch, eps)`` instance, in
+    order, the rows of all plans solved together; a plan whose solve fails
+    raises its error when its turn comes."""
+    rows = [transport._eot_rows(batch, eps) for batch, eps in instances]
+    outcomes = iter(oracle._minimize_many([pair for _, pairs in rows for pair in pairs]))
+    for scores, pairs in rows:
+        yield transport._eot_plan(scores, list(itertools.islice(outcomes, len(pairs))))
+
+
+def _full_eot_residuals(instances) -> list[float]:
+    return [
+        float(np.max(np.abs(solved.entries - transport.attention_matrix(batch, eps).entries)))
+        for (batch, eps), solved in zip(instances, _eot_plans(instances))
+    ]
 
 
 def _row_stochastic_trial(rng) -> float:
+    # One solve_full_eot per trial: the suite keeps certifying the public
+    # entry point itself, and the traced benchmark keeps its figures.
     batch, eps = _rand_batch(rng)
     worst = 0.0
     for plan in (transport.attention_matrix(batch, eps), transport.solve_full_eot(batch, eps)):
@@ -559,10 +599,10 @@ def _row_decomposition_trial(rng) -> float:
 
 def _transport_checks(trials: int) -> list[_Check]:
     return [
-        _Check("full-eot-matches-attention-matrix", 1e-6, trials, _full_eot_trial),
-        _Check("plans-row-stochastic", 1e-12, trials, _row_stochastic_trial),
-        _Check("attention-beats-random-plans", 1e-9, trials, _beats_random_plans_trial),
-        _Check("objective-row-decomposition", 1e-12, trials, _row_decomposition_trial),
+        _Check("full-eot-matches-attention-matrix", 1e-6, trials, _rand_batch, _full_eot_residuals),
+        _each("plans-row-stochastic", 1e-12, trials, _row_stochastic_trial),
+        _each("attention-beats-random-plans", 1e-9, trials, _beats_random_plans_trial),
+        _each("objective-row-decomposition", 1e-12, trials, _row_decomposition_trial),
     ]
 
 
@@ -590,11 +630,11 @@ def run_suite(
     ordinal = SUITE_NAMES.index(name)
     results = []
     for check_index, check in enumerate(_SUITE_BUILDERS[name](trials)):
-        residuals = [
-            check.run_trial(np.random.default_rng([int(seed), ordinal, check_index, trial]))
+        instances = [
+            check.draw(np.random.default_rng([int(seed), ordinal, check_index, trial]))
             for trial in range(check.trials)
         ]
-        residual = float(max(residuals))
+        residual = float(max(check.residuals(instances)))
         tolerance = check.tolerance * tolerance_scale
         results.append(CheckResult(check.name, residual, tolerance, residual <= tolerance))
     elapsed_ms = int(round((time.perf_counter() - started) * 1000.0))

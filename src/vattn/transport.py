@@ -126,13 +126,27 @@ def solve_full_eot(
     A failure names the lowest-index row that fails, as solving the rows
     one after another would.
     """
+    scores, pairs = _eot_rows(batch, epsilon)
+    return _eot_plan(scores, oracle._minimize_many(pairs, cfg))
+
+
+def _eot_rows(
+    batch: QueryKeyBatch, epsilon: float
+) -> tuple[np.ndarray, list[tuple[Scores, RegularizerSpec]]]:
+    """The similarity matrix of ``solve_full_eot`` and the (row,
+    regularizer) pairs it solves: the rows before the first non-finite one,
+    which is never solved."""
     reg = RegularizerSpec.shannon(_check_positive_real(epsilon, "epsilon"))
     scores = _similarities(batch)
-    # Rows from the first non-finite one on are never solved: that row is
-    # rejected as Scores would reject it, unless an earlier row fails first.
     finite = np.isfinite(scores).all(axis=1)
     solvable = len(scores) if finite.all() else int(finite.argmin())
-    outcomes = oracle._descend(scores[:solvable], reg, cfg) if solvable else []
+    return scores, [(Scores(row), reg) for row in scores[:solvable]]
+
+
+def _eot_plan(scores: np.ndarray, outcomes: list) -> TransportPlan:
+    """The plan of ``_eot_rows``'s solved rows, or the error
+    ``solve_full_eot`` raises: the lowest-index failing row's, else the
+    rejection of the first non-finite row."""
     for index, outcome in enumerate(outcomes):
         if isinstance(outcome, NumericalFailure):
             raise outcome
@@ -140,8 +154,8 @@ def solve_full_eot(
             raise NumericalFailure(
                 f"row {index} did not converge within the iteration budget"
             )
-    if solvable < len(scores):
-        Scores(scores[solvable])
+    if len(outcomes) < len(scores):
+        Scores(scores[len(outcomes)])
     return TransportPlan(np.vstack([outcome.distribution.weights for outcome in outcomes]))
 
 

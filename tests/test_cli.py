@@ -365,3 +365,52 @@ def test_attn_file_regularizer_fields_are_type_checked(tmp_path, capsys):
     assert attn({"kind": "tsallis", "alpha": 1})[0] == 3
     assert attn({"kind": "tsallis", "alpha": 1.5})[0] == 0
     assert attn({"kind": ["l2"]})[0] == 2
+
+
+# A JSON integer has no size limit: 401 nines is beyond the double range.
+_HUGE = int("9" * 401)
+
+
+def _input_error(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "beyond the double range" in err
+    assert "Traceback" not in err
+
+
+def test_huge_integer_scalar_field_is_an_input_error(tmp_path, capsys):
+    doc = {"scores": [0.3, -0.2], "temperature": _HUGE}
+    _input_error(capsys, ["attn", _write(tmp_path, "t.json", doc), "--reg", "shannon"])
+    _input_error(capsys, ["gradcheck", _write(tmp_path, "g.json", doc)])
+    qk = {"queries": [[1.0]], "keys": [[1.0]], "temperature": _HUGE}
+    _input_error(capsys, ["transport", _write(tmp_path, "q.json", qk)])
+    for field, value in (("query_position", _HUGE), ("gamma", -_HUGE)):
+        reg = {"kind": "alibi", "gamma": 0.5, "query_position": 2, field: value}
+        doc = {"scores": [0.3, -0.2], "temperature": 1.0, "regularizer": reg}
+        _input_error(capsys, ["attn", _write(tmp_path, "a.json", doc)])
+    # Within the double range but beyond every integer type: a flag error.
+    flags = ["--reg", "alibi", "--tau", "1", "--gamma", "0.5", "--pos", "9" * 400]
+    scores = _write(tmp_path, "s.json", {"scores": [0.3, -0.2]})
+    assert _run(capsys, ["attn", scores] + flags)[0] == 3
+
+
+def test_huge_integer_vector_field_is_an_input_error(tmp_path, capsys):
+    scores = _write(tmp_path, "s.json", {"scores": [0.3, _HUGE]})
+    _input_error(capsys, ["attn", scores, "--reg", "l2"])
+    doc = {"scores": [0.3, -0.2], "temperature": 1.0, "utilities": [1.0, -_HUGE]}
+    _input_error(capsys, ["gradcheck", _write(tmp_path, "u.json", doc)])
+    reg = {"kind": "kl", "prior": [_HUGE, 1]}
+    doc = {"scores": [0.3, -0.2], "temperature": 1.0, "regularizer": reg}
+    _input_error(capsys, ["attn", _write(tmp_path, "k.json", doc)])
+    good = _write(tmp_path, "good.json", {"scores": [0.3, -0.2]})
+    prior = _write(tmp_path, "prior.json", [_HUGE, 1])
+    code, out, err = _run(capsys, ["attn", good, "--reg", "kl", "--tau", "1", "--prior", prior])
+    assert (code, out) == (2, "") and "Traceback" not in err
+
+
+def test_huge_integer_matrix_field_is_an_input_error(tmp_path, capsys):
+    for queries, keys in (([[_HUGE, 1.0]], [[1.0, 1.0]]), ([[1.0]], [[1.0], [-_HUGE]])):
+        qk = _write(tmp_path, "q.json", {"queries": queries, "keys": keys})
+        _input_error(capsys, ["transport", qk, "--tau", "1"])
+    doc = {"scores": [0.3, -0.2], "temperature": 1.0, "values": [[_HUGE], [1.0]]}
+    _input_error(capsys, ["gradcheck", _write(tmp_path, "v.json", doc)])

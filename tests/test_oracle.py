@@ -573,7 +573,7 @@ def test_lockstep_rows_are_bit_identical_to_the_reference_loop():
         reg = RegularizerSpec.shannon(eps)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            outcomes = oracle._descend(scores, reg, None)
+            outcomes = oracle._descend(scores, [reg] * len(scores), None)
         assert len(outcomes) == len(scores)
         for row, outcome in zip(scores, outcomes):
             _assert_same_as_reference(outcome, _reference_minimize(Scores(row), reg))
@@ -603,7 +603,7 @@ def test_lockstep_rows_under_every_kind_and_both_methods():
         for cfg in (None, SolverConfig(method=other, max_iterations=300)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                outcomes = oracle._descend(scores, reg, cfg)
+                outcomes = oracle._descend(scores, [reg] * n, cfg)
             for row, outcome in zip(scores, outcomes):
                 try:
                     with np.errstate(all="ignore"):
@@ -620,7 +620,7 @@ def test_lockstep_keeps_an_underflowed_row_at_zero_beside_ordinary_rows():
     reg = RegularizerSpec.shannon(0.25)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        outcomes = oracle._descend(scores, reg, None)
+        outcomes = oracle._descend(scores, [reg] * 3, None)
         alone = minimize_on_simplex(Scores(scores[1]), reg)
     for index in (0, 2):
         _assert_same_as_reference(outcomes[index], _reference_minimize(Scores(scores[index]), reg))
@@ -646,7 +646,7 @@ def test_lockstep_step_size_below_the_floor_stops_at_once():
     scores = np.array([[0.3, -0.2], [1.0, 0.0]])
     reg = RegularizerSpec.shannon(1.0)
     cfg = SolverConfig(step_size=1e-40)
-    for row, outcome in zip(scores, oracle._descend(scores, reg, cfg)):
+    for row, outcome in zip(scores, oracle._descend(scores, [reg] * 2, cfg)):
         _assert_same_as_reference(outcome, _reference_minimize(Scores(row), reg, cfg))
         assert outcome.iterations == 1 and outcome.converged
 
@@ -695,3 +695,107 @@ def test_grid_cache_makes_room_before_building(monkeypatch):
     found = grid_search_simplex(Scores([0.1, 0.2, 0.3]), RegularizerSpec.shannon(1.0), 400)
     assert found.iterations == oracle._grid_points(3, 400)
     assert list(oracle._GRIDS._grids) == [(3, 100)]
+
+
+# ------------------------------------- many instances (one descent per group)
+#
+# ``oracle._minimize_many`` groups (scores, regularizer) pairs by m, kind and
+# alpha and runs each group as one lock-step descent, every row under its own
+# parameters; each outcome must be the one ``minimize_on_simplex`` gives the
+# pair alone.
+
+
+def _many_pairs():
+    """Every kind at m 1..6, tsallis at three alphas so its groups hold
+    several rows; tau, gamma, position and prior drawn per pair; and the
+    underflow rows beside ordinary ones."""
+    rng = np.random.default_rng(20261019)
+    pairs = []
+    for index in range(150):
+        kind = REGULARIZER_KINDS[index % len(REGULARIZER_KINDS)]
+        m = int(rng.integers(1, 7))
+        if kind == TSALLIS:
+            reg = RegularizerSpec.tsallis(float(rng.choice([1.5, 2.0, 3.0])))
+        else:
+            reg = _random_regularizer(rng, kind, m)
+        pairs.append((Scores(rng.uniform(-5.0, 5.0, m)), reg))
+    underflow = Scores([0.0, -800.0, 3.0])
+    pairs += [
+        (underflow, RegularizerSpec.shannon(0.25)),
+        (underflow, RegularizerSpec.kl_prior([0.2, 0.3, 0.5], 0.25)),
+        (underflow, RegularizerSpec.alibi(0.5, 1, 0.25)),
+    ]
+    return pairs
+
+
+def _outcome_alone(s, reg, cfg):
+    try:
+        return minimize_on_simplex(s, reg, cfg)
+    except NumericalFailure as failure:
+        return failure
+
+
+def test_many_pairs_are_bit_identical_to_one_solve_each():
+    pairs = _many_pairs()
+    groups = {}
+    for s, reg in pairs:
+        groups.setdefault((len(s), reg.kind, reg.alpha), []).append(reg)
+    # Groups hold several rows, with parameters of their own.
+    assert max(map(len, groups.values())) >= 8
+    for kind, field in ((SHANNON, "temperature"), (ALIBI, "gamma"), (ALIBI, "query_position")):
+        assert any(
+            len({getattr(reg, field) for reg in regs}) > 1
+            for (m, group_kind, _), regs in groups.items()
+            if group_kind == kind
+        ), (kind, field)
+    assert any(
+        len({reg.prior.weights.tobytes() for reg in regs}) > 1
+        for (_, group_kind, _), regs in groups.items()
+        if group_kind == KL_PRIOR
+    )
+    configs = (
+        None,
+        # A capped budget leaves rows unconverged.
+        SolverConfig(max_iterations=40, method=EXPONENTIATED_GRADIENT),
+        # Projected gradient on an entropic kind fails at the boundary.
+        SolverConfig(max_iterations=300, method=PROJECTED_GRADIENT),
+    )
+    seen = {"converged": 0, "nonconverged": 0, "failed": 0, "staggered": 0}
+    for cfg in configs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcomes = oracle._minimize_many(pairs, cfg)
+            alone = [_outcome_alone(s, reg, cfg) for s, reg in pairs]
+        assert len(outcomes) == len(pairs)
+        iterations = {}
+        for (s, reg), outcome, expected in zip(pairs, outcomes, alone):
+            if isinstance(expected, NumericalFailure):
+                assert isinstance(outcome, NumericalFailure)
+                assert str(outcome) == str(expected)
+                seen["failed"] += 1
+                continue
+            assert isinstance(outcome, oracle.OracleResult)
+            assert outcome.iterations == expected.iterations
+            assert outcome.converged == expected.converged
+            assert _hex_trace(outcome.objective_trace) == _hex_trace(expected.objective_trace)
+            assert outcome.objective.hex() == expected.objective.hex()
+            assert outcome.distribution.weights.tobytes() == expected.distribution.weights.tobytes()
+            seen["converged" if outcome.converged else "nonconverged"] += 1
+            iterations.setdefault((len(s), reg.kind, reg.alpha), set()).add(outcome.iterations)
+        seen["staggered"] += sum(len(found) > 1 for found in iterations.values())
+    assert all(count > 0 for count in seen.values()), seen
+    assert seen["staggered"] >= 20
+    # The underflowed weight stays exactly zero in the batch, as alone.
+    for outcome in oracle._minimize_many(pairs[-3:]):
+        assert outcome.converged and outcome.distribution.weights[1] == 0.0
+
+
+def test_many_pairs_edge_cases():
+    assert oracle._minimize_many([]) == []
+    s = Scores([0.3, -0.2])
+    with pytest.raises(ValueError, match="grid_search_simplex"):
+        oracle._minimize_many([(s, RegularizerSpec.l2())], SolverConfig(method=GRID_SEARCH))
+    # One pair is one row: minimize_on_simplex's own call.
+    (outcome,) = oracle._minimize_many([(s, RegularizerSpec.shannon(0.5))])
+    alone = minimize_on_simplex(s, RegularizerSpec.shannon(0.5))
+    assert outcome.distribution.weights.tobytes() == alone.distribution.weights.tobytes()

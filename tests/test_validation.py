@@ -150,3 +150,58 @@ def test_matrix_types_keep_their_own_checks():
         frozen = matrix_type(COVARIANCE, 2)
         assert frozen.temperature == 2.0 and isinstance(frozen.temperature, float)
         assert not frozen.entries.flags.writeable
+
+
+# float() and int() read "1.5", b"2" and True as numbers; a parameter must
+# be given as one.  Every entry point rejects such a value with a TypeError
+# before it solves anything.
+NOT_NUMBERS = ["2", b"2", True, np.True_]
+
+
+def _rejects_type(call, value, name):
+    with pytest.raises(TypeError, match=f"^{name} must be a number, not "):
+        call(value)
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS, ids=repr)
+@pytest.mark.parametrize("entry", sorted(TEMPERATURE_ENTRY_POINTS))
+def test_temperature_must_be_a_number(entry, value):
+    _rejects_type(TEMPERATURE_ENTRY_POINTS[entry], value, "temperature")
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS, ids=repr)
+@pytest.mark.parametrize("entry", sorted(EPSILON_ENTRY_POINTS))
+def test_epsilon_must_be_a_number(entry, value):
+    _rejects_type(EPSILON_ENTRY_POINTS[entry], value, "epsilon")
+
+
+@pytest.mark.parametrize("value", ["1.5", b"2", True, np.True_], ids=repr)
+@pytest.mark.parametrize("call", [lambda a: entmax(S, a), RegularizerSpec.tsallis])
+def test_alpha_must_be_a_number(call, value):
+    _rejects_type(call, value, "alpha")
+
+
+@pytest.mark.parametrize("value", ["0.5", b"0", False, np.False_], ids=repr)
+@pytest.mark.parametrize("call", ALIBI_ENTRY_POINTS)
+def test_gamma_must_be_a_number(call, value):
+    _rejects_type(lambda g: call(g, 2), value, "gamma")
+
+
+@pytest.mark.parametrize("value", ["2", b"2", True, np.True_], ids=repr)
+@pytest.mark.parametrize("call", ALIBI_ENTRY_POINTS)
+def test_query_position_must_be_a_number(call, value):
+    _rejects_type(lambda i: call(0.5, i), value, "query_position")
+
+
+@pytest.mark.parametrize("call", ALIBI_ENTRY_POINTS)
+def test_query_position_beyond_the_double_range(call):
+    # The key distances |i - j| are doubles.
+    _rejects(lambda i: call(0.5, i), int("9" * 400), "query_position must be an integer index >= 1")
+
+
+def test_numpy_and_integer_parameters_are_numbers():
+    reg = RegularizerSpec.alibi(np.float32(0.5), np.int64(2), 1)
+    assert (reg.gamma, reg.query_position, reg.temperature) == (0.5, 2, 1.0)
+    assert type(reg.query_position) is int and type(reg.temperature) is float
+    assert RegularizerSpec.tsallis(np.float64(1.5)).alpha == 1.5
+    assert softmax(S, 2).distribution.weights.tobytes() == softmax(S, 2.0).distribution.weights.tobytes()

@@ -7,11 +7,16 @@ checkout's ``src/``).  Each tree runs ``suites.run_suite`` for every suite
 and seed in its own subprocess, one tree after the other.  A check's
 canonical report is its ``CheckResult`` repr (residuals at full
 precision); a suite's is its ``RunReport`` with ``wall_time_ms`` zeroed.
-A report keeps only a check's worst residual, so a changed plan could hide
-behind an unchanged maximum: each tree also solves, per seed and transport
-check, the ``solve_full_eot`` plan of every batch the transport suite
-draws (same generator keys) and reports a SHA-256 of the plan bytes, or
-the error a solve raised.  Last, each tree makes a fixed list of in-process
+A report keeps only a check's worst residual, so a changed solve could
+hide behind an unchanged maximum.  So each tree also records every row
+that ``oracle._descend`` solves while a suite runs (its score bytes, its
+regularizer and configuration, and its outcome: weight bytes, objective,
+iterations, convergence and trace, or the error) and reports, per seed
+and suite, the row count and a SHA-256 of the sorted row digests: the
+multiset of row outcomes, whatever order or grouping the rows were solved
+in.  And it solves, per seed and transport check, the ``solve_full_eot``
+plan of every batch the transport suite draws (same generator keys) and
+reports a SHA-256 of the plan bytes, or the error a solve raised.  Last, each tree makes a fixed list of in-process
 ``vattn.cli.main`` calls (``attn`` for every kind, by flags and by a file
 ``regularizer`` object; ``transport`` closed form and oracle;
 ``gradcheck``; malformed inputs and flag combinations) on inputs written
@@ -36,16 +41,44 @@ sys.path.insert(0, src)
 import hashlib
 import numpy as np
 import vattn
-from vattn import suites, transport
-from vattn.core import NumericalFailure
+from vattn import oracle, suites, transport
+from vattn.core import NumericalFailure, RegularizerSpec
 print(json.dumps(["module", vattn.__file__]), flush=True)
+
+def row_digest(s, reg, cfg, outcome):
+    digest = hashlib.sha256(s.tobytes())
+    fields = (reg.kind, reg.temperature, reg.alpha, reg.gamma, reg.query_position, cfg)
+    digest.update(repr(fields).encode())
+    if reg.prior is not None:
+        digest.update(reg.prior.weights.tobytes())
+    if isinstance(outcome, NumericalFailure):
+        digest.update(repr(outcome).encode())
+    else:
+        digest.update(outcome.distribution.weights.tobytes())
+        trace = [value.hex() for value in outcome.objective_trace]
+        digest.update(repr((outcome.objective.hex(), outcome.iterations, outcome.converged, trace)).encode())
+    return digest.hexdigest()
+
+# Older trees' _descend takes one regularizer for all rows, newer ones one per row.
+recorded = []
+descend = oracle._descend
+def recording_descend(S, reg, cfg):
+    outcomes = descend(S, reg, cfg)
+    regs = [reg] * len(S) if isinstance(reg, RegularizerSpec) else reg
+    recorded.extend(map(row_digest, S, regs, [cfg] * len(S), outcomes))
+    return outcomes
+oracle._descend = recording_descend
+
 for seed in seeds:
     for name in suites.SUITE_NAMES:
+        recorded.clear()
         report = suites.run_suite(name, seed, trials)
         for check in report.per_check:
             print(json.dumps([f"seed {seed} {name} {check.name}", repr(check)]), flush=True)
         suite = dataclasses.replace(report, wall_time_ms=0)
         print(json.dumps([f"seed {seed} {name}", repr(suite)]), flush=True)
+        rows = hashlib.sha256("\\n".join(sorted(recorded)).encode()).hexdigest()
+        print(json.dumps([f"seed {seed} {name} descent rows", f"{len(recorded)} {rows}"]), flush=True)
     # run_suite keys each trial's generator by (seed, suite, check, trial).
     ordinal = suites.SUITE_NAMES.index("transport")
     for index, check in enumerate(suites._SUITE_BUILDERS["transport"](trials)):
