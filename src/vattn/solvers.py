@@ -48,6 +48,9 @@ __all__ = [
 
 ENTMAX_MASS_ATOL = 1e-12
 ENTMAX_MAX_BISECTIONS = 200
+# entmax restricts its bisection to candidate entries only while they
+# number at least this many (see ``entmax``).
+_ENTMAX_CANDIDATE_MIN_KEYS = 128
 
 
 @dataclass(frozen=True)
@@ -123,53 +126,112 @@ def entmax(s: Scores, alpha: float) -> SolveResult:
     reparameterization of that bracket: near alpha = 1 the threshold
     itself sits at magnitude 1/(alpha-1) where float spacing alone exceeds
     the mass tolerance, while in y the mass stays resolvable to ~1e-16.
-    The search keeps the best candidate seen and stops once the mass
+    The search keeps the best step seen and stops once the mass
     residual |sum p - 1| drops below 1e-12.  Interpolates softmax
     (alpha -> 1) and sparsemax (alpha = 2).
+
+    Each step evaluates only the *candidates*: the entries still positive
+    at the bracket's upper end, where the set was formed.  Rounding is
+    monotone, so an entry with x <= 0 there is exactly 0.0 at every y whose
+    exp value does not exceed the upper end's; any other y evaluates every
+    entry.  The candidates' weights are scattered into a full-length buffer
+    whose other entries hold the exact zeros of the evaluation that dropped
+    them, and the buffer is summed whole.  It holds the values, in the
+    places, that evaluating every entry gives, so every mass, every
+    bisection decision and the returned weights carry the same bits.  The
+    set shrinks only while it has at least ``_ENTMAX_CANDIDATE_MIN_KEYS``
+    entries, and shorter rows evaluate every entry at every step: below
+    that size a step costs numpy's per-call overhead, not per-entry work.
+
+    Two fallback stages run only when the bisection ends above the
+    tolerance.  The stiff corner of alpha > 2 re-bisects in the weight of
+    the last entry to enter the support.  Near alpha = 1 the power
+    1/(alpha-1) amplifies the rounding of x, so a last stage bisects y
+    again with weights from the log domain,
+    log p_j = y + log1p((alpha-1) v_j e^{-(alpha-1) y}) / (alpha-1) for
+    v = s - max(s), and p_j = 0 where the log1p argument is <= -1.
     """
     a = _check_alpha(alpha)
     m = len(s)
     if m == 1:
         return _result(np.ones(1), None)
-    v = s.values - s.values.max()  # threshold search is shift-equivariant
+    a1 = a - 1.0
+    power = 1.0 / a1
+    # The threshold search is shift-equivariant.  A gap or slope past
+    # -DBL_MAX is -inf, and its entry's weight exactly 0.
+    with np.errstate(over="ignore"):
+        v = s.values - s.values.max()
+        slope = a1 * v
+    total = np.add.reduce
 
     def weights_at(y: float) -> np.ndarray:
         # x = (alpha-1)(s - theta) with the top entry pinned to exp((alpha-1) y),
         # so the top weight is exactly exp(y) and mass is increasing in y.
-        x = np.maximum(np.exp((a - 1.0) * y) + (a - 1.0) * v, 0.0)
-        return x ** (1.0 / (a - 1.0))
+        return np.maximum(np.exp(a1 * y) + slope, 0.0) ** power
 
-    lo, hi = -np.log(m) - 1.0, 0.0  # mass(lo) <= 1/e < 1 <= mass(hi)
-    best_w: np.ndarray | None = None
+    w = held = None  # the weights of the last stage-1 step and its y
+    if m < _ENTMAX_CANDIDATE_MIN_KEYS:
+
+        def mass_at(y: float) -> float:
+            nonlocal w, held
+            w, held = weights_at(y), y
+            return float(total(w))
+
+    else:
+        keys = slope_keys = None
+        e_keys = -np.inf  # exp value at which keys were formed
+
+        def mass_at(y: float) -> float:
+            nonlocal w, held, keys, slope_keys, e_keys
+            e = np.exp(a1 * y)
+            if e <= e_keys:
+                x = np.maximum(e + slope_keys, 0.0)
+                w[keys] = x**power
+                mass = float(total(w))
+                if mass >= 1.0 and keys.size >= _ENTMAX_CANDIDATE_MIN_KEYS:
+                    # y becomes the bracket's upper end
+                    inside = (x > 0.0).nonzero()[0]
+                    keys, slope_keys, e_keys = keys[inside], slope_keys[inside], e
+            else:
+                x = np.maximum(e + slope, 0.0)
+                w = x**power
+                mass = float(total(w))
+                keys = (x > 0.0).nonzero()[0]
+                slope_keys, e_keys = slope[keys], e
+            held = y
+            return mass
+
+    best = None  # (weights function, argument) of the best step
     best_residual = np.inf
     budget = ENTMAX_MAX_BISECTIONS
 
-    def consider(w: np.ndarray) -> float:
-        nonlocal best_w, best_residual
-        mass = float(w.sum())
+    def consider(weights, arg: float, mass_at=None) -> float:
+        nonlocal best, best_residual
+        mass = mass_at(arg) if mass_at else float(total(weights(arg)))
         residual = abs(mass - 1.0)
         if residual < best_residual:
-            best_w, best_residual = w, residual
+            best, best_residual = (weights, arg), residual
         return mass
 
-    def bisect(evaluate, lo, hi):
+    def bisect(weights, lo, hi, mass_at=None):
         # Mass is increasing in the search variable; keeps the best
-        # candidate seen and stops on tolerance or a collapsed bracket.
+        # step seen and stops on tolerance or a collapsed bracket.
         nonlocal budget
         while budget > 0 and best_residual >= ENTMAX_MASS_ATOL:
             mid = 0.5 * (lo + hi)
             if not (lo < mid < hi):
                 break
             budget -= 1
-            if consider(evaluate(mid)) >= 1.0:
+            if consider(weights, mid, mass_at) >= 1.0:
                 hi = mid
             else:
                 lo = mid
         return lo, hi
 
-    consider(weights_at(hi))
-    consider(weights_at(lo))
-    lo, hi = bisect(weights_at, lo, hi)
+    bottom = float(-np.log(m) - 1.0)  # mass(bottom) <= 1/e < 1 <= mass(0)
+    consider(weights_at, 0.0, mass_at)
+    consider(weights_at, bottom, mass_at)
+    lo, hi = bisect(weights_at, bottom, 0.0, mass_at)
 
     if best_residual >= ENTMAX_MASS_ATOL:
         # Stiff corner of alpha > 2: the last entry to enter the support
@@ -182,24 +244,53 @@ def entmax(s: Scores, alpha: float) -> SolveResult:
         # theta = s_stiff - g^(alpha-1)/(alpha-1).
         upper = weights_at(hi)
         stiff = int(np.argmin(np.where(upper > 0.0, upper, np.inf)))
-        base = (a - 1.0) * (v - v[stiff])
+        with np.errstate(over="ignore"):
+            base = a1 * (v - v[stiff])
 
         def weights_at_g(g: float) -> np.ndarray:
-            x = np.maximum(base + g ** (a - 1.0), 0.0)
-            w = x ** (1.0 / (a - 1.0))
+            x = np.maximum(base + g**a1, 0.0)
+            w = x**power
             w[stiff] = g
             return w
 
         # g = 0 recovers the sub-unit mass of the lower endpoint, so the
         # bracket [0, upper weight] straddles the unit-mass solution.
-        consider(weights_at_g(0.0))
+        consider(weights_at_g, 0.0)
         bisect(weights_at_g, 0.0, float(upper[stiff]))
+
+    if best_residual >= ENTMAX_MASS_ATOL:
+        # Near softmax x = e^{(alpha-1) y} + (alpha-1) v carries a relative
+        # rounding error of ~1e-16 that the power 1/(alpha-1) multiplies,
+        # so below alpha ~ 1 + 3e-5 the mass cannot be resolved to the
+        # tolerance; in the log domain the error stays ~1e-16 * |v|.  The
+        # same weights also serve rows that neither stage above resolves
+        # at a large alpha, such as ties whose x underflows.
+
+        def weights_log(y: float) -> np.ndarray:
+            # z = (alpha-1) v e^{-(alpha-1) y}, the log1p argument.  At a
+            # large alpha the exp can pass DBL_MAX: z is then -inf under the
+            # top score (outside the support) and 0 at it.
+            with np.errstate(over="ignore", invalid="ignore"):
+                z = slope * np.exp(-a1 * y)
+            z[slope == 0.0] = 0.0
+            inside = z > -1.0
+            w = np.zeros(m)
+            w[inside] = np.exp(y + np.log1p(z[inside]) / a1)
+            return w
+
+        budget = ENTMAX_MAX_BISECTIONS  # the stages above can spend ~160 steps
+        consider(weights_log, 0.0)
+        consider(weights_log, bottom)
+        bisect(weights_log, bottom, 0.0)
 
     if best_residual >= ENTMAX_MASS_ATOL:
         raise NumericalFailure(
             f"entmax(alpha={a}) threshold search stalled at mass residual {best_residual:.3e}"
         )
-    return _result(best_w, None)
+    weights, arg = best
+    if weights is weights_at and arg == held:  # usually the last step
+        return _result(w, None)
+    return _result(weights(arg), None)
 
 
 def alibi_softmax(

@@ -96,6 +96,14 @@ def test_attn_exit_codes(tmp_path, capsys):
     assert _run(capsys, ["attn", good])[0] == 3  # no regularizer anywhere
 
 
+def test_attn_tsallis_near_softmax_solves(tmp_path, capsys):
+    # entmax's bisection used to stall at this alpha (a NumericalFailure, exit 1).
+    path = _write(tmp_path, "in.json", {"scores": [0.7, -1.3, 2.1, 0.2, -0.4]})
+    code, out, _ = _run(capsys, ["attn", path, "--reg", "tsallis", "--alpha", "1.00001"])
+    assert code == 0
+    assert abs(sum(json.loads(out)["distribution"]) - 1.0) < 1e-12
+
+
 def test_attn_out_file(tmp_path, capsys):
     path = _write(tmp_path, "in.json", {"scores": [0.0, 0.0]})
     out_path = tmp_path / "result.json"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from vattn import (
+    NumericalFailure,
     RegularizerSpec,
     Scores,
     SimplexDistribution,
@@ -19,7 +20,8 @@ from vattn import (
     solve,
     sparsemax,
 )
-from vattn.core import objective_rows, objective_value
+from vattn.core import _check_alpha, objective_rows, objective_value
+from vattn.solvers import ENTMAX_MASS_ATOL, ENTMAX_MAX_BISECTIONS, SolveResult, _result
 
 
 def _sup(a, b):
@@ -470,3 +472,174 @@ def test_softmax_and_lse_keep_their_bits_on_finite_inputs():
         result = softmax(Scores(values), t)
         assert result.distribution.weights.tobytes() == (e / e.sum()).tobytes()
         assert result.potential.hex() == potential.hex() == lse(Scores(values), t).hex()
+
+
+# ------------------------------------ entmax: bits, stalls and overflow
+
+
+# The plain bisection, which evaluates every entry at every step, kept
+# verbatim: entmax must return its bits wherever it solved.
+def _reference_entmax(s: Scores, alpha: float) -> SolveResult:
+    """Tsallis-regularized weights p_j = [(alpha-1)(s_j - theta)]_+^(1/(alpha-1)).
+
+    The threshold theta lives in [max(s) - 1/(alpha-1), max(s)], across
+    which the total mass falls monotonically from >= 1 to 0.  Bisection
+    runs in the variable y = log of the top weight, a monotone
+    reparameterization of that bracket: near alpha = 1 the threshold
+    itself sits at magnitude 1/(alpha-1) where float spacing alone exceeds
+    the mass tolerance, while in y the mass stays resolvable to ~1e-16.
+    The search keeps the best candidate seen and stops once the mass
+    residual |sum p - 1| drops below 1e-12.  Interpolates softmax
+    (alpha -> 1) and sparsemax (alpha = 2).
+    """
+    a = _check_alpha(alpha)
+    m = len(s)
+    if m == 1:
+        return _result(np.ones(1), None)
+    v = s.values - s.values.max()  # threshold search is shift-equivariant
+
+    def weights_at(y: float) -> np.ndarray:
+        # x = (alpha-1)(s - theta) with the top entry pinned to exp((alpha-1) y),
+        # so the top weight is exactly exp(y) and mass is increasing in y.
+        x = np.maximum(np.exp((a - 1.0) * y) + (a - 1.0) * v, 0.0)
+        return x ** (1.0 / (a - 1.0))
+
+    lo, hi = -np.log(m) - 1.0, 0.0  # mass(lo) <= 1/e < 1 <= mass(hi)
+    best_w: np.ndarray | None = None
+    best_residual = np.inf
+    budget = ENTMAX_MAX_BISECTIONS
+
+    def consider(w: np.ndarray) -> float:
+        nonlocal best_w, best_residual
+        mass = float(w.sum())
+        residual = abs(mass - 1.0)
+        if residual < best_residual:
+            best_w, best_residual = w, residual
+        return mass
+
+    def bisect(evaluate, lo, hi):
+        # Mass is increasing in the search variable; keeps the best
+        # candidate seen and stops on tolerance or a collapsed bracket.
+        nonlocal budget
+        while budget > 0 and best_residual >= ENTMAX_MASS_ATOL:
+            mid = 0.5 * (lo + hi)
+            if not (lo < mid < hi):
+                break
+            budget -= 1
+            if consider(evaluate(mid)) >= 1.0:
+                hi = mid
+            else:
+                lo = mid
+        return lo, hi
+
+    consider(weights_at(hi))
+    consider(weights_at(lo))
+    lo, hi = bisect(weights_at, lo, hi)
+
+    if best_residual >= ENTMAX_MASS_ATOL:
+        # Stiff corner of alpha > 2: the last entry to enter the support
+        # contributes x^(1/(alpha-1)) with a near-vertical tangent, so its
+        # weight jumps over the tolerance between adjacent floats of y (the
+        # solution's x can even be smaller than the rounding error of
+        # computing x at all).  Re-bisect with that entry's weight g as the
+        # variable: its own mass contribution is then exact, and the other
+        # entries respond smoothly through
+        # theta = s_stiff - g^(alpha-1)/(alpha-1).
+        upper = weights_at(hi)
+        stiff = int(np.argmin(np.where(upper > 0.0, upper, np.inf)))
+        base = (a - 1.0) * (v - v[stiff])
+
+        def weights_at_g(g: float) -> np.ndarray:
+            x = np.maximum(base + g ** (a - 1.0), 0.0)
+            w = x ** (1.0 / (a - 1.0))
+            w[stiff] = g
+            return w
+
+        # g = 0 recovers the sub-unit mass of the lower endpoint, so the
+        # bracket [0, upper weight] straddles the unit-mass solution.
+        consider(weights_at_g(0.0))
+        bisect(weights_at_g, 0.0, float(upper[stiff]))
+
+    if best_residual >= ENTMAX_MASS_ATOL:
+        raise NumericalFailure(
+            f"entmax(alpha={a}) threshold search stalled at mass residual {best_residual:.3e}"
+        )
+    return _result(best_w, None)
+
+
+GUARD_ALPHAS = (1.00001, 1.0001, 1.2, 1.5, 1.7, 2.0, 2.5, 3.0, 4.0, 10.0)
+
+
+def _guard_rows():
+    rng = np.random.default_rng(2019)
+    for m, draws in ((2, 12), (3, 12), (7, 12), (16, 12), (1000, 4), (10**5, 1)):
+        for alpha in GUARD_ALPHAS:
+            for k in range(draws):
+                x = rng.uniform(-5.0, 5.0, m)
+                if k % 4 == 1:
+                    x = np.round(x)  # ties
+                elif k % 4 == 2:
+                    x[rng.integers(m)] += 50.0  # one dominant score
+                yield Scores(x), alpha
+    yield Scores(rng.uniform(-5.0, 5.0, 10**6)), 1.5
+
+
+def test_entmax_keeps_the_plain_bisections_bits(monkeypatch):
+    # Only the stiff-corner stage calls np.argmin: count the rows that enter it.
+    calls = []
+    argmin = np.argmin
+    monkeypatch.setattr(np, "argmin", lambda *args: calls.append(args) or argmin(*args))
+    stiff = stalled = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s, alpha in _guard_rows():
+            before = len(calls)
+            try:
+                expected = _reference_entmax(s, alpha).distribution.weights
+            except NumericalFailure:
+                expected = None
+            stiff += len(calls) > before
+            weights = entmax(s, alpha).distribution.weights
+            if expected is None:
+                stalled += 1
+                assert abs(float(weights.sum()) - 1.0) < ENTMAX_MASS_ATOL
+            else:
+                assert weights.tobytes() == expected.tobytes(), (len(s), alpha)
+    assert stiff > 0 and stalled > 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("alpha", [1.00001, 1.000001])
+def test_entmax_near_softmax_does_not_stall(alpha, seed):
+    # The plain bisection stalled here at mass residuals of 1e-12 to 5e-11.
+    s = Scores(np.random.default_rng(seed).uniform(-5.0, 5.0, 16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = entmax(s, alpha).distribution.weights
+    assert abs(float(w.sum()) - 1.0) < ENTMAX_MASS_ATOL
+    assert _sup(w, softmax(s, 1.0).distribution.weights) < 1e-4
+
+
+@pytest.mark.parametrize("m", [2, 3, 16])
+def test_entmax_ties_at_a_huge_alpha(m):
+    # x of the tied entries underflows, and the plain bisection stalled.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = entmax(Scores(np.full(m, 1.0)), 1e6).distribution.weights
+    assert _sup(w, np.full(m, 1.0 / m)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "scores, alpha, weights",
+    [
+        ([1e308, -1e308], 1.5, [1.0, 0.0]),  # s - max(s) overflows
+        ([1e305, -1e305], 1e6, [1.0, 0.0]),  # (alpha - 1)(s - max(s)) overflows
+        # ... and again in the stiff-corner stage, which the ties reach
+        ([1e305, 1e305, -1e305], 1e6, [0.5, 0.5, 0.0]),
+    ],
+)
+def test_entmax_gaps_past_dbl_max_without_warnings(scores, alpha, weights):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = entmax(Scores(scores), alpha).distribution.weights
+    assert _sup(w, weights) < 1e-12

@@ -16,7 +16,11 @@ and suite, the row count and a SHA-256 of the sorted row digests: the
 multiset of row outcomes, whatever order or grouping the rows were solved
 in.  And it solves, per seed and transport check, the ``solve_full_eot``
 plan of every batch the transport suite draws (same generator keys) and
-reports a SHA-256 of the plan bytes, or the error a solve raised.  Last, each tree makes a fixed list of in-process
+reports a SHA-256 of the plan bytes, or the error a solve raised.  Each
+tree also hashes the ``solvers.solve`` weight bytes (or the error) of a
+fixed seeded list of rows: every kind at m=16 and m=1000, tsallis at nine
+alphas from 1.0001 to 10 (10 enters entmax's stiff corner), and one
+1e6-key row per kind.  Last, each tree makes a fixed list of in-process
 ``vattn.cli.main`` calls (``attn`` for every kind, by flags and by a file
 ``regularizer`` object; ``transport`` closed form and oracle;
 ``gradcheck``; malformed inputs and flag combinations) on inputs written
@@ -91,6 +95,38 @@ for seed in seeds:
                 digest.update(repr(error).encode())
         label = f"seed {seed} transport {check.name} solve_full_eot plans"
         print(json.dumps([label, digest.hexdigest()]), flush=True)
+
+# solvers.solve on a fixed list of rows: every kind at m=16 and m=1000
+# (tsallis at several alphas, 10 entering entmax's stiff corner) and one
+# 1e6-key row per kind.
+from vattn import Scores, SimplexDistribution, solvers
+
+def regularizers(rng, m):
+    yield RegularizerSpec.shannon(float(rng.uniform(0.5, 2.0)))
+    yield RegularizerSpec.l2()
+    for alpha in (1.0001, 1.2, 1.5, 1.7, 2.0, 2.5, 3.0, 4.0, 10.0):
+        yield RegularizerSpec.tsallis(alpha)
+    position = int(rng.integers(1, m + 1))
+    yield RegularizerSpec.alibi(float(rng.uniform(0.0, 2.0)), position, float(rng.uniform(0.5, 2.0)))
+    prior = SimplexDistribution.renormalized(0.9 * rng.dirichlet(np.ones(m)) + 0.1 / m)
+    yield RegularizerSpec.kl_prior(prior, float(rng.uniform(0.5, 2.0)))
+
+for m, rows in ((16, 40), (1000, 4), (10**6, 1)):
+    digests = {}
+    for row in range(rows):
+        rng = np.random.default_rng([m, row])
+        x = rng.uniform(-5.0, 5.0, m)
+        for reg in regularizers(rng, m):
+            if m == 10**6 and reg.kind == "tsallis" and reg.alpha != 1.5:
+                continue
+            label = f"{reg.kind} {reg.alpha}" if reg.kind == "tsallis" else reg.kind
+            digest = digests.setdefault(label, hashlib.sha256())
+            try:
+                digest.update(solvers.solve(Scores(x), reg).distribution.weights.tobytes())
+            except (NumericalFailure, ValueError) as error:
+                digest.update(repr(error).encode())
+    for label, digest in digests.items():
+        print(json.dumps([f"solve {label} m={m}", digest.hexdigest()]), flush=True)
 
 import contextlib, io, os, re, tempfile
 from vattn.cli import main
