@@ -70,28 +70,30 @@ class NumericalFailure(RuntimeError):
     """An iterative routine could not meet its numerical contract."""
 
 
-def _frozen_vector(values, name: str) -> np.ndarray:
+# One check per array rule.  Every validated type freezes its arrays
+# through ``_frozen``, and every entry point that pairs two sequences
+# checks their lengths through ``_check_lengths``.
+
+_AXES = {1: "a one-dimensional vector", 2: "a two-dimensional matrix"}
+
+
+def _frozen(values, name: str, ndim: int = 1) -> np.ndarray:
+    """A read-only float64 copy of ``values`` with ``ndim`` axes, at least
+    one entry and only finite entries."""
     arr = np.array(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a one-dimensional vector, got shape {arr.shape}")
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must be {_AXES[ndim]}, got shape {arr.shape}")
     if arr.size < 1:
         raise ValueError(f"{name} must have at least one entry")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite (no NaN or Inf entries)")
     arr.flags.writeable = False
     return arr
 
 
-def _frozen_matrix(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be a two-dimensional matrix, got shape {arr.shape}")
-    if arr.size < 1:
-        raise ValueError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite (no NaN or Inf entries)")
-    arr.flags.writeable = False
-    return arr
+def _check_lengths(a, b, a_name: str, b_name: str) -> None:
+    if len(a) != len(b):
+        raise ValueError(f"length mismatch: {a_name} {len(a)} vs {b_name} {len(b)}")
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,7 @@ class Scores:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_vector(self.values, "scores"))
+        object.__setattr__(self, "values", _frozen(self.values, "scores"))
 
     def __len__(self) -> int:
         return self.values.size
@@ -114,7 +116,7 @@ class SimplexDistribution:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = _frozen_vector(self.weights, "weights")
+        w = _frozen(self.weights, "weights")
         if np.any(w < 0.0):
             raise ValueError("simplex entries must be nonnegative")
         total = float(w.sum())
@@ -141,9 +143,7 @@ class SimplexDistribution:
         1e-9 and rescales them exactly; anything further off is rejected as
         corrupt rather than silently fixed.
         """
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 1 or not np.all(np.isfinite(arr)):
-            raise ValueError("expected a non-empty finite vector")
+        arr = _frozen(values, "weights")
         total = float(arr.sum())
         if abs(total - 1.0) >= INGEST_SUM_ATOL:
             raise ValueError(
@@ -279,7 +279,7 @@ class UtilityVector:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_vector(self.values, "utilities"))
+        object.__setattr__(self, "values", _frozen(self.values, "utilities"))
 
     def __len__(self) -> int:
         return self.values.size
@@ -293,8 +293,8 @@ class QueryKeyBatch:
     keys: np.ndarray
 
     def __post_init__(self):
-        q = _frozen_matrix(self.queries, "queries")
-        k = _frozen_matrix(self.keys, "keys")
+        q = _frozen(self.queries, "queries", 2)
+        k = _frozen(self.keys, "keys", 2)
         if q.shape[1] != k.shape[1]:
             raise ValueError(
                 f"queries and keys must share the inner dimension, got {q.shape} vs {k.shape}"
@@ -318,7 +318,7 @@ class ValueSet:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_matrix(self.values, "values"))
+        object.__setattr__(self, "values", _frozen(self.values, "values", 2))
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -338,8 +338,7 @@ def shannon_entropy(p: SimplexDistribution) -> float:
 
 def kl_divergence(p: SimplexDistribution, q: SimplexDistribution) -> float:
     """KL(p || q) = sum p_j log(p_j / q_j); q must be strictly positive."""
-    if len(p) != len(q):
-        raise ValueError(f"length mismatch: {len(p)} vs {len(q)}")
+    _check_lengths(p, q, "distribution", "reference distribution")
     qw = _check_positive_distribution(q, "reference distribution").weights
     w = p.weights
     pos = w > 0.0
@@ -353,8 +352,7 @@ def regularizer_value(p: SimplexDistribution, reg: RegularizerSpec) -> float:
 
 def objective_value(p: SimplexDistribution, s: Scores, reg: RegularizerSpec) -> float:
     """-<p, s> + Omega(p), the quantity every solver minimizes."""
-    if len(p) != len(s):
-        raise ValueError(f"length mismatch: distribution {len(p)} vs scores {len(s)}")
+    _check_lengths(p, s, "distribution", "scores")
     return float(-np.dot(p.weights, s.values)) + regularizer_value(p, reg)
 
 
@@ -399,9 +397,6 @@ def _omega_rows(P: np.ndarray, reg: RegularizerSpec, xlogx: np.ndarray | None = 
         d = key_distances(reg.query_position, P.shape[1])
         return reg.temperature * xlogx + reg.gamma * (P @ d)
     if kind == KL_PRIOR:
-        if len(reg.prior) != P.shape[1]:
-            raise ValueError(
-                f"length mismatch: prior {len(reg.prior)} vs distribution {P.shape[1]}"
-            )
+        _check_lengths(reg.prior, P.T, "prior", "distribution")
         return reg.temperature * (xlogx - P @ np.log(reg.prior.weights))
     raise ValueError(f"unknown regularizer kind {kind!r}")

@@ -9,6 +9,7 @@ autodiff is involved anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,8 +22,11 @@ from .core import (
     SimplexDistribution,
     UtilityVector,
     ValueSet,
+    _check_lengths,
     _check_positive_distribution,
     _check_positive_real,
+    _frozen,
+    _number,
 )
 
 __all__ = [
@@ -54,17 +58,16 @@ def _weight_covariance(w: np.ndarray) -> np.ndarray:
 
 
 def _freeze_covariance(matrix, name: str) -> np.ndarray:
-    """The checks a Jacobian and a Fisher matrix share: square, symmetric,
-    rows summing to 0, a valid temperature.  Stores both frozen and returns
-    the entries for the caller's own check."""
-    e = np.array(matrix.entries, dtype=np.float64)
-    if e.ndim != 2 or e.shape[0] != e.shape[1]:
-        raise ValueError("entries must be a square matrix")
+    """The checks a Jacobian and a Fisher matrix share: finite, square,
+    symmetric, rows summing to 0, a valid temperature.  Stores both frozen
+    and returns the entries for the caller's own check."""
+    e = _frozen(matrix.entries, name, 2)
+    if e.shape[0] != e.shape[1]:
+        raise ValueError(f"{name} must be a square matrix")
     if np.max(np.abs(e - e.T)) > _MATRIX_ATOL:
         raise ValueError(f"{name} must be symmetric")
     if np.max(np.abs(e.sum(axis=1))) > _MATRIX_ATOL:
         raise ValueError(f"{name} rows must sum to 0")
-    e.flags.writeable = False
     object.__setattr__(matrix, "entries", e)
     object.__setattr__(matrix, "temperature", _check_positive_real(matrix.temperature))
     return e
@@ -112,17 +115,17 @@ class GradientReport:
     expected_utility: float
 
     def __post_init__(self):
-        g = np.array(self.score_gradient, dtype=np.float64)
-        a = np.array(self.advantage, dtype=np.float64)
-        if g.shape != a.shape or g.ndim != 1:
-            raise ValueError("score_gradient and advantage must be matching vectors")
+        g = _frozen(self.score_gradient, "score_gradient")
+        a = _frozen(self.advantage, "advantage")
+        _check_lengths(g, a, "score_gradient", "advantage")
         if abs(float(g.sum())) > _GRADIENT_SUM_ATOL:
             raise ValueError("score gradient entries must sum to 0")
-        g.flags.writeable = False
-        a.flags.writeable = False
+        expected = float(_number(self.expected_utility, "expected_utility"))
+        if not math.isfinite(expected):
+            raise ValueError("expected_utility must be finite")
         object.__setattr__(self, "score_gradient", g)
         object.__setattr__(self, "advantage", a)
-        object.__setattr__(self, "expected_utility", float(self.expected_utility))
+        object.__setattr__(self, "expected_utility", expected)
 
 
 def softmax_jacobian(p: SimplexDistribution, temperature: float) -> JacobianMatrix:
@@ -138,14 +141,8 @@ def marginal_utility(context_gradient, values: ValueSet) -> UtilityVector:
     ``context_gradient`` is the loss gradient with respect to the mixed
     output vector; its length must match the value dimension.
     """
-    g = np.asarray(context_gradient, dtype=np.float64)
-    if g.ndim != 1 or g.size != values.values.shape[1]:
-        raise ValueError(
-            f"context gradient length {g.shape} must match value dimension "
-            f"{values.values.shape[1]}"
-        )
-    if not np.all(np.isfinite(g)):
-        raise ValueError("context gradient must be finite")
+    g = _frozen(context_gradient, "context gradient")
+    _check_lengths(g, values.values.T, "context gradient", "value dimension")
     return UtilityVector(-(values.values @ g))
 
 
@@ -154,8 +151,7 @@ def advantage_gradient(
 ) -> GradientReport:
     """Score gradient dL/ds_j = -(p_j / tau)(u_j - E_p[u]) in closed form."""
     t = _check_positive_real(temperature)
-    if len(p) != len(u):
-        raise ValueError(f"length mismatch: distribution {len(p)} vs utilities {len(u)}")
+    _check_lengths(p, u, "distribution", "utilities")
     w = p.weights
     expected = float(w @ u.values)
     advantage = u.values - expected
@@ -171,8 +167,7 @@ def chain_rule_gradient(
     explicit softmax Jacobian; must agree with ``advantage_gradient`` to
     machine precision."""
     t = _check_positive_real(temperature)
-    if len(p) != len(u):
-        raise ValueError(f"length mismatch: distribution {len(p)} vs utilities {len(u)}")
+    _check_lengths(p, u, "distribution", "utilities")
     jacobian = _weight_covariance(p.weights) / t
     return -(jacobian.T @ u.values)
 

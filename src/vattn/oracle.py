@@ -30,6 +30,9 @@ from .core import (
     Scores,
     SimplexDistribution,
     _KINDS,
+    _check_lengths,
+    _check_positive_real,
+    _number,
     _xlogx_rows,
     key_distances,
     objective_rows,
@@ -67,12 +70,12 @@ class SolverConfig:
     method: str = EXPONENTIATED_GRADIENT
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
-        if not self.step_size > 0.0:
-            raise ValueError("step_size must be positive")
+        iterations = _number(self.max_iterations, "max_iterations")
+        if not isinstance(iterations, (int, np.integer)) or iterations < 1:
+            raise ValueError("max_iterations must be an integer >= 1")
+        object.__setattr__(self, "max_iterations", int(iterations))
+        for name in ("tolerance", "step_size"):
+            object.__setattr__(self, name, _check_positive_real(getattr(self, name), name))
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -451,6 +454,8 @@ def _minimize_many(
     """
     groups: dict[tuple, list[int]] = {}
     for index, (s, reg) in enumerate(pairs):
+        if reg.prior is not None:
+            _check_lengths(reg.prior, s, "prior", "scores")
         groups.setdefault((len(s), reg.kind, reg.alpha), []).append(index)
     outcomes: list = [None] * len(pairs)
     for members in groups.values():

@@ -25,6 +25,7 @@ from .core import (
     SimplexDistribution,
     _check_alpha,
     _check_gamma,
+    _check_lengths,
     _check_positive_real,
     _check_positive_distribution,
     _check_query_position,
@@ -316,8 +317,7 @@ def prior_softmax(s: Scores, prior: SimplexDistribution, temperature: float) -> 
     exp(s_j / tau).  A uniform prior recovers plain softmax.
     """
     t = _check_positive_real(temperature)
-    if len(prior) != len(s):
-        raise ValueError(f"length mismatch: prior {len(prior)} vs scores {len(s)}")
+    _check_lengths(prior, s, "prior", "scores")
     prior = _check_positive_distribution(prior)
     effective = Scores(s.values + t * np.log(prior.weights))
     return softmax(effective, t)

@@ -21,7 +21,9 @@ from .core import (
     RegularizerSpec,
     Scores,
     ValueSet,
+    _check_lengths,
     _check_positive_real,
+    _frozen,
 )
 
 __all__ = [
@@ -42,13 +44,7 @@ class CostMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        e = np.array(self.entries, dtype=np.float64)
-        if e.ndim != 2 or e.size < 1:
-            raise ValueError("cost entries must form a non-empty matrix")
-        if not np.all(np.isfinite(e)):
-            raise ValueError("cost entries must be finite")
-        e.flags.writeable = False
-        object.__setattr__(self, "entries", e)
+        object.__setattr__(self, "entries", _frozen(self.entries, "cost entries", 2))
 
 
 @dataclass(frozen=True)
@@ -58,11 +54,7 @@ class TransportPlan:
     entries: np.ndarray
 
     def __post_init__(self):
-        e = np.array(self.entries, dtype=np.float64)
-        if e.ndim != 2 or e.size < 1:
-            raise ValueError("plan entries must form a non-empty matrix")
-        if not np.all(np.isfinite(e)):
-            raise ValueError("plan entries must be finite")
+        e = _frozen(self.entries, "plan entries", 2)
         if np.any(e < 0.0):
             raise ValueError("plan entries must be nonnegative")
         row_sums = e.sum(axis=1)
@@ -71,7 +63,6 @@ class TransportPlan:
             raise ValueError(
                 f"every plan row must sum to 1 within {SIMPLEX_SUM_ATOL}, worst residual {worst!r}"
             )
-        e.flags.writeable = False
         object.__setattr__(self, "entries", e)
 
     @property
@@ -161,9 +152,5 @@ def _eot_plan(scores: np.ndarray, outcomes: list) -> TransportPlan:
 
 def context(plan: TransportPlan, values: ValueSet) -> np.ndarray:
     """Mix the value rows by each plan row: output row i = sum_j P_ij v_j."""
-    if plan.entries.shape[1] != values.values.shape[0]:
-        raise ValueError(
-            f"plan has {plan.entries.shape[1]} columns but {values.values.shape[0]} "
-            "value rows were given"
-        )
+    _check_lengths(plan.entries.T, values.values, "plan columns", "value rows")
     return plan.entries @ values.values

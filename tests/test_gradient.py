@@ -1,5 +1,7 @@
 """Backward-pass identities and the finite-difference certifications."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from vattn import (
     finite_difference_gradient,
     finite_difference_hessian,
     fisher_matrix,
+    gradcheck_report,
     lse,
     lse_hessian_check,
     marginal_utility,
@@ -262,3 +265,30 @@ def test_envelope_constant_scores():
     s = Scores(np.zeros(4))
     grad = finite_difference_gradient(lambda x: lse(Scores(x), 1.0), s.values, 1e-5)
     assert _sup(grad, np.full(4, 0.25)) < 1e-7
+
+
+# ------------------------------------------------- gradcheck at large scores
+
+
+def _check_residuals(report):
+    return [(c.name, c.residual, c.tolerance, c.passed) for c in report.per_check]
+
+
+def test_gradcheck_at_large_scores_checks_the_shifted_row():
+    # The ulp of |s| ~ 1e6 over the stencil's step once read 2.9e-6,
+    # 1.4e-5 and 4.3e-4 against tolerances of 1e-7, 1e-7 and 1e-6.
+    row = np.array([1e6, 1e6 + 0.3, 1e6 - 0.5, 1e6 + 1.0])
+    u = UtilityVector([0.5, -1.0, 0.25, 2.0])
+    report = gradcheck_report(Scores(row), 1.0, utilities=u)
+    assert report.cases_passed == report.cases_run == 6
+    assert report.max_residual < 1e-8
+    shifted = gradcheck_report(Scores(row - row.max()), 1.0, utilities=u)
+    assert _check_residuals(report) == _check_residuals(shifted)
+
+
+@pytest.mark.parametrize("row", [[1e308, -1e308], [1e308, 1e308, -1e308], [-1e300, 1e300, 0.0]])
+def test_gradcheck_at_extreme_scores_passes_without_warnings(row):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = gradcheck_report(Scores(row), 0.5)
+    assert report.cases_passed == report.cases_run

@@ -1,5 +1,6 @@
-"""One check per regularizer parameter: every entry point that takes a raw
-value rejects it with the same exception and message."""
+"""One check per regularizer parameter and per array rule: every entry
+point that takes a raw value rejects it with the same exception and
+message, and every validated type refuses non-finite entries."""
 
 import re
 
@@ -7,32 +8,41 @@ import numpy as np
 import pytest
 
 from vattn import (
+    CostMatrix,
     FisherMatrix,
+    GradientReport,
     JacobianMatrix,
     QueryKeyBatch,
     RegularizerSpec,
     Scores,
     SimplexDistribution,
+    SolverConfig,
     TransportPlan,
     UtilityVector,
+    ValueSet,
     advantage_gradient,
     alibi_softmax,
     attention_matrix,
     chain_rule_gradient,
+    context,
     cost_matrix,
     entmax,
     envelope_check,
     eot_matrix_objective,
+    fenchel_conjugate,
     fisher_matrix,
     gradcheck_report,
     kl_divergence,
     lse,
     lse_hessian_check,
+    marginal_utility,
+    minimize_on_simplex,
     natural_gradient_identity_check,
     primal_value,
     prior_softmax,
     softmax,
     softmax_jacobian,
+    solve,
     solve_full_eot,
 )
 
@@ -205,3 +215,106 @@ def test_numpy_and_integer_parameters_are_numbers():
     assert type(reg.query_position) is int and type(reg.temperature) is float
     assert RegularizerSpec.tsallis(np.float64(1.5)).alpha == 1.5
     assert softmax(S, 2).distribution.weights.tobytes() == softmax(S, 2.0).distribution.weights.tobytes()
+
+
+def _with_entry(matrix, value):
+    bad = np.array(matrix, dtype=np.float64)
+    bad[0, 0] = value
+    return bad
+
+
+# Each validated type, built from valid data with one entry replaced.
+VALIDATED_TYPES = {
+    "Scores": lambda x: Scores([0.3, x, 0.9]),
+    "SimplexDistribution": lambda x: SimplexDistribution([0.5, x, 0.5]),
+    "UtilityVector": lambda x: UtilityVector([1.0, x]),
+    "ValueSet": lambda x: ValueSet([[1.0, x], [0.0, 1.0]]),
+    "QueryKeyBatch.queries": lambda x: QueryKeyBatch([[x, 0.1]], [[0.3, 0.3]]),
+    "QueryKeyBatch.keys": lambda x: QueryKeyBatch([[0.5, 0.1]], [[0.3, x]]),
+    "CostMatrix": lambda x: CostMatrix([[x, -0.1], [0.2, 0.4]]),
+    "TransportPlan": lambda x: TransportPlan(_with_entry(PLAN.entries, x)),
+    "JacobianMatrix": lambda x: JacobianMatrix(_with_entry(COVARIANCE, x), 1.0),
+    "FisherMatrix": lambda x: FisherMatrix(_with_entry(COVARIANCE, x), 1.0),
+    "GradientReport.score_gradient": lambda x: GradientReport([x, 0.0], [1.0, -1.0], 0.0),
+    "GradientReport.advantage": lambda x: GradientReport([0.5, -0.5], [1.0, x], 0.0),
+    "GradientReport.expected_utility": lambda x: GradientReport([0.5, -0.5], [1.0, -1.0], x),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")], ids=repr)
+@pytest.mark.parametrize("build", sorted(VALIDATED_TYPES))
+def test_validated_types_reject_non_finite_entries(build, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        VALIDATED_TYPES[build](value)
+
+
+def test_gradient_report_freezes_checked_vectors():
+    report = GradientReport([0.5, -0.5], [1, -1], np.float32(0.25))
+    assert report.advantage.dtype == np.float64 and not report.advantage.flags.writeable
+    assert type(report.expected_utility) is float
+    with pytest.raises(ValueError, match="length mismatch: score_gradient 2 vs advantage 3"):
+        GradientReport([0.5, -0.5], [1.0, -1.0, 0.0], 0.0)
+    with pytest.raises(TypeError, match="expected_utility must be a number"):
+        GradientReport([0.5, -0.5], [1.0, -1.0], "0")
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("step_size", float("inf"), "step_size must be a positive finite real"),
+        ("step_size", float("nan"), "step_size must be a positive finite real"),
+        ("tolerance", float("inf"), "tolerance must be a positive finite real"),
+        ("tolerance", -1e-12, "tolerance must be a positive finite real"),
+        ("max_iterations", 2.5, "max_iterations must be an integer >= 1"),
+        ("max_iterations", 3.0, "max_iterations must be an integer >= 1"),
+        ("max_iterations", 0, "max_iterations must be an integer >= 1"),
+    ],
+)
+def test_solver_config_uses_the_shared_checks(field, value, message):
+    # An infinite step used to fail with NumericalFailure partway through
+    # the descent, an infinite tolerance to converge after one step, and
+    # 2.5 iterations to run three.
+    _rejects(lambda v: SolverConfig(**{field: v}), value, message)
+
+
+def test_solver_config_normalizes_numbers():
+    cfg = SolverConfig(max_iterations=np.int64(3), tolerance=np.float32(0.5), step_size=1)
+    assert (cfg.max_iterations, cfg.tolerance, cfg.step_size) == (3, 0.5, 1.0)
+    assert type(cfg.max_iterations) is int and type(cfg.step_size) is float
+    with pytest.raises(TypeError, match="max_iterations must be a number"):
+        SolverConfig(max_iterations=True)
+
+
+PRIOR_ENTRY_POINTS = {
+    "solve": lambda s, reg: solve(s, reg),
+    "minimize_on_simplex": lambda s, reg: minimize_on_simplex(s, reg),
+    "fenchel_conjugate": lambda s, reg: fenchel_conjugate(reg, s),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(PRIOR_ENTRY_POINTS))
+def test_prior_of_the_wrong_length_is_rejected_before_solving(entry):
+    reg = RegularizerSpec.kl_prior([0.5, 0.5], 1.0)
+    with pytest.raises(ValueError, match="^length mismatch: prior 2 vs scores 3$"):
+        PRIOR_ENTRY_POINTS[entry](S, reg)
+
+
+LENGTH_CHECKS = [
+    (
+        lambda: kl_divergence(P, SimplexDistribution([0.5, 0.5])),
+        "distribution 3 vs reference distribution 2",
+    ),
+    (lambda: advantage_gradient(P, UtilityVector([1.0]), 1.0), "distribution 3 vs utilities 1"),
+    (lambda: chain_rule_gradient(P, UtilityVector([1.0]), 1.0), "distribution 3 vs utilities 1"),
+    (
+        lambda: marginal_utility([1.0], ValueSet([[1.0, 0.0]])),
+        "context gradient 1 vs value dimension 2",
+    ),
+    (lambda: context(PLAN, ValueSet([[1.0], [2.0]])), "plan columns 3 vs value rows 2"),
+]
+
+
+@pytest.mark.parametrize("call, message", LENGTH_CHECKS)
+def test_length_checks_name_both_sides(call, message):
+    with pytest.raises(ValueError, match=f"^length mismatch: {message}$"):
+        call()

@@ -20,14 +20,17 @@ reports a SHA-256 of the plan bytes, or the error a solve raised.  Each
 tree also hashes the ``solvers.solve`` weight bytes (or the error) of a
 fixed seeded list of rows: every kind at m=16 and m=1000, tsallis at nine
 alphas from 1.0001 to 10 (10 enters entmax's stiff corner), and one
-1e6-key row per kind.  Last, each tree makes a fixed list of in-process
-``vattn.cli.main`` calls (``attn`` for every kind, by flags and by a file
-``regularizer`` object; ``transport`` closed form and oracle;
-``gradcheck``; malformed inputs and flag combinations) on inputs written
-to a temporary directory, and reports each call's exit code and stdout,
-with ``wall_time_ms`` zeroed; stderr is not compared.  Prints the first
-report that differs and exits 1, or exits 0 when every report is
-byte-identical.
+1e6-key row per kind.  It hashes the output bytes (or the error) of
+``advantage_gradient``, ``chain_rule_gradient``, ``softmax_jacobian`` and
+``fisher_matrix`` on 40 seeded rows at m=16, and of ``cost_matrix``,
+``attention_matrix`` and ``context`` on one seeded 64x64 batch.  Last,
+each tree makes a fixed list of in-process ``vattn.cli.main`` calls
+(``attn`` for every kind, by flags and by a file ``regularizer`` object;
+``transport`` closed form and oracle; ``gradcheck``; malformed inputs and
+flag combinations) on inputs written to a temporary directory, and
+reports each call's exit code and stdout, with ``wall_time_ms`` zeroed;
+stderr is not compared.  Prints the first report that differs and exits
+1, or exits 0 when every report is byte-identical.
 """
 
 from __future__ import annotations
@@ -127,6 +130,44 @@ for m, rows in ((16, 40), (1000, 4), (10**6, 1)):
                 digest.update(repr(error).encode())
     for label, digest in digests.items():
         print(json.dumps([f"solve {label} m={m}", digest.hexdigest()]), flush=True)
+
+# The gradient and transport outputs on a fixed seeded list: 40 rows at
+# m=16, every fourth at scale 1000, where softmax weights can underflow to 0
+# and the Jacobian and Fisher matrix are refused, and one 64x64 batch.
+from vattn import QueryKeyBatch, UtilityVector, ValueSet, gradient
+
+def output_bytes(out):
+    # An array, or a validated type's fields in order.
+    fields = vars(out).values() if dataclasses.is_dataclass(out) else [out]
+    return b"".join(np.asarray(field, dtype=np.float64).tobytes() for field in fields)
+
+digests = {}
+def record(label, call):
+    digest = digests.setdefault(label, hashlib.sha256())
+    try:
+        digest.update(output_bytes(call()))
+    except (NumericalFailure, ValueError) as error:
+        digest.update(repr(error).encode())
+
+for row in range(40):
+    rng = np.random.default_rng([16, row, 2])
+    scale = 1000.0 if row % 4 == 3 else 5.0
+    s = Scores(rng.uniform(-scale, scale, 16))
+    t = float(rng.uniform(0.25, 4.0))
+    p = solvers.softmax(s, t).distribution
+    u = UtilityVector(rng.uniform(-3.0, 3.0, 16))
+    record("advantage_gradient", lambda: gradient.advantage_gradient(p, u, t))
+    record("chain_rule_gradient", lambda: gradient.chain_rule_gradient(p, u, t))
+    record("softmax_jacobian", lambda: gradient.softmax_jacobian(p, t))
+    record("fisher_matrix", lambda: gradient.fisher_matrix(p, t))
+rng = np.random.default_rng([64, 64])
+batch = QueryKeyBatch(*(rng.uniform(-1.0, 1.0, (64, 16)) / 4.0 for _ in range(2)))
+plan = transport.attention_matrix(batch, 0.7)
+record("cost_matrix", lambda: transport.cost_matrix(batch))
+record("attention_matrix", lambda: plan)
+record("context", lambda: transport.context(plan, ValueSet(rng.uniform(-1.0, 1.0, (64, 8)))))
+for label, digest in digests.items():
+    print(json.dumps([f"{label} outputs", digest.hexdigest()]), flush=True)
 
 import contextlib, io, os, re, tempfile
 from vattn.cli import main
