@@ -195,9 +195,12 @@ def _check_query_position(query_position) -> int:
     return i
 
 
+def _distribution(dist) -> SimplexDistribution:
+    return dist if isinstance(dist, SimplexDistribution) else SimplexDistribution(dist)
+
+
 def _check_positive_distribution(dist, name: str = "prior") -> SimplexDistribution:
-    if not isinstance(dist, SimplexDistribution):
-        dist = SimplexDistribution(dist)
+    dist = _distribution(dist)
     if np.any(dist.weights <= 0.0):
         raise ValueError(f"{name} must be strictly positive")
     return dist

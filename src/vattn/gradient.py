@@ -23,8 +23,8 @@ from .core import (
     UtilityVector,
     ValueSet,
     _check_lengths,
-    _check_positive_distribution,
     _check_positive_real,
+    _distribution,
     _frozen,
     _number,
 )
@@ -48,12 +48,25 @@ __all__ = [
 _MATRIX_ATOL = 1e-12
 _EIGENVALUE_ATOL = 1e-10
 _GRADIENT_SUM_ATOL = 1e-10
+# The derivatives the stencil checks compare are shift-invariant, but the
+# stencil's round-off is not (at |s| ~ 1e6, ulp(s) / h exceeds the
+# tolerances): scores beyond this magnitude are differenced shifted by
+# their maximum, smaller ones (the suites' |s| <= 5 rows) as given.
+_SHIFT_ABOVE = 16.0
+
+
+def _stencil_scores(s: Scores) -> Scores:
+    top = float(s.values.max())
+    if max(top, -float(s.values.min())) <= _SHIFT_ABOVE:
+        return s
+    with np.errstate(over="ignore"):  # a gap past -DBL_MAX has weight 0 either way
+        return Scores(np.maximum(s.values - top, -np.finfo(np.float64).max))
 
 
 def _weight_covariance(w: np.ndarray) -> np.ndarray:
     """diag(p) - p p^T, the matrix behind both the Jacobian and the Fisher
     metric; continuous in p, so it extends to saturated (underflowed)
-    softmax outputs where the validated matrix types refuse to go."""
+    softmax outputs."""
     return np.diag(w) - np.outer(w, w)
 
 
@@ -129,9 +142,9 @@ class GradientReport:
 
 
 def softmax_jacobian(p: SimplexDistribution, temperature: float) -> JacobianMatrix:
-    """Jacobian of the softmax map at the distribution it produced."""
+    """Jacobian of the softmax map at the distribution it produced, zeros included."""
     t = _check_positive_real(temperature)
-    w = _check_positive_distribution(p, "distribution").weights
+    w = _distribution(p).weights
     return JacobianMatrix(_weight_covariance(w) / t, t)
 
 
@@ -173,9 +186,9 @@ def chain_rule_gradient(
 
 
 def fisher_matrix(p: SimplexDistribution, temperature: float) -> FisherMatrix:
-    """Fisher information of the score-parameterized weight distribution."""
+    """Fisher information of the score-parameterized weights, zeros included."""
     t = _check_positive_real(temperature)
-    w = _check_positive_distribution(p, "distribution").weights
+    w = _distribution(p).weights
     return FisherMatrix(_weight_covariance(w) / (t * t), t)
 
 
@@ -249,9 +262,10 @@ def lse_hessian_check(s: Scores, temperature: float, h: float) -> float:
     log-sum-exp potential and tau times the Fisher matrix at softmax(s).
 
     For smooth regimes the residual is O(h^2); at the default h = 1e-4 it
-    sits comfortably below 1e-6.
+    sits comfortably below 1e-6, at large scores too (``_stencil_scores``).
     """
     t = _check_positive_real(temperature)
+    s = _stencil_scores(s)
     numeric = finite_difference_hessian(lambda x: solvers.lse(Scores(x), t), s.values, h)
     target = _weight_covariance(solvers.softmax(s, t).distribution.weights) / t
     return float(np.max(np.abs(numeric - target)))
@@ -262,9 +276,10 @@ def envelope_check(s: Scores, temperature: float, h: float) -> float:
     primal value function and the negated softmax distribution.
 
     The optimal-value landscape has gradient -p*(s); the residual is O(h^2)
-    and sits below 1e-7 at the default h = 1e-5.
+    and sits below 1e-7 at the default h = 1e-5, at large scores too.
     """
     t = _check_positive_real(temperature)
+    s = _stencil_scores(s)
     numeric = finite_difference_gradient(
         lambda x: solvers.primal_value(Scores(x), t), s.values, h
     )

@@ -653,12 +653,6 @@ _HESS_H0 = 5e-4
 _HESS_H_MIN = 3e-6
 _HESS_TOL0 = 1e-6
 _HESS_TAU_REF = 0.05
-# Every quantity gradcheck compares is invariant under a common shift of
-# the scores, but a stencil's round-off grows with their magnitude: at
-# |s| ~ 1e6 the ulp of s over h alone exceeds the gradient tolerance.  So
-# scores beyond this magnitude are checked shifted by their maximum;
-# smaller ones, which the suites' |s| <= 5 rows are, are checked as given.
-_SHIFT_ABOVE = 16.0
 
 
 def gradcheck_report(
@@ -678,10 +672,7 @@ def gradcheck_report(
     """
     started = time.perf_counter()
     t = core._check_positive_real(temperature)
-    top = float(scores.values.max())
-    if max(top, -float(scores.values.min())) > _SHIFT_ABOVE:
-        with np.errstate(over="ignore"):  # a gap past -DBL_MAX has weight 0 either way
-            scores = Scores(np.maximum(scores.values - top, -np.finfo(np.float64).max))
+    scores = gradient._stencil_scores(scores)  # checks are shift-invariant
     h_grad = _GRAD_H0 * min(1.0, t) ** (2.0 / 3.0)
     h_hess = max(_HESS_H0 * min(1.0, t) ** 0.75, _HESS_H_MIN)
     grad_widening = max(1.0, _GRAD_TAU_REF / t)

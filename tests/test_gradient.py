@@ -25,6 +25,7 @@ from vattn import (
     softmax_jacobian,
 )
 from vattn.core import NumericalFailure
+from vattn.gradient import _weight_covariance
 
 
 def _sup(a, b):
@@ -62,9 +63,25 @@ def test_jacobian_ones_kernel():
         assert float(np.max(np.abs(jac.entries @ np.ones(len(p))))) < 1e-12
 
 
-def test_jacobian_requires_interior_distribution():
-    with pytest.raises(ValueError):
-        softmax_jacobian(SimplexDistribution([1.0, 0.0]), 1.0)
+@pytest.mark.parametrize(
+    "p, t",
+    [
+        (softmax(Scores([1000.0, 0.0, 0.0]), 1.0).distribution, 1.0),  # exactly one-hot
+        (softmax(Scores([3.0, 3.0, -900.0, 0.5]), 0.7).distribution, 0.7),
+        (SimplexDistribution([1.0, 0.0]), 2.5),
+    ],
+)
+def test_jacobian_and_fisher_accept_saturated_distributions(p, t):
+    # diag p - p p^T is defined where softmax underflowed to exact zeros;
+    # both matrices once raised "distribution must be strictly positive".
+    assert np.any(p.weights == 0.0)
+    covariance = _weight_covariance(p.weights)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        jac = softmax_jacobian(p, t)
+        fim = fisher_matrix(p, t)
+    assert jac.entries.tobytes() == (covariance / t).tobytes()
+    assert fim.entries.tobytes() == (covariance / (t * t)).tobytes()
 
 
 def test_jacobian_matches_finite_differences_of_softmax():
@@ -259,6 +276,17 @@ def test_envelope_check_random():
     for _ in range(20):
         s = Scores(rng.uniform(-5, 5, 5))
         assert envelope_check(s, 0.5, 1e-5) < 1e-7
+
+
+def test_stencil_checks_at_large_scores_difference_the_shifted_row():
+    # Differenced as given, this row read 1.7e-2 and 1.4e-5: round-off of
+    # |s| ~ 1e6 over the step, not a wrong derivative.
+    row = np.array([1e6, 1e6 + 0.3, 1e6 - 0.5, 1e6 + 1.0])
+    shifted = Scores(row - row.max())
+    assert lse_hessian_check(Scores(row), 1.0, 1e-4) < 1e-6
+    assert envelope_check(Scores(row), 1.0, 1e-5) < 1e-7
+    assert lse_hessian_check(Scores(row), 1.0, 1e-4) == lse_hessian_check(shifted, 1.0, 1e-4)
+    assert envelope_check(Scores(row), 1.0, 1e-5) == envelope_check(shifted, 1.0, 1e-5)
 
 
 def test_envelope_constant_scores():

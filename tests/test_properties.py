@@ -9,7 +9,8 @@ import warnings
 import numpy as np
 import pytest
 
-from vattn import Scores, entmax
+from test_solvers import _reference_entmax
+from vattn import NumericalFailure, Scores, entmax
 from vattn.solvers import ENTMAX_MASS_ATOL
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -34,3 +35,32 @@ def test_entmax_solves_every_row(unit, levels, scale_exponent, alpha_exponent):
         w = entmax(s, alpha).distribution.weights
     assert w.shape == x.shape and np.all(w >= 0.0)
     assert abs(float(w.sum()) - 1.0) <= ENTMAX_MASS_ATOL
+
+
+@hypothesis.settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@hypothesis.given(
+    m=st.one_of(st.integers(1, 64), st.sampled_from([128, 300, 1000])),
+    shape=st.sampled_from(["uniform", "tied", "dominant"]),
+    alpha=st.one_of(st.sampled_from([1.5, 2.0, 3.0]), st.floats(1.0001, 10.0)),
+    scale=st.floats(0.01, 100.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_entmax_returns_the_plain_bisections_bits(m, shape, alpha, scale, seed):
+    # Homing in first and replaying the bisection must not change a bit
+    # wherever the plain bisection solves.  A dominant score puts the root
+    # at y = 0; ties put several entries on one threshold.
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-scale, scale, m)
+    if shape == "tied":
+        x = np.round(x / scale * 3.0) * scale / 3.0
+    elif shape == "dominant":
+        x[rng.integers(m)] += 10.0 * scale + 50.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = entmax(Scores(x), alpha).distribution.weights
+        try:
+            expected = _reference_entmax(Scores(x), alpha).distribution.weights
+        except NumericalFailure:  # solved by the later stages alone
+            assert abs(float(w.sum()) - 1.0) <= ENTMAX_MASS_ATOL
+            return
+    assert w.tobytes() == expected.tobytes()

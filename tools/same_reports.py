@@ -20,7 +20,9 @@ reports a SHA-256 of the plan bytes, or the error a solve raised.  Each
 tree also hashes the ``solvers.solve`` weight bytes (or the error) of a
 fixed seeded list of rows: every kind at m=16 and m=1000, tsallis at nine
 alphas from 1.0001 to 10 (10 enters entmax's stiff corner), and one
-1e6-key row per kind.  It hashes the output bytes (or the error) of
+1e6-key row per kind; and tsallis at alphas 1.5, 2 and 3 on tied rows and
+on rows with one dominant score (entmax's root at y = 0), at m=16 and
+m=1000.  It hashes the output bytes (or the error) of
 ``advantage_gradient``, ``chain_rule_gradient``, ``softmax_jacobian`` and
 ``fisher_matrix`` on 40 seeded rows at m=16, and of ``cost_matrix``,
 ``attention_matrix`` and ``context`` on one seeded 64x64 batch.  Last,
@@ -29,8 +31,8 @@ each tree makes a fixed list of in-process ``vattn.cli.main`` calls
 ``transport`` closed form and oracle; ``gradcheck``; malformed inputs and
 flag combinations) on inputs written to a temporary directory, and
 reports each call's exit code and stdout, with ``wall_time_ms`` zeroed;
-stderr is not compared.  Prints the first report that differs and exits
-1, or exits 0 when every report is byte-identical.
+stderr is not compared.  Prints every report that differs and exits 1,
+or exits 0 when every report is byte-identical.
 """
 
 from __future__ import annotations
@@ -131,9 +133,28 @@ for m, rows in ((16, 40), (1000, 4), (10**6, 1)):
     for label, digest in digests.items():
         print(json.dumps([f"solve {label} m={m}", digest.hexdigest()]), flush=True)
 
+# entmax on tied rows and on rows with one dominant score.
+for m, rows in ((16, 40), (1000, 4)):
+    for shape in ("tied", "dominant"):
+        digests = {alpha: hashlib.sha256() for alpha in (1.5, 2.0, 3.0)}
+        for row in range(rows):
+            rng = np.random.default_rng([m, row, 3])
+            x = rng.uniform(-5.0, 5.0, m)
+            if shape == "tied":
+                x = np.round(x)
+            else:
+                x[rng.integers(m)] += 50.0
+            for alpha, digest in digests.items():
+                try:
+                    digest.update(solvers.entmax(Scores(x), alpha).distribution.weights.tobytes())
+                except NumericalFailure as error:
+                    digest.update(repr(error).encode())
+        for alpha, digest in digests.items():
+            print(json.dumps([f"solve tsallis {alpha} {shape} m={m}", digest.hexdigest()]), flush=True)
+
 # The gradient and transport outputs on a fixed seeded list: 40 rows at
-# m=16, every fourth at scale 1000, where softmax weights can underflow to 0
-# and the Jacobian and Fisher matrix are refused, and one 64x64 batch.
+# m=16, every fourth at scale 1000, where softmax weights can underflow to
+# exact zeros, and one 64x64 batch.
 from vattn import QueryKeyBatch, UtilityVector, ValueSet, gradient
 
 def output_bytes(out):
@@ -269,12 +290,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     old = reports(args.old_src, args.seeds, args.trials)
     new = reports(args.new_src, args.seeds, args.trials)
-    for (label, before), (label_new, after) in zip(old, new):
-        if (label, before) != (label_new, after):
-            print(f"first difference\n  old {label}: {before}\n  new {label_new}: {after}")
-            return 1
+    differing = [(a, b) for a, b in zip(old, new) if a != b]
+    for (label, before), (label_new, after) in differing:
+        print(f"difference\n  old {label}: {before}\n  new {label_new}: {after}")
     if len(old) != len(new):
         print(f"report counts differ: {len(old)} old, {len(new)} new")
+    if differing or len(old) != len(new):
+        print(f"{len(differing)} of {min(len(old), len(new))} reports differ")
         return 1
     print(f"identical: {len(old)} reports, seeds {args.seeds}, {args.trials} trials")
     return 0
