@@ -36,7 +36,6 @@ from .gradient import (
 )
 from .oracle import (
     EXPONENTIATED_GRADIENT,
-    GRID_SEARCH,
     PROJECTED_GRADIENT,
     OracleResult,
     SolverConfig,

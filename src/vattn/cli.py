@@ -2,16 +2,20 @@
 run the verification suites, and emit machine-readable reports.
 
 Exit codes: 0 success, 1 numerical failure or any failed check, 2
-malformed input, 3 invalid flag combination.  Reports are byte-identical
-for identical (input, flags, seed) apart from the wall_time_ms field;
-floats are printed with 17 significant digits so documents round-trip
-exactly.  The environment variable VATTN_TOL_SCALE (default 1) multiplies
-every suite tolerance.
+malformed input, 3 invalid flag combination.  Every outside number goes
+through ``_read``: a value that is not finite JSON numbers of the
+expected shape is malformed input; a regularizer value of the right shape
+outside its domain is a flag error, wherever it came from.  Reports are
+byte-identical for identical (input, flags, seed) apart from the
+wall_time_ms field; floats are printed with 17 significant digits so
+documents round-trip exactly.  The environment variable VATTN_TOL_SCALE
+(default 1) multiplies every suite tolerance.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -101,107 +105,84 @@ def _emit(document: dict, out_path: str | None) -> None:
             handle.write(text)
 
 
-def _load_document(path: str) -> dict:
+def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
+            return json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _load_document(path: str) -> dict:
+    document = _load_json(path)
     if not isinstance(document, dict):
         raise InputError(f"{path} must contain a JSON object")
     return document
 
 
-def _doubles(raw, name: str) -> np.ndarray:
-    # A JSON integer has no size limit; one beyond the double range is
-    # malformed input, not a number to solve with.
-    try:
-        return np.asarray(raw, dtype=np.float64)
-    except OverflowError as exc:
-        raise InputError(f"field {name!r} holds a number beyond the double range") from exc
+_RANKS = (
+    "a number",
+    "a non-empty array of numbers",
+    "a non-empty array of equal-length, non-empty number arrays",
+)
 
 
-def _vector_field(document: dict, name: str, required: bool = False):
-    if name not in document:
-        if required:
-            raise InputError(f"input is missing the required field {name!r}")
-        return None
-    raw = document[name]
-    if not isinstance(raw, list) or not raw or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw
+def _read(raw, name: str, rank: int):
+    """The one reader of outside numbers: ``raw`` must be a JSON number
+    (rank 0), a non-empty array of them (rank 1) or a non-empty array of
+    equal-length, non-empty number arrays (rank 2), every number within
+    the double range and finite.  Returns the raw number for rank 0, so an
+    integer field keeps its type, and a float64 array otherwise."""
+    rows = [[raw]] if rank == 0 else [raw] if rank == 1 else raw
+    if not (
+        isinstance(rows, list)
+        and rows
+        and all(isinstance(row, list) for row in rows)
+        and len({len(row) for row in rows}) == 1
+        and rows[0]
+        # json parses numbers as int or float only; bool, str and None fail here.
+        and {type(x) for row in rows for x in row} <= {int, float}
     ):
-        raise InputError(f"field {name!r} must be a non-empty array of numbers")
-    arr = _doubles(raw, name)
-    if not np.all(np.isfinite(arr)):
+        raise InputError(f"field {name!r} must be {_RANKS[rank]}")
+    try:
+        arr = np.array(rows, dtype=np.float64)
+    except OverflowError as exc:  # a JSON integer has no size limit
+        raise InputError(f"field {name!r} holds a number beyond the double range") from exc
+    if not np.isfinite(arr).all():
         raise InputError(f"field {name!r} must be finite")
-    return arr
+    return raw if rank == 0 else arr[0] if rank == 1 else arr
 
 
-def _matrix_field(document: dict, name: str, required: bool = False):
-    if name not in document:
-        if required:
-            raise InputError(f"input is missing the required field {name!r}")
-        return None
-    raw = document[name]
-    if not isinstance(raw, list) or not raw or not all(isinstance(row, list) for row in raw):
-        raise InputError(f"field {name!r} must be a non-empty array of number arrays")
-    widths = {len(row) for row in raw}
-    if len(widths) != 1 or 0 in widths:
-        raise InputError(f"field {name!r} must have equal-length non-empty rows")
-    try:
-        arr = _doubles(raw, name)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"field {name!r} must contain only numbers") from exc
-    if not np.all(np.isfinite(arr)):
-        raise InputError(f"field {name!r} must be finite")
-    return arr
+def _field(document: dict, name: str, rank: int, required: bool = False):
+    if name in document:
+        return _read(document[name], name, rank)
+    if required:
+        raise InputError(f"input is missing the required field {name!r}")
+    return None
 
 
-def _scalar_field(document: dict, name: str):
-    if name not in document:
-        return None
-    raw = document[name]
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise InputError(f"field {name!r} must be a number")
-    _doubles(raw, name)
-    return raw
-
-
-def _load_scores(document: dict) -> Scores:
-    return Scores(_vector_field(document, "scores", required=True))
-
-
-def _load_prior(spec: str, m: int) -> SimplexDistribution:
-    if spec == "uniform":
-        return SimplexDistribution.uniform(m)
-    try:
-        with open(spec, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except OSError as exc:
-        raise InputError(f"cannot read prior file {spec}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"prior file {spec} is not valid JSON: {exc}") from exc
-    if isinstance(raw, dict):
-        raw = raw.get("prior")
-    if not isinstance(raw, list):
-        raise InputError(f"prior file {spec} must hold an array (or an object with 'prior')")
-    try:
-        return SimplexDistribution.renormalized(np.asarray(raw, dtype=np.float64))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"prior file {spec}: {exc}") from exc
-
-
-def _file_prior(raw, m: int) -> SimplexDistribution | None:
-    if raw is None:
-        return None
+def _prior(raw, scores: Scores) -> SimplexDistribution:
+    """A kl prior as a document's ``regularizer.prior`` or a ``--prior``
+    file holds it: "uniform", or one weight per score, renormalized."""
     if raw == "uniform":
-        return SimplexDistribution.uniform(m)
-    return SimplexDistribution.renormalized(_doubles(raw, "prior"))
+        return SimplexDistribution.uniform(len(scores))
+    weights = _read(raw, "prior", 1)
+    core._check_lengths(weights, scores, "prior", "scores")
+    return SimplexDistribution.renormalized(weights)
 
 
-def _build_regularizer(args, document: dict, m: int) -> RegularizerSpec:
+def _prior_flag(spec: str):
+    """The prior a ``--prior`` flag names: "uniform", or a file holding
+    the prior or an object with it under "prior"."""
+    if spec == "uniform":
+        return spec
+    raw = _load_json(spec)
+    return raw.get("prior") if isinstance(raw, dict) else raw
+
+
+def _build_regularizer(args, document: dict, scores: Scores) -> RegularizerSpec:
     """Resolve the regularizer from flags first, then the input document."""
     file_reg = document.get("regularizer")
     if file_reg is not None and not isinstance(file_reg, dict):
@@ -220,7 +201,7 @@ def _build_regularizer(args, document: dict, m: int) -> RegularizerSpec:
     # The document's top-level temperature is read for every kind.
     tau = getattr(args, "tau", None)
     if tau is None:
-        tau = _scalar_field(document, "temperature")
+        tau = _field(document, "temperature", 0)
 
     fields = core._KINDS[kind].fields
     for field, flag in _FIELD_FLAGS.items():
@@ -233,15 +214,13 @@ def _build_regularizer(args, document: dict, m: int) -> RegularizerSpec:
             flag_value = getattr(args, _FIELD_FLAGS[field], None)
             if field == "temperature":
                 values[field] = tau
+            elif field == "prior" and flag_value is not None:
+                values[field] = _prior(_prior_flag(flag_value), scores)
             elif field == "prior":
-                values[field] = (
-                    _load_prior(flag_value, m)
-                    if flag_value is not None
-                    else _file_prior(file_reg.get("prior"), m)
-                )
+                values[field] = _prior(file_reg[field], scores) if field in file_reg else None
             else:
                 values[field] = (
-                    flag_value if flag_value is not None else _scalar_field(file_reg, field)
+                    flag_value if flag_value is not None else _field(file_reg, field, 0)
                 )
         missing = [f"--{_FIELD_FLAGS[field]}" for field in fields if values[field] is None]
         if missing:
@@ -252,26 +231,11 @@ def _build_regularizer(args, document: dict, m: int) -> RegularizerSpec:
 
 
 def _report_document(report: RunReport) -> dict:
-    checks = []
-    for check in report.per_check:
-        entry = {
-            "name": check.name,
-            "residual": check.residual,
-            "tolerance": check.tolerance,
-            "passed": check.passed,
-        }
-        if check.details is not None:
-            entry["details"] = check.details
-        checks.append(entry)
-    return {
-        "suite": report.suite,
-        "cases_run": report.cases_run,
-        "cases_passed": report.cases_passed,
-        "max_residual": report.max_residual,
-        "per_check": checks,
-        "seed": report.seed,
-        "wall_time_ms": report.wall_time_ms,
-    }
+    document = dataclasses.asdict(report)
+    for check in document["per_check"]:
+        if check["details"] is None:
+            del check["details"]
+    return document
 
 
 def _summarize(report: RunReport) -> None:
@@ -293,11 +257,8 @@ def _tolerance_scale() -> float:
 
 def _cmd_attn(args) -> int:
     document = _load_document(args.input)
-    try:
-        scores = _load_scores(document)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    reg = _build_regularizer(args, document, len(scores))
+    scores = Scores(_field(document, "scores", 1, required=True))
+    reg = _build_regularizer(args, document, scores)
     result = solvers.solve(scores, reg)
     objective = core.objective_value(result.distribution, scores, reg)
     _emit(
@@ -337,22 +298,17 @@ def _cmd_gradcheck(args) -> int:
     _check_run_flags(args)
     scale = _tolerance_scale()
     document = _load_document(args.input)
-    try:
-        scores = _load_scores(document)
-        temperature = _scalar_field(document, "temperature")
-        if temperature is None:
-            raise InputError("gradcheck input must provide 'temperature'")
-        utilities_arr = _vector_field(document, "utilities")
-        utilities = UtilityVector(utilities_arr) if utilities_arr is not None else None
-        values_arr = _matrix_field(document, "values")
-        values = ValueSet(values_arr) if values_arr is not None else None
-        context_grad = _vector_field(document, "context_gradient")
-        if utilities is not None and len(utilities) != len(scores):
-            raise InputError("'utilities' must match the length of 'scores'")
-        if values is not None and values.values.shape[0] != len(scores):
-            raise InputError("'values' must have one row per score")
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    scores = Scores(_field(document, "scores", 1, required=True))
+    temperature = _field(document, "temperature", 0, required=True)
+    utilities_arr = _field(document, "utilities", 1)
+    utilities = UtilityVector(utilities_arr) if utilities_arr is not None else None
+    values_arr = _field(document, "values", 2)
+    values = ValueSet(values_arr) if values_arr is not None else None
+    context_grad = _field(document, "context_gradient", 1)
+    if utilities is not None and len(utilities) != len(scores):
+        raise InputError("'utilities' must match the length of 'scores'")
+    if values is not None and len(values) != len(scores):
+        raise InputError("'values' must have one row per score")
     try:
         report = suites.gradcheck_report(
             scores,
@@ -372,13 +328,12 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_transport(args) -> int:
     document = _load_document(args.input)
-    try:
-        queries = _matrix_field(document, "queries", required=True)
-        keys = _matrix_field(document, "keys", required=True)
-        batch = QueryKeyBatch(queries, keys)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    epsilon = args.tau if args.tau is not None else _scalar_field(document, "temperature")
+    queries = _field(document, "queries", 2, required=True)
+    keys = _field(document, "keys", 2, required=True)
+    if queries.shape[1] != keys.shape[1]:
+        raise InputError("'queries' and 'keys' must have the same number of columns")
+    batch = QueryKeyBatch(queries, keys)
+    epsilon = args.tau if args.tau is not None else _field(document, "temperature", 0)
     if epsilon is None:
         raise FlagError("transport needs --tau (the entropy weight) or a 'temperature' field")
     try:

@@ -63,6 +63,18 @@ def _stencil_scores(s: Scores) -> Scores:
         return Scores(np.maximum(s.values - top, -np.finfo(np.float64).max))
 
 
+def _divisor(temperature, squared: bool = False) -> float:
+    """The validated temperature, rejected when the reciprocal of t (or of
+    t * t) overflows: the weight covariance, whose entries are at most 1
+    in magnitude, is divided by it, and past that point overflows too."""
+    t = _check_positive_real(temperature)
+    scale = t * t if squared else t
+    if not (scale > 0.0 and math.isfinite(1.0 / scale)):
+        name = "temperature**2" if squared else "temperature"
+        raise ValueError(f"temperature {t!r} is too small: 1 / {name} overflows")
+    return t
+
+
 def _weight_covariance(w: np.ndarray) -> np.ndarray:
     """diag(p) - p p^T, the matrix behind both the Jacobian and the Fisher
     metric; continuous in p, so it extends to saturated (underflowed)
@@ -143,7 +155,7 @@ class GradientReport:
 
 def softmax_jacobian(p: SimplexDistribution, temperature: float) -> JacobianMatrix:
     """Jacobian of the softmax map at the distribution it produced, zeros included."""
-    t = _check_positive_real(temperature)
+    t = _divisor(temperature)
     w = _distribution(p).weights
     return JacobianMatrix(_weight_covariance(w) / t, t)
 
@@ -163,7 +175,7 @@ def advantage_gradient(
     p: SimplexDistribution, u: UtilityVector, temperature: float
 ) -> GradientReport:
     """Score gradient dL/ds_j = -(p_j / tau)(u_j - E_p[u]) in closed form."""
-    t = _check_positive_real(temperature)
+    t = _divisor(temperature)
     _check_lengths(p, u, "distribution", "utilities")
     w = p.weights
     expected = float(w @ u.values)
@@ -179,7 +191,7 @@ def chain_rule_gradient(
     """The same score gradient computed the long way, as -J^T u through the
     explicit softmax Jacobian; must agree with ``advantage_gradient`` to
     machine precision."""
-    t = _check_positive_real(temperature)
+    t = _divisor(temperature)
     _check_lengths(p, u, "distribution", "utilities")
     jacobian = _weight_covariance(p.weights) / t
     return -(jacobian.T @ u.values)
@@ -187,7 +199,7 @@ def chain_rule_gradient(
 
 def fisher_matrix(p: SimplexDistribution, temperature: float) -> FisherMatrix:
     """Fisher information of the score-parameterized weights, zeros included."""
-    t = _check_positive_real(temperature)
+    t = _divisor(temperature, squared=True)
     w = _distribution(p).weights
     return FisherMatrix(_weight_covariance(w) / (t * t), t)
 
@@ -201,7 +213,7 @@ def natural_gradient_identity_check(
     the Fisher matrix applied to the utilities; the two code paths share
     nothing but p, u, and tau.
     """
-    t = _check_positive_real(temperature)
+    t = _divisor(temperature, squared=True)
     lhs = advantage_gradient(p, u, t).score_gradient
     fisher = _weight_covariance(p.weights) / (t * t)
     rhs = -t * (fisher @ u.values)

@@ -41,7 +41,6 @@ from .core import (
 __all__ = [
     "EXPONENTIATED_GRADIENT",
     "PROJECTED_GRADIENT",
-    "GRID_SEARCH",
     "SolverConfig",
     "OracleResult",
     "default_config",
@@ -52,8 +51,7 @@ __all__ = [
 
 EXPONENTIATED_GRADIENT = "exponentiated-gradient"
 PROJECTED_GRADIENT = "projected-gradient"
-GRID_SEARCH = "grid-search"
-_METHODS = (EXPONENTIATED_GRADIENT, PROJECTED_GRADIENT, GRID_SEARCH)
+_METHODS = (EXPONENTIATED_GRADIENT, PROJECTED_GRADIENT)
 
 # Below this step size backtracking has hit float resolution and the
 # iterate cannot move any further.
@@ -291,8 +289,6 @@ def _descend(
     n, m = S.shape
     if cfg is None:
         cfg = default_config(regs[0])
-    if cfg.method == GRID_SEARCH:
-        raise ValueError("use grid_search_simplex for exhaustive search")
     multiplicative = cfg.method == EXPONENTIATED_GRADIENT
     objective, gradient, columns = _descent_terms(regs, m)
     ranks = np.arange(1.0, m + 1.0)

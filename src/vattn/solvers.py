@@ -109,8 +109,17 @@ def sparsemax(s: Scores) -> SolveResult:
     """
     # The projection is invariant under common shifts; shifting keeps the
     # cumulative sums O(m) so theta stays accurate for large raw scores.
-    v = s.values - s.values.max()
-    u = np.sort(v)[::-1]
+    # Sorting first gives the spread for free; a shift keeps the order.
+    u = np.sort(s.values)[::-1]
+    top = float(u[0])
+    if math.isfinite((top - float(u[-1])) * u.size):
+        v, u = s.values - top, u - top
+    else:
+        # The shift, the products k * u or the sums would overflow.  theta
+        # is at least max(s) - 1, so entries more than 2 below the top get
+        # no weight whatever their value: they are clipped to -2, and the
+        # halved difference stays finite.
+        v, u = (2.0 * np.maximum(0.5 * x - 0.5 * top, -1.0) for x in (s.values, u))
     cssv = np.cumsum(u)
     k = np.arange(1, u.size + 1)
     rho = int(np.count_nonzero(1.0 + k * u > cssv))

@@ -422,3 +422,92 @@ def test_huge_integer_matrix_field_is_an_input_error(tmp_path, capsys):
         _input_error(capsys, ["transport", qk, "--tau", "1"])
     doc = {"scores": [0.3, -0.2], "temperature": 1.0, "values": [[_HUGE], [1.0]]}
     _input_error(capsys, ["gradcheck", _write(tmp_path, "v.json", doc)])
+
+
+# Every outside number goes through one reader: exit 2 for a value that is
+# not JSON numbers of the expected shape, or not finite, whichever field or
+# file it came from; exit 3 for a regularizer value of the right shape that
+# lies outside its domain.
+
+
+def _code(capsys, argv, expected):
+    code, out, err = _run(capsys, argv)
+    assert (code, "Traceback" in err) == (expected, False), (argv, err)
+    if code:
+        assert out == ""
+    return err
+
+
+def test_matrix_fields_take_json_numbers_only(tmp_path, capsys):
+    for bad in ("1", True, None):
+        for field in ("queries", "keys"):
+            qk = {"queries": [[0.5, 1.0]], "keys": [[1.0, 0.0]]}
+            qk[field] = [[bad, 0.5]]
+            _code(capsys, ["transport", _write(tmp_path, "q.json", qk), "--tau", "1"], 2)
+        doc = {"scores": [0.3, -0.2], "temperature": 1.0, "values": [[1.0], [bad]]}
+        _code(capsys, ["gradcheck", _write(tmp_path, "v.json", doc)], 2)
+
+
+def _kl_document(tmp_path, prior):
+    reg = {"kind": "kl", "prior": prior}
+    doc = {"scores": [0.3, -0.2], "temperature": 1.0, "regularizer": reg}
+    return ["attn", _write(tmp_path, "kl.json", doc)]
+
+
+def _kl_flag(tmp_path, prior):
+    scores = _write(tmp_path, "s.json", {"scores": [0.3, -0.2]})
+    prior_path = _write(tmp_path, "p.json", prior)
+    return ["attn", scores, "--reg", "kl", "--tau", "1", "--prior", prior_path]
+
+
+def test_prior_takes_json_numbers_only_from_either_source(tmp_path, capsys):
+    for source in (_kl_document, _kl_flag):
+        assert _code(capsys, source(tmp_path, [0.25, 0.75]), 0) == ""
+        _code(capsys, source(tmp_path, ["0.25", 0.75]), 2)
+        _code(capsys, source(tmp_path, [True, 0.75]), 2)
+        _code(capsys, source(tmp_path, [float("nan"), 0.75]), 2)
+    _code(capsys, _kl_flag(tmp_path, {"prior": ["0.25", 0.75]}), 2)
+    for prior in ("0.5", [[0.5, 0.5]], [], None):
+        _code(capsys, _kl_document(tmp_path, prior), 2)
+
+
+def test_prior_domain_errors_exit_3_from_either_source(tmp_path, capsys):
+    for source in (_kl_document, _kl_flag):
+        assert "nonnegative" in _code(capsys, source(tmp_path, [-0.5, 1.5]), 3)
+        assert "renormalize" in _code(capsys, source(tmp_path, [0.25, 0.75 + 1e-9]), 3)
+        assert "strictly positive" in _code(capsys, source(tmp_path, [0.0, 1.0]), 3)
+
+
+def test_prior_length_mismatch_exits_3_without_traceback(tmp_path, capsys):
+    for source in (_kl_document, _kl_flag):
+        for prior in ([0.2, 0.3, 0.5], [1.0]):
+            err = _code(capsys, source(tmp_path, prior), 3)
+            assert f"length mismatch: prior {len(prior)} vs scores 2" in err
+    _code(capsys, _kl_flag(tmp_path, {"prior": [0.2, 0.3, 0.5]}), 3)
+
+
+def test_prior_file_and_document_prior_give_the_same_bytes(tmp_path, capsys):
+    prior = [0.25, 0.75 + 3e-10]
+    out = _run(capsys, _kl_document(tmp_path, prior))[1]
+    assert out and _run(capsys, _kl_flag(tmp_path, prior))[1] == out
+    assert _run(capsys, _kl_flag(tmp_path, {"prior": prior}))[1] == out
+    uniform = _run(capsys, _kl_document(tmp_path, "uniform"))[1]
+    assert uniform and _run(capsys, _kl_flag(tmp_path, [0.5, 0.5]))[1] == uniform
+    assert _run(capsys, _kl_flag(tmp_path, {"prior": "uniform"}))[1] == uniform
+
+
+def test_non_finite_scalars_exit_2(tmp_path, capsys):
+    nan, inf = float("nan"), float("inf")
+    for tau in (nan, inf, -inf):
+        doc = {"scores": [0.3, -0.2], "temperature": tau, "regularizer": {"kind": "shannon"}}
+        _code(capsys, ["attn", _write(tmp_path, "t.json", doc)], 2)
+        _code(capsys, ["gradcheck", _write(tmp_path, "g.json", doc)], 2)
+        qk = {"queries": [[1.0]], "keys": [[1.0]], "temperature": tau}
+        _code(capsys, ["transport", _write(tmp_path, "q.json", qk)], 2)
+    alibi = {"kind": "alibi", "gamma": 0.5, "query_position": 2}
+    for field, value in (("gamma", inf), ("gamma", nan), ("query_position", inf)):
+        doc = {"scores": [0.3, -0.2], "temperature": 1.0, "regularizer": {**alibi, field: value}}
+        _code(capsys, ["attn", _write(tmp_path, "a.json", doc)], 2)
+    for alpha in (nan, inf):
+        doc = {"scores": [0.3, -0.2], "regularizer": {"kind": "tsallis", "alpha": alpha}}
+        _code(capsys, ["attn", _write(tmp_path, "a.json", doc)], 2)

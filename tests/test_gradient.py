@@ -320,3 +320,29 @@ def test_gradcheck_at_extreme_scores_passes_without_warnings(row):
         warnings.simplefilter("error")
         report = gradcheck_report(Scores(row), 0.5)
     assert report.cases_passed == report.cases_run
+
+
+@pytest.mark.parametrize("t", [1e-160, 1e-310])
+def test_backward_forms_at_tiny_temperatures_are_finite_or_rejected(t):
+    # A temperature whose reciprocal (or the reciprocal of its square)
+    # overflows is rejected by name before anything is divided by it.
+    p = softmax(Scores([0.0, 1.0, 0.5]), 1.0).distribution
+    u = UtilityVector([1.0, -2.0, 0.5])
+    calls = {
+        "advantage_gradient": lambda: advantage_gradient(p, u, t).score_gradient,
+        "chain_rule_gradient": lambda: chain_rule_gradient(p, u, t),
+        "softmax_jacobian": lambda: softmax_jacobian(p, t).entries,
+        "fisher_matrix": lambda: fisher_matrix(p, t).entries,
+        "natural_gradient_identity_check": lambda: natural_gradient_identity_check(p, u, t),
+    }
+    rejected = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, call in calls.items():
+            try:
+                assert np.isfinite(call()).all(), name
+            except ValueError as error:
+                rejected[name] = str(error)
+    too_small = {name for name, message in rejected.items() if f"{t!r} is too small" in message}
+    squared = {"fisher_matrix", "natural_gradient_identity_check"}
+    assert too_small == (set(calls) if t == 1e-310 else squared)

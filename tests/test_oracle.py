@@ -11,7 +11,6 @@ import pytest
 
 from vattn import (
     EXPONENTIATED_GRADIENT,
-    GRID_SEARCH,
     PROJECTED_GRADIENT,
     QueryKeyBatch,
     RegularizerSpec,
@@ -69,10 +68,9 @@ def test_default_config_choices():
 
 
 def test_grid_method_is_not_an_iterative_solver():
-    with pytest.raises(ValueError):
-        minimize_on_simplex(
-            Scores([0.0, 1.0]), RegularizerSpec.l2(), SolverConfig(method=GRID_SEARCH)
-        )
+    # Exhaustive search is grid_search_simplex, not a SolverConfig method.
+    with pytest.raises(ValueError, match="unknown method 'grid-search'"):
+        SolverConfig(method="grid-search")
 
 
 def test_eg_matches_softmax():
@@ -793,8 +791,8 @@ def test_many_pairs_are_bit_identical_to_one_solve_each():
 def test_many_pairs_edge_cases():
     assert oracle._minimize_many([]) == []
     s = Scores([0.3, -0.2])
-    with pytest.raises(ValueError, match="grid_search_simplex"):
-        oracle._minimize_many([(s, RegularizerSpec.l2())], SolverConfig(method=GRID_SEARCH))
+    with pytest.raises(ValueError, match="unknown method"):
+        oracle._minimize_many([(s, RegularizerSpec.l2())], SolverConfig(method="grid-search"))
     # One pair is one row: minimize_on_simplex's own call.
     (outcome,) = oracle._minimize_many([(s, RegularizerSpec.shannon(0.5))])
     alone = minimize_on_simplex(s, RegularizerSpec.shannon(0.5))

@@ -448,6 +448,27 @@ def test_softmax_and_lse_overflow_safely_without_warnings(scores, t, weights, po
     assert result.potential == value == potential
 
 
+@pytest.mark.parametrize(
+    "scores, moderate",
+    [
+        # The spread overflows, or only m times it does.
+        ([1e308, -1e308, 0.0], [1e308, 1e308 - 1e300, 1e308 - 1e300]),
+        ([1e308, 0.0], [1e308, 1e308 - 1e300]),
+        ([1e308, 1e308, -1e308], [1e308, 1e308, 1e308 - 1e300]),
+        ([1.0, 0.5, -1e308], [1.0, 0.5, -10.0]),
+        ([0.25, 1.0, 0.5, -1.7e308, -1e308], [0.25, 1.0, 0.5, -9.0, -3.0]),
+    ],
+)
+def test_sparsemax_at_an_overflowing_spread_without_warnings(scores, moderate):
+    # Entries more than 2 below the top get no weight, so the result has
+    # the bits of the same row with those entries nearer the top.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = sparsemax(Scores(scores)).distribution.weights
+        expected = sparsemax(Scores(moderate)).distribution.weights
+    assert w.tobytes() == expected.tobytes()
+
+
 def test_softmax_spread_beyond_dbl_max_at_a_huge_temperature():
     # (s - max s) / tau is -2 here, although s - max s alone overflows.
     s = Scores([1e308, -1e308])

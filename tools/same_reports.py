@@ -29,10 +29,12 @@ m=1000.  It hashes the output bytes (or the error) of
 each tree makes a fixed list of in-process ``vattn.cli.main`` calls
 (``attn`` for every kind, by flags and by a file ``regularizer`` object;
 ``transport`` closed form and oracle; ``gradcheck``; malformed inputs and
-flag combinations) on inputs written to a temporary directory, and
-reports each call's exit code and stdout, with ``wall_time_ms`` zeroed;
-stderr is not compared.  Prints every report that differs and exits 1,
-or exits 0 when every report is byte-identical.
+flag combinations, malformed numbers in every field and in both prior
+sources) on inputs written to a temporary directory, and reports each
+call's exit code and stdout, with ``wall_time_ms`` zeroed, or the type and
+message of the exception ``main`` raised; stderr is not compared.
+Prints every report that differs and exits 1, or exits 0 when every
+report is byte-identical.
 """
 
 from __future__ import annotations
@@ -220,6 +222,45 @@ INPUTS = {
         "keys": [[0.9, 0.2, -0.1], [-0.5, 0.7, 0.3], [0.0, -1.1, 0.6], [0.4, 0.4, 0.4]],
     },
     "grad": {"scores": SCORES, "temperature": 0.8, "utilities": [0.5, -1.0, 0.25, 2.0, -0.3]},
+    # Malformed numbers: strings, booleans, non-finite values, wrong shapes.
+    "qk-string": {"queries": [["0.3", -0.8]], "keys": [[0.9, 0.2]]},
+    "qk-bool": {"queries": [[0.3, -0.8]], "keys": [[True, 0.2]]},
+    "grad-values-string": {"scores": SCORES[:2], "temperature": 0.8, "values": [["1"], [2.0]]},
+    "prior-string": ["0.1", 0.2, 0.3, 0.25, 0.15],
+    "prior-negative": [-0.1, 0.4, 0.3, 0.25, 0.15],
+    "prior-sum": [0.1, 0.2, 0.3, 0.25, 0.16],
+    "prior-long": [0.1, 0.2, 0.3, 0.2, 0.1, 0.1],
+    "file-kl-string": {
+        "scores": SCORES,
+        "temperature": 1.1,
+        "regularizer": {"kind": "kl", "prior": ["0.1", 0.2, 0.3, 0.25, 0.15]},
+    },
+    "file-kl-scalar": {
+        "scores": SCORES,
+        "temperature": 1.1,
+        "regularizer": {"kind": "kl", "prior": "0.5"},
+    },
+    "file-kl-nested": {
+        "scores": SCORES,
+        "temperature": 1.1,
+        "regularizer": {"kind": "kl", "prior": [[0.5, 0.5]]},
+    },
+    "file-kl-long": {
+        "scores": SCORES,
+        "temperature": 1.1,
+        "regularizer": {"kind": "kl", "prior": [0.1, 0.2, 0.3, 0.2, 0.1, 0.1]},
+    },
+    "file-shannon-nan": {
+        "scores": SCORES,
+        "temperature": float("nan"),
+        "regularizer": {"kind": "shannon"},
+    },
+    "file-alibi-inf": {
+        "scores": SCORES,
+        "temperature": 0.9,
+        "regularizer": {"kind": "alibi", "gamma": float("inf"), "query_position": 2},
+    },
+    "qk-nan": {"queries": [[0.3]], "keys": [[0.9]], "temperature": float("nan")},
 }
 CALLS = [
     ["attn", "scores", "--reg", "shannon", "--tau", "0.7"],
@@ -246,6 +287,20 @@ CALLS = [
     ["attn", "scores", "--reg", "tsallis", "--alpha", "0.5"],
     ["attn", "scores", "--reg", "bogus"],
     ["attn", "scores"],
+    ["transport", "qk-string", "--tau", "0.8"],
+    ["transport", "qk-bool", "--tau", "0.8"],
+    ["gradcheck", "grad-values-string"],
+    ["attn", "scores", "--reg", "kl", "--tau", "1.1", "--prior", "prior-string"],
+    ["attn", "scores", "--reg", "kl", "--tau", "1.1", "--prior", "prior-negative"],
+    ["attn", "scores", "--reg", "kl", "--tau", "1.1", "--prior", "prior-sum"],
+    ["attn", "scores", "--reg", "kl", "--tau", "1.1", "--prior", "prior-long"],
+    ["attn", "file-kl-string"],
+    ["attn", "file-kl-scalar"],
+    ["attn", "file-kl-nested"],
+    ["attn", "file-kl-long"],
+    ["attn", "file-shannon-nan"],
+    ["attn", "file-alibi-inf"],
+    ["transport", "qk-nan"],
 ]
 with tempfile.TemporaryDirectory() as tmp:
     for name, payload in INPUTS.items():
@@ -257,8 +312,11 @@ with tempfile.TemporaryDirectory() as tmp:
     for argv in CALLS:
         resolved = [os.path.join(tmp, arg) if arg in files else arg for arg in argv]
         out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = main(resolved)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(resolved)
+        except Exception as error:  # an escaped error is that call's report
+            code = f"raised {type(error).__name__}: {error}"
         text = re.sub(r'"wall_time_ms": \\d+', '"wall_time_ms": 0', out.getvalue())
         print(json.dumps(["cli " + " ".join(argv), [code, text]]), flush=True)
 """
