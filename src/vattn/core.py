@@ -1,9 +1,9 @@
 """Domain types and elementary functionals for simplex-constrained attention.
 
 Every type validates its invariants on construction and is immutable
-afterwards (the wrapped arrays are copied and marked read-only), so
-instances are safe to share across threads.  All operations in this module
-are pure functions of their inputs.
+afterwards (a caller's arrays are copied, see ``_Adopt``, and marked
+read-only), so instances are safe to share across threads.  All
+operations in this module are pure functions of their inputs.
 """
 
 from __future__ import annotations
@@ -77,10 +77,14 @@ class NumericalFailure(RuntimeError):
 _AXES = {1: "a one-dimensional vector", 2: "a two-dimensional matrix"}
 
 
+class _Adopt(NamedTuple):  # a float64 array the library just made: frozen uncopied
+    array: np.ndarray
+
+
 def _frozen(values, name: str, ndim: int = 1) -> np.ndarray:
-    """A read-only float64 copy of ``values`` with ``ndim`` axes, at least
-    one entry and only finite entries."""
-    arr = np.array(values, dtype=np.float64)
+    """A read-only float64 copy of ``values`` (or the adopted array itself)
+    with ``ndim`` axes, at least one entry and only finite entries."""
+    arr = values.array if type(values) is _Adopt else np.array(values, dtype=np.float64)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {_AXES[ndim]}, got shape {arr.shape}")
     if arr.size < 1:
@@ -117,7 +121,7 @@ class SimplexDistribution:
 
     def __post_init__(self):
         w = _frozen(self.weights, "weights")
-        if np.any(w < 0.0):
+        if w.min() < 0.0:  # the entries are finite
             raise ValueError("simplex entries must be nonnegative")
         total = float(w.sum())
         if abs(total - 1.0) > SIMPLEX_SUM_ATOL:
@@ -201,7 +205,7 @@ def _distribution(dist) -> SimplexDistribution:
 
 def _check_positive_distribution(dist, name: str = "prior") -> SimplexDistribution:
     dist = _distribution(dist)
-    if np.any(dist.weights <= 0.0):
+    if dist.weights.min() <= 0.0:
         raise ValueError(f"{name} must be strictly positive")
     return dist
 
@@ -329,7 +333,9 @@ class ValueSet:
 
 def key_distances(query_position: int, m: int) -> np.ndarray:
     """|i - j| for 1-based key positions j = 1..m."""
-    return np.abs(float(query_position) - np.arange(1, m + 1, dtype=np.float64))
+    d = np.arange(1, m + 1, dtype=np.float64)
+    np.subtract(float(query_position), d, out=d)
+    return np.abs(d, out=d)
 
 
 def shannon_entropy(p: SimplexDistribution) -> float:

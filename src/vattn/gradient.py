@@ -82,6 +82,11 @@ def _weight_covariance(w: np.ndarray) -> np.ndarray:
     return np.diag(w) - np.outer(w, w)
 
 
+def _exceeds(residual: float, atol: float, e: np.ndarray) -> bool:
+    # residual > atol * max(1, max |e|): entries and their rounding grow as 1/t or 1/t^2.
+    return residual > atol and residual > atol * float(np.abs(e).max())
+
+
 def _freeze_covariance(matrix, name: str) -> np.ndarray:
     """The checks a Jacobian and a Fisher matrix share: finite, square,
     symmetric, rows summing to 0, a valid temperature.  Stores both frozen
@@ -89,9 +94,9 @@ def _freeze_covariance(matrix, name: str) -> np.ndarray:
     e = _frozen(matrix.entries, name, 2)
     if e.shape[0] != e.shape[1]:
         raise ValueError(f"{name} must be a square matrix")
-    if np.max(np.abs(e - e.T)) > _MATRIX_ATOL:
+    if _exceeds(np.max(np.abs(e - e.T)), _MATRIX_ATOL, e):
         raise ValueError(f"{name} must be symmetric")
-    if np.max(np.abs(e.sum(axis=1))) > _MATRIX_ATOL:
+    if _exceeds(np.max(np.abs(e.sum(axis=1))), _MATRIX_ATOL, e):
         raise ValueError(f"{name} rows must sum to 0")
     object.__setattr__(matrix, "entries", e)
     object.__setattr__(matrix, "temperature", _check_positive_real(matrix.temperature))
@@ -108,7 +113,7 @@ class JacobianMatrix:
 
     def __post_init__(self):
         e = _freeze_covariance(self, "Jacobian")
-        if np.max(np.abs(e.sum(axis=0))) > _MATRIX_ATOL:
+        if _exceeds(np.max(np.abs(e.sum(axis=0))), _MATRIX_ATOL, e):
             raise ValueError("Jacobian columns must sum to 0")
 
 
@@ -122,7 +127,7 @@ class FisherMatrix:
 
     def __post_init__(self):
         e = _freeze_covariance(self, "Fisher matrix")
-        if float(np.linalg.eigvalsh(e)[0]) < -_EIGENVALUE_ATOL:
+        if _exceeds(-float(np.linalg.eigvalsh(e)[0]), _EIGENVALUE_ATOL, e):
             raise ValueError("Fisher matrix must be positive semidefinite")
 
 
@@ -143,7 +148,7 @@ class GradientReport:
         g = _frozen(self.score_gradient, "score_gradient")
         a = _frozen(self.advantage, "advantage")
         _check_lengths(g, a, "score_gradient", "advantage")
-        if abs(float(g.sum())) > _GRADIENT_SUM_ATOL:
+        if _exceeds(abs(float(g.sum())), _GRADIENT_SUM_ATOL, g):
             raise ValueError("score gradient entries must sum to 0")
         expected = float(_number(self.expected_utility, "expected_utility"))
         if not math.isfinite(expected):
@@ -180,7 +185,7 @@ def advantage_gradient(
     w = p.weights
     expected = float(w @ u.values)
     advantage = u.values - expected
-    if abs(float(w @ advantage)) > _GRADIENT_SUM_ATOL:
+    if _exceeds(abs(float(w @ advantage)), _GRADIENT_SUM_ATOL, advantage):
         raise NumericalFailure("advantage failed to center under the distribution")
     return GradientReport(-(w / t) * advantage, advantage, expected)
 

@@ -29,6 +29,7 @@ from .core import (
     _check_positive_real,
     _check_positive_distribution,
     _check_query_position,
+    _Adopt,
     key_distances,
     objective_value,
 )
@@ -64,21 +65,34 @@ class SolveResult:
     support_size: int
 
     def __post_init__(self):
-        if self.support_size != int(np.count_nonzero(self.distribution.weights > 0.0)):
+        if self.support_size != int(np.count_nonzero(self.distribution.weights)):  # w >= 0
             raise ValueError("support_size must count the strictly positive entries")
 
 
 def _result(weights: np.ndarray, potential: float | None) -> SolveResult:
-    dist = SimplexDistribution(weights)
-    return SolveResult(dist, potential, int(np.count_nonzero(dist.weights > 0.0)))
+    dist = SimplexDistribution(_Adopt(weights))
+    return SolveResult(dist, potential, int(np.count_nonzero(weights)))
 
 
-def _shifted_gap(v: np.ndarray, top: float, t: float) -> np.ndarray:
+def _shifted_gap(v: np.ndarray, top, t: float) -> np.ndarray:
     # (v - top) / t where the plain expressions would overflow: halving
     # first keeps the difference finite, and an entry whose true value
     # lies below -DBL_MAX comes out -inf, whose exp is exactly 0.
     with np.errstate(over="ignore"):
         return 2.0 * ((0.5 * v - 0.5 * top) / t)
+
+
+def _softmax_rows(v: np.ndarray, t: float, top, plain: bool) -> np.ndarray:
+    """Softmax along the last axis of ``v``, whose max there is ``top`` (a float or an (n, 1)
+    column), as a new array: v / t - top / t if ``plain`` (finite), else ``_shifted_gap``."""
+    if plain:
+        e = v / t
+        e -= top / t
+    else:
+        e = _shifted_gap(v, top, t)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def softmax(s: Scores, temperature: float) -> SolveResult:
@@ -91,12 +105,8 @@ def softmax(s: Scores, temperature: float) -> SolveResult:
     t = _check_positive_real(temperature)
     v = s.values
     top, bottom = float(v.max()), float(v.min())
-    z_top = top / t
-    if math.isfinite(bottom / t - z_top):  # s / tau and its max-shift are finite
-        e = np.exp(v / t - z_top)
-    else:
-        e = np.exp(_shifted_gap(v, top, t))
-    return _result(e / e.sum(), _lse(v, t, top, bottom))
+    potential = _lse(v, t, top, bottom)  # first, so its buffer is freed first
+    return _result(_softmax_rows(v, t, top, math.isfinite(bottom / t - top / t)), potential)
 
 
 def sparsemax(s: Scores) -> SolveResult:
@@ -113,7 +123,8 @@ def sparsemax(s: Scores) -> SolveResult:
     u = np.sort(s.values)[::-1]
     top = float(u[0])
     if math.isfinite((top - float(u[-1])) * u.size):
-        v, u = s.values - top, u - top
+        v = s.values - top
+        u -= top
     else:
         # The shift, the products k * u or the sums would overflow.  theta
         # is at least max(s) - 1, so entries more than 2 below the top get
@@ -121,10 +132,12 @@ def sparsemax(s: Scores) -> SolveResult:
         # halved difference stays finite.
         v, u = (2.0 * np.maximum(0.5 * x - 0.5 * top, -1.0) for x in (s.values, u))
     cssv = np.cumsum(u)
-    k = np.arange(1, u.size + 1)
-    rho = int(np.count_nonzero(1.0 + k * u > cssv))
+    u *= np.arange(1, u.size + 1)  # 1 + k * u, in place
+    u += 1.0
+    rho = int(np.count_nonzero(u > cssv))
     theta = (cssv[rho - 1] - 1.0) / rho
-    return _result(np.maximum(v - theta, 0.0), None)
+    v -= theta
+    return _result(np.maximum(v, 0.0, out=v), None)
 
 
 def entmax(s: Scores, alpha: float) -> SolveResult:
@@ -183,7 +196,10 @@ def entmax(s: Scores, alpha: float) -> SolveResult:
     def weights_at(y: float) -> np.ndarray:
         # x = (alpha-1)(s - theta) with the top entry pinned to exp((alpha-1) y),
         # so the top weight is exactly exp(y) and mass is increasing in y.
-        return np.maximum(np.exp(a1 * y) + slope, 0.0) ** power
+        x = np.exp(a1 * y) + slope
+        np.maximum(x, 0.0, out=x)
+        x **= power  # keeps numpy's fast paths for the square and the root
+        return x
 
     w = held = None  # the weights of the last stage-1 evaluation and its y
     if m < _ENTMAX_CANDIDATE_MIN_KEYS:
@@ -209,11 +225,12 @@ def entmax(s: Scores, alpha: float) -> SolveResult:
                     inside = (x > 0.0).nonzero()[0]
                     keys, slope_keys, e_keys = keys[inside], slope_keys[inside], e
             else:
-                x = np.maximum(e + slope, 0.0)
-                w = x**power
-                mass = float(total(w))
-                keys = (x > 0.0).nonzero()[0]
+                x = e + slope
+                np.maximum(x, 0.0, out=x)
+                keys = (x > 0.0).nonzero()[0]  # before the power, which can underflow
                 slope_keys, e_keys = slope[keys], e
+                x **= power
+                w, mass = x, float(total(x))
             held = y
             return mass
 
@@ -355,8 +372,9 @@ def alibi_softmax(
     """
     i = _check_query_position(query_position)
     g = _check_gamma(gamma)
-    penalized = Scores(s.values - g * key_distances(i, len(s)))
-    return softmax(penalized, temperature)
+    penalized = key_distances(i, len(s))
+    np.subtract(s.values, np.multiply(penalized, g, out=penalized), out=penalized)
+    return softmax(Scores(_Adopt(penalized)), temperature)
 
 
 def prior_softmax(s: Scores, prior: SimplexDistribution, temperature: float) -> SolveResult:
@@ -369,8 +387,9 @@ def prior_softmax(s: Scores, prior: SimplexDistribution, temperature: float) -> 
     t = _check_positive_real(temperature)
     _check_lengths(prior, s, "prior", "scores")
     prior = _check_positive_distribution(prior)
-    effective = Scores(s.values + t * np.log(prior.weights))
-    return softmax(effective, t)
+    effective = np.log(prior.weights)
+    np.add(np.multiply(effective, t, out=effective), s.values, out=effective)
+    return softmax(Scores(_Adopt(effective)), t)
 
 
 def lse(s: Scores, temperature: float) -> float:
@@ -387,10 +406,11 @@ def lse(s: Scores, temperature: float) -> float:
 
 def _lse(v: np.ndarray, t: float, top: float, bottom: float) -> float:
     if math.isfinite((bottom - top) / t):  # the shifted quotients are finite
-        gap = (v - top) / t
+        gap = v - top
+        gap /= t
     else:
         gap = _shifted_gap(v, top, t)
-    return top + t * float(np.log(np.sum(np.exp(gap))))
+    return top + t * float(np.log(np.exp(gap, out=gap).sum()))
 
 
 def primal_value(s: Scores, temperature: float) -> float:

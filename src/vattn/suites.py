@@ -645,7 +645,8 @@ def run_suite(
 # floor passes the defaults (below tau = 1e-4 for gradients, 0.05 for the
 # Hessian, whose check is measured relative to max(1, ||tau F||)).  The
 # Hessian step is floored: once the weights saturate, the potential is
-# piecewise linear and a larger step only reduces round-off noise.
+# piecewise linear and a larger step only reduces round-off noise.  Below
+# tau = 5e-8 a widened tolerance reaches 1, and any weights would pass.
 _GRAD_H0 = 1e-5
 _GRAD_TOL0 = 1e-7
 _GRAD_TAU_REF = 1e-4
@@ -677,6 +678,8 @@ def gradcheck_report(
     h_hess = max(_HESS_H0 * min(1.0, t) ** 0.75, _HESS_H_MIN)
     grad_widening = max(1.0, _GRAD_TAU_REF / t)
     hess_widening = max(1.0, _HESS_TAU_REF / t)
+    if max(_GRAD_TOL0 * grad_widening, _HESS_TOL0 * hess_widening) >= 1.0:
+        raise ValueError(f"temperature {t!r} is too small for gradcheck (tolerance >= 1)")
     tol_grad = _GRAD_TOL0 * grad_widening * tolerance_scale
     tol_hess = _HESS_TOL0 * hess_widening * tolerance_scale
 

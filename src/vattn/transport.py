@@ -21,6 +21,7 @@ from .core import (
     RegularizerSpec,
     Scores,
     ValueSet,
+    _Adopt,
     _check_lengths,
     _check_positive_real,
     _frozen,
@@ -55,10 +56,9 @@ class TransportPlan:
 
     def __post_init__(self):
         e = _frozen(self.entries, "plan entries", 2)
-        if np.any(e < 0.0):
+        if e.min() < 0.0:  # the entries are finite
             raise ValueError("plan entries must be nonnegative")
-        row_sums = e.sum(axis=1)
-        worst = float(np.max(np.abs(row_sums - 1.0)))
+        worst = float(np.abs(e.sum(axis=1) - 1.0).max())
         if worst > SIMPLEX_SUM_ATOL:
             raise ValueError(
                 f"every plan row must sum to 1 within {SIMPLEX_SUM_ATOL}, worst residual {worst!r}"
@@ -83,12 +83,17 @@ def cost_matrix(batch: QueryKeyBatch) -> CostMatrix:
 
 
 def attention_matrix(batch: QueryKeyBatch, temperature: float) -> TransportPlan:
-    """Row-wise softmax of the similarity matrix at the given temperature."""
-    scores = _similarities(batch)
-    rows = [
-        solvers.softmax(Scores(row), temperature).distribution.weights for row in scores
-    ]
-    return TransportPlan(np.vstack(rows))
+    """Softmax of the similarity matrix along its rows, as one array
+    expression; each row has the bits ``solvers.softmax`` gives it alone."""
+    t = _check_positive_real(temperature)
+    scores = _frozen(_Adopt(_similarities(batch)), "scores", 2)
+    top, bottom = scores.max(axis=1, keepdims=True), scores.min(axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing rows: NaN, redone below
+        plain = np.isfinite(bottom / t - top / t)[:, 0]
+        weights = solvers._softmax_rows(scores, t, top, True)
+    if not plain.all():
+        weights[~plain] = solvers._softmax_rows(scores[~plain], t, top[~plain], False)
+    return TransportPlan(_Adopt(weights))
 
 
 def eot_matrix_objective(plan: TransportPlan, cost: CostMatrix, epsilon: float) -> float:

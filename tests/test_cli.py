@@ -267,6 +267,14 @@ def test_gradcheck_small_temperature_flags_adjustment(tmp_path, capsys):
     assert "widened" in grad_check["details"]
 
 
+def test_gradcheck_rejects_a_temperature_it_cannot_certify(tmp_path, capsys):
+    # At t = 1e-100 the widened tolerances would pass any weights in [0, 1].
+    payload = {"scores": [0.0, 1.0, 0.5], "temperature": 1e-100, "utilities": [1.0, -2.0, 0.5]}
+    code, out, err = _run(capsys, ["gradcheck", _write(tmp_path, "in.json", payload)])
+    assert (code, out) == (2, "")
+    assert "too small for gradcheck" in err
+
+
 def test_gradcheck_requires_temperature(tmp_path, capsys):
     path = _write(tmp_path, "in.json", {"scores": [0.4, -0.2]})
     assert _run(capsys, ["gradcheck", path])[0] == 2

@@ -34,6 +34,26 @@ def test_scores_immutable():
         s.values[0] = 3.0
 
 
+def test_constructors_copy_the_callers_arrays():
+    # Mutating an array after a type is built from it changes nothing.
+    scores, weights = np.array([1.0, 2.0]), np.array([0.25, 0.75])
+    queries, keys = np.ones((2, 3)), np.zeros((4, 3))
+    built = (
+        Scores(scores).values,
+        SimplexDistribution(weights).weights,
+        *vars(QueryKeyBatch(queries, keys)).values(),
+    )
+    for array in (scores, weights, queries, keys):
+        array += 1.0
+    assert [a.tolist() for a in built] == [
+        [1.0, 2.0],
+        [0.25, 0.75],
+        np.ones((2, 3)).tolist(),
+        np.zeros((4, 3)).tolist(),
+    ]
+    assert not any(a.flags.writeable for a in built)
+
+
 def test_simplex_validation():
     SimplexDistribution([0.5, 0.5])
     with pytest.raises(ValueError):

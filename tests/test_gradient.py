@@ -346,3 +346,43 @@ def test_backward_forms_at_tiny_temperatures_are_finite_or_rejected(t):
     too_small = {name for name, message in rejected.items() if f"{t!r} is too small" in message}
     squared = {"fisher_matrix", "natural_gradient_identity_check"}
     assert too_small == (set(calls) if t == 1e-310 else squared)
+
+
+@pytest.mark.parametrize("t", [1e-2, 1e-4, 1e-6, 1e-10, 1e-20, 1e-100, 1e-150])
+def test_backward_types_accept_correct_results_at_small_temperatures(t):
+    # The entries grow as 1/t (1/t^2 for the Fisher matrix), and so does the
+    # rounding of their sums: the types check them at the entries' scale.
+    # Checked against absolute bounds, fisher_matrix at 1e-4,
+    # softmax_jacobian at 1e-6 and advantage_gradient at 1e-10 raised.
+    p = softmax(Scores([0.0, 1.0, 0.5]), 1.0).distribution
+    u = UtilityVector([1.0, -2.0, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        jacobian = softmax_jacobian(p, t).entries
+        fisher = fisher_matrix(p, t).entries
+        gradient = advantage_gradient(p, u, t).score_gradient
+        chain = chain_rule_gradient(p, u, t)
+    covariance = _weight_covariance(p.weights)
+    assert jacobian.tobytes() == (covariance / t).tobytes()
+    assert fisher.tobytes() == (covariance / (t * t)).tobytes()
+    assert np.max(np.abs(gradient - chain)) <= 1e-12 * np.max(np.abs(chain))
+
+
+def test_advantage_gradient_centers_large_utilities():
+    # The centering check is measured at the advantages' scale too.
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        p = softmax(Scores(rng.uniform(-5.0, 5.0, 16)), 1.0).distribution
+        u = UtilityVector(rng.uniform(-1.0, 1.0, 16) * 1e8)
+        report = advantage_gradient(p, u, 1.0)
+        chain = chain_rule_gradient(p, u, 1.0)
+        assert np.max(np.abs(report.score_gradient - chain)) <= 1e-12 * np.max(np.abs(chain))
+
+
+@pytest.mark.parametrize("t", [5e-8, 1e-11, 1e-100])
+def test_gradcheck_rejects_temperatures_it_cannot_certify(t):
+    # Below tau = 5e-8 the widened Hessian tolerance reaches 1 (below 1e-11
+    # the gradient one too), and any weights in [0, 1] would pass.
+    with pytest.raises(ValueError, match="too small for gradcheck"):
+        gradcheck_report(Scores([0.0, 1.0, 0.5]), t, utilities=UtilityVector([1.0, -2.0, 0.5]))
+    assert gradcheck_report(Scores([0.0, 1.0, 0.5]), 6e-8).passed

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from test_solvers import _reference_entmax
-from vattn import NumericalFailure, Scores, entmax
+from vattn import NumericalFailure, QueryKeyBatch, Scores, attention_matrix, entmax, softmax
 from vattn.solvers import ENTMAX_MASS_ATOL
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -64,3 +64,31 @@ def test_entmax_returns_the_plain_bisections_bits(m, shape, alpha, scale, seed):
             assert abs(float(w.sum()) - 1.0) <= ENTMAX_MASS_ATOL
             return
     assert w.tobytes() == expected.tobytes()
+
+
+@hypothesis.settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@hypothesis.given(
+    n=st.integers(1, 64),
+    m=st.integers(1, 64),
+    scale_exponent=st.one_of(st.sampled_from([300.0, 308.0]), st.floats(-8.0, 300.0)),
+    mixed=st.booleans(),
+    tau_exponent=st.one_of(st.just(-8.0), st.floats(-8.0, 8.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_attention_matrix_has_the_row_wise_softmax_bits(
+    n, m, scale_exponent, mixed, tau_exponent, seed
+):
+    # keys = I makes the similarity matrix exactly the queries.  At scale
+    # 1e300 and tau 1e-8 a row's spread over tau overflows, at 1e308 its
+    # quotients too, and the row takes the guarded path; mixed batches
+    # draw each row's scale from 1e-8 up, so such rows sit beside rows
+    # that take the plain one.
+    rng = np.random.default_rng(seed)
+    exponents = rng.uniform(-8.0, scale_exponent, (n, 1)) if mixed else scale_exponent
+    queries = rng.uniform(-1.0, 1.0, (n, m)) * 10.0**exponents
+    t = 10.0**tau_exponent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plan = attention_matrix(QueryKeyBatch(queries, np.eye(m)), t).entries
+        rows = [softmax(Scores(row), t).distribution.weights for row in queries]
+    assert plan.tobytes() == np.vstack(rows).tobytes()

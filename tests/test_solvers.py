@@ -1,6 +1,7 @@
 """Closed-form solvers: worked examples, invariants, and degenerate cases."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -687,3 +688,48 @@ def test_entmax_gaps_past_dbl_max_without_warnings(scores, alpha, weights):
         warnings.simplefilter("error")
         w = entmax(Scores(scores), alpha).distribution.weights
     assert _sup(w, weights) < 1e-12
+
+
+def _kinds(rng, m):
+    prior = SimplexDistribution.renormalized(0.9 * rng.dirichlet(np.ones(m)) + 0.1 / m)
+    return {
+        "shannon": RegularizerSpec.shannon(0.7),
+        "l2": RegularizerSpec.l2(),
+        "tsallis": RegularizerSpec.tsallis(1.5),
+        "alibi": RegularizerSpec.alibi(0.3, 17, 0.7),
+        "kl_prior": RegularizerSpec.kl_prior(prior, 0.7),
+    }
+
+
+@pytest.mark.parametrize("m", [1, 16, 300])
+def test_solve_outputs_are_read_only(m):
+    # Results adopt the arrays the solvers make instead of copying them;
+    # each is still frozen.
+    rng = np.random.default_rng(m)
+    s = Scores(rng.uniform(-5.0, 5.0, m))
+    for kind, reg in _kinds(rng, m).items():
+        weights = solve(s, reg).distribution.weights
+        assert not weights.flags.writeable, kind
+        with pytest.raises(ValueError):
+            weights[0] = 0.5
+
+
+# Peak traced allocation of one solve at m = 1e6, in rows of 8 MB: the
+# result row, its working rows, and the boolean masks of the checks.
+PEAK_ROWS = {"shannon": 1.25, "l2": 4.25, "tsallis": 4.0, "alibi": 2.25, "kl_prior": 2.25}
+
+
+def test_solve_peak_allocation_at_a_million_keys():
+    m = 10**6
+    rng = np.random.default_rng(0)
+    s = Scores(rng.uniform(-5.0, 5.0, m))
+    peaks = {}
+    for kind, reg in _kinds(rng, m).items():
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            solve(s, reg)
+            peaks[kind] = (tracemalloc.get_traced_memory()[1] - start) / (8 * m)
+        finally:
+            tracemalloc.stop()
+    assert all(peaks[kind] <= PEAK_ROWS[kind] for kind in PEAK_ROWS), peaks

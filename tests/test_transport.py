@@ -279,6 +279,13 @@ def test_full_eot_non_finite_scores_fail_in_row_order():
     assert str(error) == "row 0 did not converge within the iteration budget"
 
 
+def test_attention_matrix_is_read_only():
+    plan = attention_matrix(_random_batch(np.random.default_rng(3)), 0.5)
+    assert not plan.entries.flags.writeable
+    with pytest.raises(ValueError):
+        plan.entries[0, 0] = 0.5
+
+
 OVERFLOWING_BATCHES = [
     QueryKeyBatch([[1e200, 1e200]], [[1e200, 1e200]]),  # overflow in matmul
     # Products of both signs summed: inf - inf, invalid in matmul.

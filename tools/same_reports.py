@@ -18,14 +18,19 @@ in.  And it solves, per seed and transport check, the ``solve_full_eot``
 plan of every batch the transport suite draws (same generator keys) and
 reports a SHA-256 of the plan bytes, or the error a solve raised.  Each
 tree also hashes the ``solvers.solve`` weight bytes (or the error) of a
-fixed seeded list of rows: every kind at m=16 and m=1000, tsallis at nine
+fixed seeded list of rows, with each result's potential (as
+``float.hex``) and support size: every kind at m=16 and m=1000, tsallis at nine
 alphas from 1.0001 to 10 (10 enters entmax's stiff corner), and one
 1e6-key row per kind; and tsallis at alphas 1.5, 2 and 3 on tied rows and
 on rows with one dominant score (entmax's root at y = 0), at m=16 and
 m=1000.  It hashes the output bytes (or the error) of
 ``advantage_gradient``, ``chain_rule_gradient``, ``softmax_jacobian`` and
 ``fisher_matrix`` on 40 seeded rows at m=16, and of ``cost_matrix``,
-``attention_matrix`` and ``context`` on one seeded 64x64 batch.  Last,
+``attention_matrix`` and ``context`` on one seeded 64x64 batch; the
+``attention_matrix`` plans at n x m in {1x1, 1x7, 7x1, 13x37, 512x512}
+and temperatures 1e-8, 1 and 1e8, and on a 13x37 batch whose rows at
+scale 1e308 take the overflow-guarded path; and the error text of a
+batch whose similarities overflow.  Last,
 each tree makes a fixed list of in-process ``vattn.cli.main`` calls
 (``attn`` for every kind, by flags and by a file ``regularizer`` object;
 ``transport`` closed form and oracle; ``gradcheck``; malformed inputs and
@@ -129,7 +134,10 @@ for m, rows in ((16, 40), (1000, 4), (10**6, 1)):
             label = f"{reg.kind} {reg.alpha}" if reg.kind == "tsallis" else reg.kind
             digest = digests.setdefault(label, hashlib.sha256())
             try:
-                digest.update(solvers.solve(Scores(x), reg).distribution.weights.tobytes())
+                result = solvers.solve(Scores(x), reg)
+                digest.update(result.distribution.weights.tobytes())
+                potential = None if result.potential is None else result.potential.hex()
+                digest.update(repr((potential, result.support_size)).encode())
             except (NumericalFailure, ValueError) as error:
                 digest.update(repr(error).encode())
     for label, digest in digests.items():
@@ -191,6 +199,29 @@ record("attention_matrix", lambda: plan)
 record("context", lambda: transport.context(plan, ValueSet(rng.uniform(-1.0, 1.0, (64, 8)))))
 for label, digest in digests.items():
     print(json.dumps([f"{label} outputs", digest.hexdigest()]), flush=True)
+
+# attention_matrix at several shapes and temperatures, and on one batch
+# whose every third row's quotients by tau overflow (the guarded path).
+digests = {}
+for n, m in ((1, 1), (1, 7), (7, 1), (13, 37), (512, 512)):
+    rng = np.random.default_rng([n, m, 5])
+    batch = QueryKeyBatch(rng.uniform(-1.0, 1.0, (n, 16)), rng.uniform(-1.0, 1.0, (m, 16)))
+    for t in (1e-8, 1.0, 1e8):
+        record(f"attention_matrix {n}x{m} t={t}", lambda: transport.attention_matrix(batch, t))
+rng = np.random.default_rng([13, 37, 6])
+scale = np.where(np.arange(13) % 3 == 0, 1e308, 1.0)[:, np.newaxis]
+batch = QueryKeyBatch(rng.uniform(-1.0, 1.0, (13, 37)) * scale, np.eye(37))
+for t in (1e-8, 0.5):
+    record(f"attention_matrix guarded 13x37 t={t}", lambda: transport.attention_matrix(batch, t))
+for label, digest in digests.items():
+    print(json.dumps([f"{label} outputs", digest.hexdigest()]), flush=True)
+# A batch whose similarities overflow: the error's type and text.
+try:
+    transport.attention_matrix(QueryKeyBatch([[0.5], [1e200]], [[1e200], [1.0]]), 1.0)
+    failure = "no error"
+except ValueError as error:
+    failure = repr(error)
+print(json.dumps(["attention_matrix non-finite", failure]), flush=True)
 
 import contextlib, io, os, re, tempfile
 from vattn.cli import main
