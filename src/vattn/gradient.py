@@ -22,6 +22,7 @@ from .core import (
     SimplexDistribution,
     UtilityVector,
     ValueSet,
+    _Adopt,
     _check_lengths,
     _check_positive_real,
     _distribution,
@@ -78,8 +79,12 @@ def _divisor(temperature, squared: bool = False) -> float:
 def _weight_covariance(w: np.ndarray) -> np.ndarray:
     """diag(p) - p p^T, the matrix behind both the Jacobian and the Fisher
     metric; continuous in p, so it extends to saturated (underflowed)
-    softmax outputs."""
-    return np.diag(w) - np.outer(w, w)
+    softmax outputs.  One array, with the bits of 0 - w_i w_j (+0.0, not
+    -0.0, at a zero weight) off the diagonal and w_i - w_i^2 on it."""
+    covariance = np.multiply.outer(w, w)
+    np.subtract(0.0, covariance, out=covariance)
+    covariance.flat[:: w.size + 1] += w
+    return covariance
 
 
 def _exceeds(residual: float, atol: float, e: np.ndarray) -> bool:
@@ -94,7 +99,8 @@ def _freeze_covariance(matrix, name: str) -> np.ndarray:
     e = _frozen(matrix.entries, name, 2)
     if e.shape[0] != e.shape[1]:
         raise ValueError(f"{name} must be a square matrix")
-    if _exceeds(np.max(np.abs(e - e.T)), _MATRIX_ATOL, e):
+    asymmetry = e - e.T
+    if _exceeds(np.max(np.abs(asymmetry, out=asymmetry)), _MATRIX_ATOL, e):
         raise ValueError(f"{name} must be symmetric")
     if _exceeds(np.max(np.abs(e.sum(axis=1))), _MATRIX_ATOL, e):
         raise ValueError(f"{name} rows must sum to 0")
@@ -162,7 +168,9 @@ def softmax_jacobian(p: SimplexDistribution, temperature: float) -> JacobianMatr
     """Jacobian of the softmax map at the distribution it produced, zeros included."""
     t = _divisor(temperature)
     w = _distribution(p).weights
-    return JacobianMatrix(_weight_covariance(w) / t, t)
+    covariance = _weight_covariance(w)
+    covariance /= t
+    return JacobianMatrix(_Adopt(covariance), t)
 
 
 def marginal_utility(context_gradient, values: ValueSet) -> UtilityVector:
@@ -187,7 +195,7 @@ def advantage_gradient(
     advantage = u.values - expected
     if _exceeds(abs(float(w @ advantage)), _GRADIENT_SUM_ATOL, advantage):
         raise NumericalFailure("advantage failed to center under the distribution")
-    return GradientReport(-(w / t) * advantage, advantage, expected)
+    return GradientReport(_Adopt(-(w / t) * advantage), _Adopt(advantage), expected)
 
 
 def chain_rule_gradient(
@@ -206,7 +214,9 @@ def fisher_matrix(p: SimplexDistribution, temperature: float) -> FisherMatrix:
     """Fisher information of the score-parameterized weights, zeros included."""
     t = _divisor(temperature, squared=True)
     w = _distribution(p).weights
-    return FisherMatrix(_weight_covariance(w) / (t * t), t)
+    covariance = _weight_covariance(w)
+    covariance /= t * t
+    return FisherMatrix(_Adopt(covariance), t)
 
 
 def natural_gradient_identity_check(

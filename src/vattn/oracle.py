@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 import operator
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -484,25 +482,12 @@ def _barycentric_grid(m: int, resolution: int) -> np.ndarray:
     return grid
 
 
-def _grid_points(m: int, resolution: int) -> int:
-    """How many points ``_barycentric_grid(m, resolution)`` has."""
-    if m == 1:
-        return 1
-    if m == 2:
-        return resolution + 1
-    return (resolution + 1) * (resolution + 2) // 2
-
-
 class _Grid(NamedTuple):
     """A read-only barycentric grid and, per point, sum_j p_j log p_j as
     the objective computes it, so the entropic kinds reuse it."""
 
     points: np.ndarray
     xlogx: np.ndarray
-
-    @property
-    def nbytes(self) -> int:
-        return self.points.nbytes + self.xlogx.nbytes
 
 
 def _build_grid(m: int, resolution: int) -> _Grid:
@@ -513,53 +498,13 @@ def _build_grid(m: int, resolution: int) -> _Grid:
     return _Grid(points, xlogx)
 
 
-class _GridCache:
-    """The most recently used grids with their per-point entropy terms,
-    read-only: at most ``entries`` of them, together at most
-    ``max_bytes``.  Room is made before a grid is built, so evicted grids
-    are freed first; a grid that cannot fit is built for its call and not
-    kept."""
-
-    def __init__(self, entries: int, max_bytes: int):
-        self.entries = entries
-        self.max_bytes = max_bytes
-        self._grids: OrderedDict[tuple[int, int], _Grid] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._grids)
-
-    def entry(self, m: int, resolution: int) -> _Grid:
-        key = (m, resolution)
-        grids = self._grids
-        with self._lock:
-            grid = grids.get(key)
-            if grid is None:
-                nbytes = _grid_points(m, resolution) * (m + 1) * 8
-                if nbytes > self.max_bytes:
-                    return _build_grid(m, resolution)
-                while grids and (
-                    len(grids) >= self.entries
-                    or sum(g.nbytes for g in grids.values()) + nbytes > self.max_bytes
-                ):
-                    grids.popitem(last=False)
-                grid = grids[key] = _build_grid(m, resolution)
-            grids.move_to_end(key)
-        return grid
-
-    def get(self, m: int, resolution: int) -> np.ndarray:
-        """The grid's points alone."""
-        return self.entry(m, resolution).points
-
-    def cache_clear(self) -> None:
-        with self._lock:
-            self._grids.clear()
-
-
-# The suites search m=2 at resolution 1e6 (24 MB with its entropy terms),
-# m=3 at 2000 (64 MB) and both at 2000 (under 0.1 MB), one size at a time.
-_GRIDS = _GridCache(entries=2, max_bytes=64 * 2**20)
+# The last grid searched, as ``((m, resolution), grid)``, kept while it
+# takes at most _GRID_KEEP_BYTES with its entropy terms.  The tuple is read
+# and written whole, so concurrent searches need no lock.  The suites
+# search m=2 at resolution 1e6 (24 MB), m=3 at 2000 (64 MB) and m=2 at 2000,
+# each size's searches in a row.
+_GRID_KEEP_BYTES = 64 * 2**20
+_last_grid: tuple[tuple[int, int], _Grid] | None = None
 
 
 def grid_search_simplex(s: Scores, reg: RegularizerSpec, resolution: int) -> OracleResult:
@@ -576,7 +521,16 @@ def grid_search_simplex(s: Scores, reg: RegularizerSpec, resolution: int) -> Ora
     resolution = int(resolution)
     if resolution < 100:
         raise ValueError("resolution must be at least 100")
-    grid = _GRIDS.entry(m, resolution)
+    global _last_grid
+    key = (m, resolution)
+    kept = _last_grid
+    if kept is not None and kept[0] == key:
+        grid = kept[1]
+    else:
+        kept = _last_grid = None  # the old grid is freed before the build
+        grid = _build_grid(m, resolution)
+        if grid.points.nbytes + grid.xlogx.nbytes <= _GRID_KEEP_BYTES:
+            _last_grid = key, grid
     objectives = objective_rows(grid.points, s, reg, xlogx=grid.xlogx)
     best = int(np.argmin(objectives))
     return OracleResult(

@@ -220,10 +220,14 @@ def _lse_bounds_trial(rng) -> float:
     return max(top - value, value - top - t * np.log(len(s)))
 
 
-def _strong_duality_trial(rng) -> float:
-    s = _rand_row(rng)
-    t = _rand_temperature(rng)
-    return abs(solvers.primal_value(s, t) + solvers.lse(s, t))
+def _strong_duality_check(trials: int, draw) -> _Check:
+    """primal_value(s, t) + lse(s, t), which strong duality makes 0, on
+    ``draw``'s (scores, temperature) instances."""
+
+    def residuals(instances):
+        return [abs(solvers.primal_value(s, t) + solvers.lse(s, t)) for s, t in instances]
+
+    return _Check("strong-duality-primal-plus-lse", 1e-10, trials, draw, residuals)
 
 
 def _single_key_trial(rng) -> float:
@@ -255,7 +259,7 @@ def _closed_forms_checks(trials: int) -> list[_Check]:
         _each("prior-uniform-recovers-softmax", 1e-12, trials, _prior_uniform_trial),
         _each("alibi-zero-gamma-recovers-softmax", 1e-15, trials, _alibi_zero_gamma_trial),
         _each("lse-bounds", 1e-12, trials, _lse_bounds_trial),
-        _each("strong-duality-primal-plus-lse", 1e-10, trials, _strong_duality_trial),
+        _strong_duality_check(trials, lambda rng: (_rand_row(rng), _rand_temperature(rng))),
         _each("single-key-degenerate", 0.0, 1, _single_key_trial),
     ]
     return checks
@@ -319,12 +323,20 @@ def _grid_softmax_trial(m: int, resolution: int) -> Callable[[np.random.Generato
     return trial
 
 
-def _grid_sandwich_trial(rng) -> float:
+def _sandwich_draw(rng) -> tuple[Scores, RegularizerSpec]:
     s = _rand_row(rng, 2, 3)
-    reg = _rand_kind_regularizer(rng, len(s))
-    found = oracle.grid_search_simplex(s, reg, 2000)
-    best = solvers.solve(s, reg)
-    return core.objective_value(best.distribution, s, reg) - found.objective
+    return s, _rand_kind_regularizer(rng, len(s))
+
+
+def _sandwich_residuals(instances) -> list[float]:
+    # The m=3 instances first, on the grid grid-matches-softmax-m3 left
+    # kept, then the m=2 ones: one grid build for the check.
+    order = sorted(range(len(instances)), key=lambda i: -len(instances[i][0]))
+    found = {i: oracle.grid_search_simplex(*instances[i], 2000) for i in order}
+    return [
+        core.objective_value(solvers.solve(s, reg).distribution, s, reg) - found[i].objective
+        for i, (s, reg) in enumerate(instances)
+    ]
 
 
 def _trace_ascent(trace: tuple[float, ...]) -> float:
@@ -364,7 +376,7 @@ def _oracle_equivalence_checks(trials: int) -> list[_Check]:
         # Tolerance for the exhaustive searches is twice the grid spacing.
         _each("grid-matches-softmax-m2", 2e-6, grid_trials, _grid_softmax_trial(2, 10**6)),
         _each("grid-matches-softmax-m3", 1e-3, grid_trials, _grid_softmax_trial(3, 2000)),
-        _each("grid-objective-sandwich", 1e-12, grid_trials, _grid_sandwich_trial),
+        _Check("grid-objective-sandwich", 1e-12, grid_trials, _sandwich_draw, _sandwich_residuals),
         _Check(
             "descent-objective-monotone",
             0.0,
@@ -472,11 +484,6 @@ def _lse_gradient_trial(rng) -> float:
     return _lse_gradient_residual(s, t, 1e-5, solvers.softmax(s, t).distribution.weights)
 
 
-def _duality_strong_trial(rng) -> float:
-    s, t = _duality_instance(rng)
-    return abs(solvers.primal_value(s, t) + solvers.lse(s, t))
-
-
 def _shannon_duality_instance(rng) -> tuple[Scores, RegularizerSpec]:
     s, t = _duality_instance(rng)
     return s, RegularizerSpec.shannon(t)
@@ -502,7 +509,7 @@ def _duality_checks(trials: int) -> list[_Check]:
         _each("lse-hessian-matches-tau-fisher", 1e-6, trials, _lse_hessian_trial),
         _each("primal-gradient-matches-neg-softmax", 1e-7, trials, _envelope_trial),
         _each("lse-gradient-matches-softmax", 1e-7, trials, _lse_gradient_trial),
-        _each("strong-duality-primal-plus-lse", 1e-10, trials, _duality_strong_trial),
+        _strong_duality_check(trials, _duality_instance),
         _oracle_check(
             "fenchel-conjugate-matches-lse", 1e-8, trials, _shannon_duality_instance, _conjugate_lse_gap
         ),
@@ -601,6 +608,19 @@ _SUITE_BUILDERS = {
 }
 
 
+def _report(suite: str, results: list[CheckResult], seed: int, started: float) -> RunReport:
+    """The report of ``results``, timed from ``started`` (a perf_counter reading)."""
+    return RunReport(
+        suite=suite,
+        cases_run=len(results),
+        cases_passed=sum(1 for r in results if r.passed),
+        max_residual=max(r.residual for r in results),
+        per_check=tuple(results),
+        seed=int(seed),
+        wall_time_ms=int(round((time.perf_counter() - started) * 1000.0)),
+    )
+
+
 def run_suite(
     name: str,
     seed: int,
@@ -623,16 +643,7 @@ def run_suite(
         residual = float(max(check.residuals(instances)))
         tolerance = check.tolerance * tolerance_scale
         results.append(CheckResult(check.name, residual, tolerance, residual <= tolerance))
-    elapsed_ms = int(round((time.perf_counter() - started) * 1000.0))
-    return RunReport(
-        suite=name,
-        cases_run=len(results),
-        cases_passed=sum(1 for r in results if r.passed),
-        max_residual=max(r.residual for r in results),
-        per_check=tuple(results),
-        seed=int(seed),
-        wall_time_ms=elapsed_ms,
-    )
+    return _report(name, results, seed, started)
 
 
 # ----------------------------------------------------------------------
@@ -754,13 +765,4 @@ def gradcheck_report(
             _note(h_grad, grad_widening) + f", {utility_source}",
         )
 
-    elapsed_ms = int(round((time.perf_counter() - started) * 1000.0))
-    return RunReport(
-        suite="gradcheck",
-        cases_run=len(checks),
-        cases_passed=sum(1 for c in checks if c.passed),
-        max_residual=max(c.residual for c in checks),
-        per_check=tuple(checks),
-        seed=int(seed),
-        wall_time_ms=elapsed_ms,
-    )
+    return _report("gradcheck", checks, seed, started)

@@ -79,7 +79,8 @@ def _similarities(batch: QueryKeyBatch) -> np.ndarray:
 
 def cost_matrix(batch: QueryKeyBatch) -> CostMatrix:
     """Negative query-key similarities for the whole batch."""
-    return CostMatrix(-_similarities(batch))
+    similarities = _similarities(batch)
+    return CostMatrix(_Adopt(np.negative(similarities, out=similarities)))
 
 
 def attention_matrix(batch: QueryKeyBatch, temperature: float) -> TransportPlan:
@@ -152,7 +153,7 @@ def _eot_plan(scores: np.ndarray, outcomes: list) -> TransportPlan:
             )
     if len(outcomes) < len(scores):
         Scores(scores[len(outcomes)])
-    return TransportPlan(np.vstack([outcome.distribution.weights for outcome in outcomes]))
+    return TransportPlan(_Adopt(np.vstack([outcome.distribution.weights for outcome in outcomes])))
 
 
 def context(plan: TransportPlan, values: ValueSet) -> np.ndarray:

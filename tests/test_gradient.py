@@ -1,10 +1,12 @@
 """Backward-pass identities and the finite-difference certifications."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import vattn.gradient
 from vattn import (
     Scores,
     SimplexDistribution,
@@ -386,3 +388,49 @@ def test_gradcheck_rejects_temperatures_it_cannot_certify(t):
     with pytest.raises(ValueError, match="too small for gradcheck"):
         gradcheck_report(Scores([0.0, 1.0, 0.5]), t, utilities=UtilityVector([1.0, -2.0, 0.5]))
     assert gradcheck_report(Scores([0.0, 1.0, 0.5]), 6e-8).passed
+
+
+# --------------------------------------- one matrix per result, same bits
+
+
+def test_weight_covariance_has_the_bits_of_diag_minus_outer():
+    # Including softmax outputs with underflowed weights, where a -0.0
+    # would change the bytes.
+    rng = np.random.default_rng(5)
+    for m, scale in ((1, 5.0), (16, 5.0), (512, 5.0), (512, 1000.0)):
+        w = softmax(Scores(rng.uniform(-scale, scale, m)), 0.7).distribution.weights
+        assert _weight_covariance(w).tobytes() == (np.diag(w) - np.outer(w, w)).tobytes()
+
+
+def test_backward_results_are_read_only_and_still_checked(monkeypatch):
+    p = softmax(Scores([0.0, 1.0, 0.5]), 1.0).distribution
+    report = advantage_gradient(p, UtilityVector([1.0, -2.0, 0.5]), 1.0)
+    results = [softmax_jacobian(p, 0.5).entries, fisher_matrix(p, 0.5).entries]
+    for array in results + [report.score_gradient, report.advantage]:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.5
+    # The adopted matrices still go through every check of their type.
+    skewed = np.array([[0.1, -0.1, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    monkeypatch.setattr(vattn.gradient, "_weight_covariance", lambda w: skewed.copy())
+    for call in (softmax_jacobian, fisher_matrix):
+        with pytest.raises(ValueError, match="symmetric"):
+            call(p, 0.5)
+
+
+# Peak traced allocation of one call at m = 512, in matrices of 2 MB: the
+# result and the symmetry check's difference, which its absolute value
+# overwrites.
+def test_jacobian_and_fisher_peak_allocation():
+    m = 512
+    p = softmax(Scores(np.random.default_rng(0).uniform(-5.0, 5.0, m)), 0.7).distribution
+    peaks = {}
+    for name, call in (("jacobian", softmax_jacobian), ("fisher", fisher_matrix)):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            call(p, 0.7)
+            peaks[name] = (tracemalloc.get_traced_memory()[1] - start) / (8 * m * m)
+        finally:
+            tracemalloc.stop()
+    assert all(peak <= 3.0 for peak in peaks.values()), peaks

@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -446,49 +447,66 @@ def _assert_same_grid_result(found, reference):
 def test_grid_search_is_bit_identical_cold_warm_and_uncached(monkeypatch):
     for s, reg, resolution in _grid_guard_cases():
         reference = _reference_grid_search(s, reg, resolution)
-        oracle._GRIDS.cache_clear()
+        oracle._last_grid = None
         _assert_same_grid_result(grid_search_simplex(s, reg, resolution), reference)
+        assert oracle._last_grid[0] == (len(s), resolution)
         _assert_same_grid_result(grid_search_simplex(s, reg, resolution), reference)
-    monkeypatch.setattr(oracle._GRIDS, "max_bytes", 0)
-    oracle._GRIDS.cache_clear()
+    monkeypatch.setattr(oracle, "_GRID_KEEP_BYTES", 0)
+    oracle._last_grid = None
     for s, reg, resolution in _grid_guard_cases():
         reference = _reference_grid_search(s, reg, resolution)
         _assert_same_grid_result(grid_search_simplex(s, reg, resolution), reference)
-        assert len(oracle._GRIDS) == 0
+        assert oracle._last_grid is None
 
 
-# ------------------------------------------------------------- grid cache
+# ---------------------------------------------------------- the kept grid
+
+
+def _grid_bytes(grid):
+    return grid.points.nbytes + grid.xlogx.nbytes
 
 
 def test_grid_cache_is_read_only_and_bounded():
-    oracle._GRIDS.cache_clear()
+    oracle._last_grid = None
     s2, s3 = Scores([0.3, -0.2]), Scores([0.3, -0.2, 1.0])
     for s, resolution in ((s2, 100), (s3, 100), (s2, 200), (s3, 300)):
         grid_search_simplex(s, RegularizerSpec.l2(), resolution)
-        assert len(oracle._GRIDS) <= 2
-        assert sum(g.nbytes for g in oracle._GRIDS._grids.values()) <= oracle._GRIDS.max_bytes
-    grid = oracle._GRIDS.get(3, 300)
-    assert not grid.flags.writeable
-    with pytest.raises(ValueError):
-        grid[0, 0] = 0.5
-    assert oracle._GRIDS.max_bytes <= 64 * 2**20
+        key, grid = oracle._last_grid
+        assert key == (len(s), resolution)
+        assert _grid_bytes(grid) <= oracle._GRID_KEEP_BYTES
+    for array in grid:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.5
+    assert oracle._GRID_KEEP_BYTES <= 64 * 2**20
 
 
 def test_grid_cache_under_concurrent_callers():
     keys = [(2, 100), (3, 100), (2, 300), (3, 200)]
-    expected = {key: oracle._barycentric_grid(*key).tobytes() for key in keys}
+    scores = {2: Scores([0.3, -0.2]), 3: Scores([0.3, -0.2, 1.0])}
+    reg = RegularizerSpec.shannon(0.7)
+    expected = {}
+    for m, resolution in keys:
+        point, objective, _ = _reference_grid_search(scores[m], reg, resolution)
+        expected[m, resolution] = (point.tobytes(), objective.hex())
+    points = {key: oracle._barycentric_grid(*key).tobytes() for key in keys}
     failures = []
 
     def worker(offset):
         try:
-            for index in range(500):
-                key = keys[(index + offset) % len(keys)]
-                if oracle._GRIDS.get(*key).tobytes() != expected[key] or len(oracle._GRIDS) > 2:
-                    failures.append(key)
-        except Exception as exc:  # a lost update surfaces as KeyError here
+            for index in range(300):
+                m, resolution = keys[(index + offset) % len(keys)]
+                found = grid_search_simplex(scores[m], reg, resolution)
+                got = (found.distribution.weights.tobytes(), found.objective.hex())
+                if got != expected[m, resolution]:
+                    failures.append((m, resolution))
+                kept = oracle._last_grid
+                if kept is not None and kept[1].points.tobytes() != points[kept[0]]:
+                    failures.append(kept[0])
+        except Exception as exc:  # a torn slot would surface here
             failures.append(exc)
 
-    oracle._GRIDS.cache_clear()
+    oracle._last_grid = None
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -507,9 +525,9 @@ def test_oracle_equivalence_report_is_the_same_with_a_cold_or_warm_cache():
     def canonical():
         return repr(dataclasses.replace(run_suite("oracle-equivalence", 0, 2), wall_time_ms=0))
 
-    oracle._GRIDS.cache_clear()
+    oracle._last_grid = None
     cold = canonical()
-    assert len(oracle._GRIDS) > 0
+    assert oracle._last_grid is not None
     assert canonical() == cold
 
 
@@ -649,27 +667,29 @@ def test_lockstep_step_size_below_the_floor_stops_at_once():
         assert outcome.iterations == 1 and outcome.converged
 
 
-# ------------------------------------------ grid entropy terms in the cache
+# ------------------------------------------------------- grid entropy terms
 
 
 def test_grid_entries_carry_their_entropy_terms():
-    oracle._GRIDS.cache_clear()
+    oracle._last_grid = None
+    l2 = RegularizerSpec.l2()
     for m, resolution in ((2, 150), (3, 120)):
-        entry = oracle._GRIDS.entry(m, resolution)
+        found = grid_search_simplex(Scores(np.zeros(m)), l2, resolution)
+        key, entry = oracle._last_grid
+        assert key == (m, resolution)
         points = oracle._barycentric_grid(m, resolution)
         assert entry.points.tobytes() == points.tobytes()
-        assert len(points) == oracle._grid_points(m, resolution)
+        assert len(points) == found.iterations
         safe = np.where(points > 0.0, points, 1.0)
         assert entry.xlogx.tobytes() == np.sum(points * np.log(safe), axis=1).tobytes()
         assert not entry.xlogx.flags.writeable
-        assert entry.nbytes == entry.points.nbytes + entry.xlogx.nbytes
-    assert oracle._grid_points(1, 100) == len(oracle._barycentric_grid(1, 100))
+    assert grid_search_simplex(Scores([0.5]), l2, 100).iterations == 1
 
 
 def test_objective_rows_reuse_the_entropy_terms_bit_for_bit():
     rng = np.random.default_rng(12)
     for m, resolution in ((2, 1000), (3, 200)):
-        entry = oracle._GRIDS.entry(m, resolution)
+        entry = oracle._build_grid(m, resolution)
         for kind in REGULARIZER_KINDS:
             s = Scores(rng.uniform(-5.0, 5.0, m))
             reg = _random_regularizer(rng, kind, m)
@@ -681,18 +701,31 @@ def test_objective_rows_reuse_the_entropy_terms_bit_for_bit():
 
 
 def test_grid_cache_makes_room_before_building(monkeypatch):
-    small, large = oracle._GRIDS.entry(2, 100), oracle._GRIDS.entry(3, 100)
-    # Room for the large entry alone: it evicts the small one.
-    monkeypatch.setattr(oracle._GRIDS, "max_bytes", large.nbytes + small.nbytes - 1)
-    oracle._GRIDS.cache_clear()
-    oracle._GRIDS.entry(2, 100)
-    oracle._GRIDS.entry(3, 100)
-    assert list(oracle._GRIDS._grids) == [(3, 100)]
-    # An entry that can never fit is built for its call; the cache keeps
-    # what it holds.
-    found = grid_search_simplex(Scores([0.1, 0.2, 0.3]), RegularizerSpec.shannon(1.0), 400)
-    assert found.iterations == oracle._grid_points(3, 400)
-    assert list(oracle._GRIDS._grids) == [(3, 100)]
+    reg = RegularizerSpec.shannon(1.0)
+    grid_search_simplex(Scores([0.1, 0.2]), reg, 100)
+    previous = weakref.ref(oracle._last_grid[1].points)
+    # The kept grid is dropped and freed before the next one is built: the
+    # two are never held together.
+    held = []
+    build = oracle._build_grid
+
+    def recording_build(m, resolution):
+        held.append(oracle._last_grid)
+        assert previous() is None
+        return build(m, resolution)
+
+    monkeypatch.setattr(oracle, "_build_grid", recording_build)
+    grid_search_simplex(Scores([0.1, 0.2, 0.3]), reg, 100)
+    assert held == [None]
+    key, kept = oracle._last_grid
+    assert key == (3, 100)
+    # A grid over the cap is built for its call and not kept: the search
+    # leaves the slot empty.
+    monkeypatch.setattr(oracle, "_GRID_KEEP_BYTES", _grid_bytes(kept))
+    found = grid_search_simplex(Scores([0.1, 0.2, 0.3]), reg, 400)
+    assert found.iterations == len(oracle._barycentric_grid(3, 400))
+    assert held == [None, None]
+    assert oracle._last_grid is None
 
 
 # ------------------------------------- many instances (one descent per group)

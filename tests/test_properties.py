@@ -4,13 +4,28 @@ Each case must solve: a simplex output, no warning, and no
 ``NumericalFailure`` partway through.
 """
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from test_solvers import _reference_entmax
-from vattn import NumericalFailure, QueryKeyBatch, Scores, attention_matrix, entmax, softmax
+from vattn import (
+    NumericalFailure,
+    QueryKeyBatch,
+    Scores,
+    SimplexDistribution,
+    alibi_softmax,
+    attention_matrix,
+    entmax,
+    lse,
+    primal_value,
+    prior_softmax,
+    softmax,
+    sparsemax,
+)
+from vattn.core import SIMPLEX_SUM_ATOL
 from vattn.solvers import ENTMAX_MASS_ATOL
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -92,3 +107,98 @@ def test_attention_matrix_has_the_row_wise_softmax_bits(
         plan = attention_matrix(QueryKeyBatch(queries, np.eye(m)), t).entries
         rows = [softmax(Scores(row), t).distribution.weights for row in queries]
     assert plan.tobytes() == np.vstack(rows).tobytes()
+
+
+# The other closed forms over m from 1 to 64 and at 128 and 1000, scores
+# at scales 1e-8 to 1e300, temperatures 1e-8 to 1e8, and tied rows (at
+# most seven distinct scores).  Every case solves without a warning: a
+# NumericalFailure, or any other error, fails the sweep.
+ROWS = dict(
+    m=st.one_of(st.integers(1, 64), st.sampled_from([128, 1000])),
+    scale_exponent=st.one_of(st.just(300.0), st.floats(-8.0, 300.0)),
+    tied=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+TAU_EXPONENT = st.one_of(st.sampled_from([-8.0, 8.0]), st.floats(-8.0, 8.0))
+
+
+def _row(m, scale_exponent, tied, rng) -> Scores:
+    x = rng.uniform(-1.0, 1.0, m)
+    if tied:
+        x = np.round(x * 3.0) / 3.0
+    return Scores(x * 10.0**scale_exponent)
+
+
+def _assert_simplex(result, m):
+    w = result.distribution.weights
+    assert w.shape == (m,) and np.all(w >= 0.0)
+    assert abs(float(w.sum()) - 1.0) <= SIMPLEX_SUM_ATOL
+
+
+@hypothesis.settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@hypothesis.given(tau_exponent=TAU_EXPONENT, **ROWS)
+def test_softmax_lse_and_primal_value_solve_every_row(
+    m, scale_exponent, tied, seed, tau_exponent
+):
+    s = _row(m, scale_exponent, tied, np.random.default_rng(seed))
+    t = 10.0**tau_exponent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = softmax(s, t)
+        value = lse(s, t)
+        primal = primal_value(s, t)
+    _assert_simplex(result, m)
+    # The top score's shifted term is exp(0) = 1, so the sum is at least
+    # 1 and its log at least 0: the bound holds in floating point too.
+    assert float(s.values.max()) <= value
+    assert math.isfinite(primal)
+
+
+@hypothesis.settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@hypothesis.given(**ROWS)
+def test_sparsemax_solves_every_row(m, scale_exponent, tied, seed):
+    s = _row(m, scale_exponent, tied, np.random.default_rng(seed))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = sparsemax(s)
+    _assert_simplex(result, m)
+
+
+@hypothesis.settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@hypothesis.given(
+    tau_exponent=TAU_EXPONENT,
+    gamma_exponent=st.one_of(st.none(), st.floats(-8.0, 8.0)),
+    **ROWS,
+)
+def test_alibi_softmax_solves_every_row(m, scale_exponent, tied, seed, tau_exponent, gamma_exponent):
+    rng = np.random.default_rng(seed)
+    s = _row(m, scale_exponent, tied, rng)
+    position = int(rng.integers(1, m + 1))
+    gamma = 0.0 if gamma_exponent is None else 10.0**gamma_exponent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = alibi_softmax(s, position, gamma, 10.0**tau_exponent)
+    _assert_simplex(result, m)
+
+
+@hypothesis.settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@hypothesis.given(
+    tau_exponent=TAU_EXPONENT,
+    concentration=st.sampled_from([0.01, 0.1, 1.0, 10.0]),
+    **ROWS,
+)
+def test_prior_softmax_solves_every_row(m, scale_exponent, tied, seed, tau_exponent, concentration):
+    # A sparse Dirichlet draw can hold tiny or exactly zero prior weights;
+    # a zero is rejected when the prior is validated, before any solve.
+    rng = np.random.default_rng(seed)
+    s = _row(m, scale_exponent, tied, rng)
+    prior = SimplexDistribution(rng.dirichlet(np.full(m, concentration)))
+    t = 10.0**tau_exponent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if prior.weights.min() == 0.0:
+            with pytest.raises(ValueError, match="strictly positive"):
+                prior_softmax(s, prior, t)
+            return
+        result = prior_softmax(s, prior, t)
+    _assert_simplex(result, m)

@@ -1,5 +1,6 @@
 """Full-matrix transport plans: costs, objectives, and row-wise optimality."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -303,3 +304,19 @@ def test_overflowing_similarities_are_rejected_without_warnings(entry, batch):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="finite"):
             entry(batch)
+
+
+def test_cost_matrix_peak_allocation():
+    # In matrices of 2 MB: the similarities, negated in place and adopted.
+    rng = np.random.default_rng(0)
+    batch = QueryKeyBatch(rng.uniform(-1.0, 1.0, (512, 16)), rng.uniform(-1.0, 1.0, (512, 16)))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        entries = cost_matrix(batch).entries
+        peak = (tracemalloc.get_traced_memory()[1] - start) / entries.nbytes
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2
+    assert entries.tobytes() == (-(batch.queries @ batch.keys.T)).tobytes()
+    assert not entries.flags.writeable

@@ -6,40 +6,45 @@ OLD_SRC and NEW_SRC are directories holding the ``vattn`` package (a
 checkout's ``src/``).  Each tree runs ``suites.run_suite`` for every suite
 and seed in its own subprocess, one tree after the other.  A check's
 canonical report is its ``CheckResult`` repr (residuals at full
-precision); a suite's is its ``RunReport`` with ``wall_time_ms`` zeroed.
-A report keeps only a check's worst residual, so a changed solve could
-hide behind an unchanged maximum.  So each tree also records every row
-that ``oracle._descend`` solves while a suite runs (its score bytes, its
+precision); a suite's is its ``RunReport`` with ``wall_time_ms`` zeroed. A
+report keeps only a check's worst residual, so a changed solve could hide
+behind an unchanged maximum.  So each tree also records every row that
+``oracle._descend`` solves while a suite runs (its score bytes, its
 regularizer and configuration, and its outcome: weight bytes, objective,
-iterations, convergence and trace, or the error) and reports, per seed
-and suite, the row count and a SHA-256 of the sorted row digests: the
-multiset of row outcomes, whatever order or grouping the rows were solved
-in.  And it solves, per seed and transport check, the ``solve_full_eot``
-plan of every batch the transport suite draws (same generator keys) and
-reports a SHA-256 of the plan bytes, or the error a solve raised.  Each
-tree also hashes the ``solvers.solve`` weight bytes (or the error) of a
-fixed seeded list of rows, with each result's potential (as
-``float.hex``) and support size: every kind at m=16 and m=1000, tsallis at nine
-alphas from 1.0001 to 10 (10 enters entmax's stiff corner), and one
-1e6-key row per kind; and tsallis at alphas 1.5, 2 and 3 on tied rows and
-on rows with one dominant score (entmax's root at y = 0), at m=16 and
-m=1000.  It hashes the output bytes (or the error) of
-``advantage_gradient``, ``chain_rule_gradient``, ``softmax_jacobian`` and
-``fisher_matrix`` on 40 seeded rows at m=16, and of ``cost_matrix``,
-``attention_matrix`` and ``context`` on one seeded 64x64 batch; the
-``attention_matrix`` plans at n x m in {1x1, 1x7, 7x1, 13x37, 512x512}
-and temperatures 1e-8, 1 and 1e8, and on a 13x37 batch whose rows at
-scale 1e308 take the overflow-guarded path; and the error text of a
-batch whose similarities overflow.  Last,
+iterations, convergence and trace, or the error) and reports, per seed and
+suite, the row count and a SHA-256 of the sorted row digests: the multiset
+of row outcomes, whatever order or grouping the rows were solved in.
+Likewise for every ``oracle.grid_search_simplex`` call of a suite (its
+scores, regularizer and resolution, and the found point's bytes, its
+objective as ``float.hex`` and its iteration count), since a check's grid
+searches may run in another order.  And it solves, per seed and transport
+check, the ``solve_full_eot`` plan of every batch the transport suite
+draws (same generator keys) and reports a SHA-256 of the plan bytes, or
+the error a solve raised.  Each tree also hashes the ``solvers.solve``
+weight bytes (or the error) of a fixed seeded list of rows, with each
+result's potential (as ``float.hex``) and support size: every kind at m=16
+and m=1000, tsallis at nine alphas from 1.0001 to 10 (10 enters entmax's
+stiff corner), and one 1e6-key row per kind; and tsallis at alphas 1.5, 2
+and 3 on tied rows and on rows with one dominant score (entmax's root at y
+= 0), at m=16 and m=1000.  It hashes the grid searches of a seeded list,
+each searched twice in a row: m from 1 to 3, every kind (tsallis at alphas
+1.5, 2 and 3), at resolutions 100, 2000 and, for m <= 2, 1e6.  It hashes
+the output bytes (or the error) of ``advantage_gradient``,
+``chain_rule_gradient``, ``softmax_jacobian`` and ``fisher_matrix`` on 40
+seeded rows at m=16, and of ``cost_matrix``, ``attention_matrix`` and
+``context`` on one seeded 64x64 batch; the ``attention_matrix`` plans at n
+x m in {1x1, 1x7, 7x1, 13x37, 512x512} and temperatures 1e-8, 1 and 1e8,
+and on a 13x37 batch whose rows at scale 1e308 take the overflow-guarded
+path; and the error text of a batch whose similarities overflow.  Last,
 each tree makes a fixed list of in-process ``vattn.cli.main`` calls
 (``attn`` for every kind, by flags and by a file ``regularizer`` object;
 ``transport`` closed form and oracle; ``gradcheck``; malformed inputs and
 flag combinations, malformed numbers in every field and in both prior
 sources) on inputs written to a temporary directory, and reports each
 call's exit code and stdout, with ``wall_time_ms`` zeroed, or the type and
-message of the exception ``main`` raised; stderr is not compared.
-Prints every report that differs and exits 1, or exits 0 when every
-report is byte-identical.
+message of the exception ``main`` raised; stderr is not compared. Prints
+every report that differs and exits 1, or exits 0 when every report is
+byte-identical.
 """
 
 from __future__ import annotations
@@ -61,12 +66,20 @@ from vattn import oracle, suites, transport
 from vattn.core import NumericalFailure, RegularizerSpec
 print(json.dumps(["module", vattn.__file__]), flush=True)
 
-def row_digest(s, reg, cfg, outcome):
+def instance_digest(s, reg, setting):
     digest = hashlib.sha256(s.tobytes())
-    fields = (reg.kind, reg.temperature, reg.alpha, reg.gamma, reg.query_position, cfg)
+    fields = (reg.kind, reg.temperature, reg.alpha, reg.gamma, reg.query_position, setting)
     digest.update(repr(fields).encode())
     if reg.prior is not None:
         digest.update(reg.prior.weights.tobytes())
+    return digest
+
+def search_bytes(found):
+    point = found.distribution.weights.tobytes()
+    return point + repr((found.objective.hex(), found.iterations)).encode()
+
+def row_digest(s, reg, cfg, outcome):
+    digest = instance_digest(s, reg, cfg)
     if isinstance(outcome, NumericalFailure):
         digest.update(repr(outcome).encode())
     else:
@@ -85,16 +98,30 @@ def recording_descend(S, reg, cfg):
     return outcomes
 oracle._descend = recording_descend
 
+searched = []
+grid_search = oracle.grid_search_simplex
+def recording_grid_search(s, reg, resolution):
+    found = grid_search(s, reg, resolution)
+    digest = instance_digest(s.values, reg, resolution)
+    digest.update(search_bytes(found))
+    searched.append(digest.hexdigest())
+    return found
+oracle.grid_search_simplex = recording_grid_search
+
+def multiset(digests):
+    return f"{len(digests)} {hashlib.sha256(chr(10).join(sorted(digests)).encode()).hexdigest()}"
+
 for seed in seeds:
     for name in suites.SUITE_NAMES:
         recorded.clear()
+        searched.clear()
         report = suites.run_suite(name, seed, trials)
         for check in report.per_check:
             print(json.dumps([f"seed {seed} {name} {check.name}", repr(check)]), flush=True)
         suite = dataclasses.replace(report, wall_time_ms=0)
         print(json.dumps([f"seed {seed} {name}", repr(suite)]), flush=True)
-        rows = hashlib.sha256("\\n".join(sorted(recorded)).encode()).hexdigest()
-        print(json.dumps([f"seed {seed} {name} descent rows", f"{len(recorded)} {rows}"]), flush=True)
+        print(json.dumps([f"seed {seed} {name} descent rows", multiset(recorded)]), flush=True)
+        print(json.dumps([f"seed {seed} {name} grid searches", multiset(searched)]), flush=True)
     # run_suite keys each trial's generator by (seed, suite, check, trial).
     ordinal = suites.SUITE_NAMES.index("transport")
     for index, check in enumerate(suites._SUITE_BUILDERS["transport"](trials)):
@@ -142,6 +169,20 @@ for m, rows in ((16, 40), (1000, 4), (10**6, 1)):
                 digest.update(repr(error).encode())
     for label, digest in digests.items():
         print(json.dumps([f"solve {label} m={m}", digest.hexdigest()]), flush=True)
+
+# Grid searches of a seeded list, each case searched twice in a row.
+for m in (1, 2, 3):
+    for resolution in (100, 2000, 10**6)[: 3 if m <= 2 else 2]:
+        digest = hashlib.sha256()
+        for row in range(2):
+            rng = np.random.default_rng([m, resolution, row, 7])
+            x = rng.uniform(-5.0, 5.0, m)
+            for reg in regularizers(rng, m):
+                if reg.kind == "tsallis" and reg.alpha not in (1.5, 2.0, 3.0):
+                    continue
+                for _ in range(2):
+                    digest.update(search_bytes(grid_search(Scores(x), reg, resolution)))
+        print(json.dumps([f"grid searches m={m} resolution={resolution}", digest.hexdigest()]), flush=True)
 
 # entmax on tied rows and on rows with one dominant score.
 for m, rows in ((16, 40), (1000, 4)):
