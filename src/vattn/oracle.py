@@ -10,6 +10,7 @@ is built on the same iterative machinery.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -118,20 +119,114 @@ def _logs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return log_w, np.where(w > 0.0, log_w, -np.inf)
 
 
-def _fsum_rows(first: np.ndarray, *rest: np.ndarray) -> list[float]:
-    # Exactly-rounded summation of each row's terms: step acceptance near
-    # the optimum compares objective values whose true differences sit far
-    # below the noise of a naive left-to-right accumulation, and every
-    # spurious rejection raises the solver's error floor.
-    if len(first) == 1:  # one row: one flat list of terms
-        terms = first.tolist()[0]
-        for term in rest:
-            terms += term.tolist()[0]
-        return [math.fsum(terms)]
-    rows = first.tolist()
-    for term in rest:
-        rows = map(operator.add, rows, term.tolist())
-    return list(map(math.fsum, rows))
+class _Ragged:
+    """Rows of mixed length laid end to end in flat arrays, sorted by
+    length, so the rows of each length are one contiguous ``(rows, m)``
+    block of every flat array.
+
+    Elementwise work takes the flat arrays whole, and the exact per-row
+    reductions (max, count) take one ``reduceat``.  Sums, sorts and
+    cumulative sums, whose results depend on how a row is traversed, run
+    on each block's view, so every row gets the bits it gets alone.  One
+    row, as every public solve has, takes shorter paths to the same bits.
+    """
+
+    def __init__(self, lengths: np.ndarray):
+        self.lengths = lengths
+        self.ends = np.cumsum(lengths)
+        self.starts = self.ends - lengths
+        offsets = [0, *self.ends.tolist()]
+        self.size = offsets[-1]
+        edges = [0, *((lengths[1:] != lengths[:-1]).nonzero()[0] + 1).tolist(), len(lengths)]
+        self.blocks = [
+            (offsets[a], offsets[b], offsets[a + 1] - offsets[a]) for a, b in zip(edges, edges[1:])
+        ]
+        # The rows' length when they share one: per-row values then meet
+        # a (rows, m) view as a column, which costs less than repeating them.
+        self.width = self.blocks[0][2] if len(self.blocks) == 1 else 0
+        self.shape = (-1, self.width) if self.width else (-1,)
+        self._ranks = None
+        self._terms = None
+
+    def column(self, values: np.ndarray) -> np.ndarray:
+        """One value per row, laid out to meet ``a.reshape(shape)``."""
+        return values[:, np.newaxis] if self.width else np.repeat(values, self.lengths)
+
+    def spread(self, values) -> np.ndarray:
+        """One value per row, repeated over the row's entries."""
+        return np.repeat(np.asarray(values, dtype=float), self.lengths)
+
+    def max(self, a: np.ndarray) -> np.ndarray:
+        """Each row's largest entry."""
+        return np.maximum.reduceat(a, self.starts)
+
+    def total(self, view: np.ndarray) -> np.ndarray:
+        """Each row's sum, laid out to meet ``view = a.reshape(shape)``.
+        numpy sums a row pairwise, and reduceat in sequence, which rounds
+        differently: so one sum per block."""
+        if self.width:
+            return np.add.reduce(view, axis=1, keepdims=True)
+        sums = [np.add.reduce(view[lo:hi].reshape(-1, m), axis=1) for lo, hi, m in self.blocks]
+        return np.repeat(np.concatenate(sums), self.lengths)
+
+    def sorted_sums(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each row sorted ascending, and the sums of its largest 1, 2, ...
+        entries, stored from the row's end."""
+        if len(self.lengths) == 1:
+            u = np.sort(v)
+            return u, np.add.accumulate(u[::-1])[::-1]
+        u = v.copy()
+        cssv = np.empty_like(v)
+        for lo, hi, m in self.blocks:
+            block = u[lo:hi].reshape(-1, m)
+            block.sort()
+            np.add.accumulate(block[:, ::-1], axis=1, out=cssv[lo:hi].reshape(-1, m)[:, ::-1])
+        return u, cssv
+
+    def ranks(self) -> np.ndarray:
+        """m, m-1, ..., 1 along each row, as doubles."""
+        if self._ranks is None:
+            self._ranks = (np.repeat(self.ends, self.lengths) - np.arange(self.size)).astype(float)
+        return self._ranks
+
+    def take(self, positions: np.ndarray) -> tuple[_Ragged, np.ndarray]:
+        """The layout of the rows at increasing ``positions``, and the flat
+        index of their entries."""
+        lengths = self.lengths[positions]
+        sub = _Ragged(lengths)
+        return sub, _runs(self.starts[positions] - sub.starts, lengths, sub.size)
+
+    def fsum(self, *terms: np.ndarray) -> list[float]:
+        """Exactly-rounded sum of each row's terms, taken as one list per
+        row: the row's entries of the first term, then of the next, the
+        order that decides where an intermediate overflow raises.  Step
+        acceptance near the optimum compares objective values whose true
+        differences sit far below the noise of a naive left-to-right
+        accumulation, and every spurious rejection raises the solver's
+        error floor."""
+        if len(self.lengths) == 1:  # one row: one flat list of terms
+            flat = terms[0].tolist()
+            for term in terms[1:]:
+                flat += term.tolist()
+            return [math.fsum(flat)]
+        if self._terms is None:
+            # The gather that brings each row's entries of every term
+            # together, row after row, and each row's slice of the result.
+            count = len(terms)
+            lengths = np.repeat(self.lengths, count)
+            sources = (self.starts[:, np.newaxis] + self.size * np.arange(count)).ravel()
+            gather = _runs(sources - (np.cumsum(lengths) - lengths), lengths, count * self.size)
+            bounds = (count * self.starts).tolist(), (count * self.ends).tolist()
+            self._terms = gather, list(map(slice, *bounds))
+        gather, slices = self._terms
+        flat = np.concatenate(terms)[gather].tolist()
+        return list(map(math.fsum, map(flat.__getitem__, slices)))
+
+
+def _runs(shifts: np.ndarray, lengths: np.ndarray, size: int) -> np.ndarray:
+    # The flat index of consecutive runs: run i has lengths[i] entries and
+    # reads its first one shifts[i] past where that entry lands.
+    return np.arange(size) + np.repeat(shifts, lengths)
 
 
 def _const(value: float) -> np.ndarray:
@@ -147,26 +242,19 @@ _ONE = _const(1.0)
 _ZERO = _const(0.0)
 
 
-def _per_row(values, m: int) -> np.ndarray:
-    # One value per row, repeated across the row's m entries: numpy
-    # multiplies arrays of one shape faster than it broadcasts an (n, 1)
-    # column, and as fast as a 0-d constant, with the same bits.
-    return np.repeat(np.array(list(values))[:, np.newaxis], m, axis=1)
-
-
-def _descent_terms(regs: list[RegularizerSpec], m: int):
-    """The objective and its gradient for rows of ``m`` weights, row ``i``
-    under ``regs[i]`` (one kind, and for tsallis one alpha), every per-solve
-    invariant computed once.
+def _descent_terms(regs: list[RegularizerSpec], rows: _Ragged):
+    """The objective and its gradient for the rows of ``rows``, row ``i``
+    under ``regs[i]`` (one kind, and for tsallis one alpha), every
+    per-solve invariant computed once.
 
     Returns ``(objective, gradient, columns)``.  ``columns`` holds each
-    row's own parameters as (n, m) arrays, one array row per row: tau,
-    gamma, the key distances and gamma*d (alibi), the prior and its log
-    (kl_prior).  ``objective(w, given)`` returns one value per
-    row of ``w`` and, for the entropic kinds, ``_logs(w)``, which
+    row's own parameters over its entries, as flat arrays: tau, gamma, the
+    key distances and gamma*d (alibi), the prior and its log (kl_prior).
+    ``objective(w, given, rows)`` returns one value per row of ``w``, laid
+    out as ``rows``, and, for the entropic kinds, ``_logs(w)``, which
     ``gradient(w, logs, given)`` and the multiplicative step reuse once
-    ``w`` is accepted; ``given`` is ``(neg_s, *columns)`` for the same rows
-    of ``w``, ``neg_s`` their negated scores.  Every expression is
+    ``w`` is accepted; ``given`` is ``(neg_s, *columns)`` for the same
+    rows of ``w``, ``neg_s`` their negated scores.  Every expression is
     elementwise or per row and evaluated in one fixed order, so each row's
     iterates are reproducible bit for bit whatever rows, or parameters, it
     shares the arrays with.
@@ -177,8 +265,8 @@ def _descent_terms(regs: list[RegularizerSpec], m: int):
     if kind == L2:
         half = _const(0.5)
 
-        def objective(w, given):
-            return _fsum_rows(w * given[0], half * w * w), None
+        def objective(w, given, rows):
+            return rows.fsum(w * given[0], half * w * w), None
 
         def gradient(w, logs, given):
             return given[0] + w
@@ -191,46 +279,47 @@ def _descent_terms(regs: list[RegularizerSpec], m: int):
         scale = _const(a * a1)
         factor = _const(a)
 
-        def objective(w, given):
-            return _fsum_rows(w * given[0], (w**a - w) / scale), None
+        def objective(w, given, rows):
+            return rows.fsum(w * given[0], (w**a - w) / scale), None
 
         def gradient(w, logs, given):
             return given[0] + (factor * w**a1 - _ONE) / scale
 
     elif kind == SHANNON:
-        columns = (_per_row((r.temperature for r in regs), m),)
+        columns = (rows.spread([r.temperature for r in regs]),)
 
-        def objective(w, given):
+        def objective(w, given, rows):
             neg_s, tau = given
             logs = _logs(w)
-            return _fsum_rows(w * neg_s, tau * (w * logs[0])), logs
+            return rows.fsum(w * neg_s, tau * (w * logs[0])), logs
 
         def gradient(w, logs, given):
             neg_s, tau = given
             return neg_s + tau * (logs[0] + _ONE)
 
     elif kind == ALIBI:
-        gamma = _per_row((r.gamma for r in regs), m)
-        d = np.array([key_distances(r.query_position, m) for r in regs])
-        columns = (_per_row((r.temperature for r in regs), m), gamma, d, gamma * d)
+        gamma = rows.spread([r.gamma for r in regs])
+        positions = [r.query_position for r in regs]
+        d = np.concatenate(list(map(key_distances, positions, rows.lengths.tolist())))
+        columns = (rows.spread([r.temperature for r in regs]), gamma, d, gamma * d)
 
-        def objective(w, given):
+        def objective(w, given, rows):
             neg_s, tau, gamma, d, _ = given
             logs = _logs(w)
-            return _fsum_rows(w * neg_s, tau * (w * logs[0]), gamma * w * d), logs
+            return rows.fsum(w * neg_s, tau * (w * logs[0]), gamma * w * d), logs
 
         def gradient(w, logs, given):
             neg_s, tau, _, _, gamma_d = given
             return neg_s + tau * (logs[0] + _ONE) + gamma_d
 
     elif kind == KL_PRIOR:
-        prior = np.array([r.prior.weights for r in regs])
-        columns = (_per_row((r.temperature for r in regs), m), prior, np.log(prior))
+        prior = np.concatenate([r.prior.weights for r in regs])
+        columns = (rows.spread([r.temperature for r in regs]), prior, np.log(prior))
 
-        def objective(w, given):
+        def objective(w, given, rows):
             neg_s, tau, _, log_prior = given
             logs = _logs(w)
-            return _fsum_rows(w * neg_s, tau * w * (logs[0] - log_prior)), logs
+            return rows.fsum(w * neg_s, tau * w * (logs[0] - log_prior)), logs
 
         def gradient(w, logs, given):
             neg_s, tau, prior, _ = given
@@ -241,24 +330,36 @@ def _descent_terms(regs: list[RegularizerSpec], m: int):
     return objective, gradient, columns
 
 
-def _project_simplex(v: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+def _multiplicative_step(start, grad, eta, rows: _Ragged) -> np.ndarray:
+    # In-place updates keep each expression's bits.
+    trial = start - eta * grad
+    view = trial.reshape(rows.shape)
+    view -= rows.column(rows.max(trial))
+    np.exp(trial, out=trial)
+    view /= rows.total(view)
+    return trial
+
+
+def _projected_step(start, grad, eta, rows: _Ragged) -> np.ndarray:
     # Deliberately local: the oracle must not lean on the closed forms it
-    # certifies, so the Euclidean projection is written out here.  Projects
-    # along the last axis: a vector, or every row of a matrix, a single row
-    # as a vector, which costs less.  ``ranks`` is 1.0..m as doubles.
-    if v.ndim == 2 and len(v) == 1:
-        return _project_simplex(v[0], ranks)[np.newaxis]
-    v = v - np.maximum.reduce(v, axis=-1, keepdims=True)
-    u = np.sort(v)[..., ::-1]
-    cssv = np.add.accumulate(u, axis=-1)
-    above = _ONE + ranks * u > cssv
-    if v.ndim == 1:
-        rho = int(np.count_nonzero(above))
-        theta = (cssv[rho - 1] - 1.0) / rho
+    # certifies, so the Euclidean projection is written out here.  Rows
+    # are sorted ascending, so the k-th largest entry and the sum of the
+    # k largest sit at the row's end, against ranks m..1.
+    v = start - eta * grad
+    view = v.reshape(rows.shape)
+    view -= rows.column(rows.max(v))
+    u, cssv = rows.sorted_sums(v)
+    above = _ONE + rows.ranks() * u > cssv
+    if len(rows.lengths) == 1:
+        rho = np.count_nonzero(above)
+        v -= (cssv[-rho] - 1.0) / rho
     else:
-        rho = above.sum(axis=1)
-        theta = ((cssv[np.arange(len(v)), rho - 1] - 1.0) / rho)[:, np.newaxis]
-    return np.maximum(v - theta, _ZERO)
+        rho = np.add.reduceat(above, rows.starts)
+        # rho is 0 only on a row holding NaN; its sum of every entry, at the
+        # row's start, keeps theta NaN.
+        top = rows.starts + (rows.lengths - rho) % rows.lengths
+        view -= rows.column((cssv[top] - 1.0) / rho)
+    return np.maximum(v, _ZERO, out=v)
 
 
 def _acceptance_limit(best: float) -> float:
@@ -272,63 +373,115 @@ def _acceptance_limit(best: float) -> float:
 
 
 def _descend(
-    S: np.ndarray, regs: list[RegularizerSpec], cfg: SolverConfig | None
+    scores, regs: list[RegularizerSpec], cfg: SolverConfig | None
 ) -> list[OracleResult | NumericalFailure]:
-    """Minimize -<p, s> + Omega(p) from the uniform start for every row s
-    of ``S`` at once, row ``i`` under ``regs[i]`` (one kind, and for
-    tsallis one alpha).
+    """Minimize -<p, s> + Omega(p) from the uniform start for every score
+    row s of ``scores`` (a matrix, or a list of rows of any lengths) at
+    once, row ``i`` under ``regs[i]`` (one kind, and for tsallis one
+    alpha).
 
-    The rows run in lock-step: the array work of an iteration is done once
-    for every row still running, while each row keeps its own step size,
-    acceptance limit, best value, trace and convergence flag, so it follows
-    exactly the iterates it would follow alone.  Returns, per row, its
+    The rows run in lock-step on one ``_Ragged`` layout: the array work of
+    an iteration is done once for every row still running, while each row
+    keeps its own step size, acceptance limit, best value, trace and
+    convergence flag, so it follows exactly the iterates it would follow
+    alone.  When rows reject their step, only those rows try again, at
+    half their step size.  Returns, in input order, each row's
     ``OracleResult`` or the ``NumericalFailure`` that ended its descent.
     """
-    n, m = S.shape
+    n = len(scores)
     if cfg is None:
         cfg = default_config(regs[0])
     multiplicative = cfg.method == EXPONENTIATED_GRADIENT
-    objective, gradient, columns = _descent_terms(regs, m)
-    ranks = np.arange(1.0, m + 1.0)
+    step = _multiplicative_step if multiplicative else _projected_step
     tolerance, max_iterations = cfg.tolerance, cfg.max_iterations
     outcomes: list = [None] * n
-    # The rows still running, by position: their row of S, their negated
-    # scores and parameters, and their state.
-    rows = list(range(n))
-    given = (-S, *columns)
-    w = np.full((n, m), 1.0 / m)
-    best, logs = objective(w, given)
-    limits = list(map(_acceptance_limit, best))
+    # The rows still running, by position, shortest first: their input
+    # index, layout, negated scores and parameters, and their state.
+    lengths = np.fromiter(map(len, scores), np.intp, n)
+    index = np.argsort(lengths, kind="stable")
+    order = index.tolist()
+    rows = _Ragged(lengths[index])
+    objective, gradient, columns = _descent_terms([regs[i] for i in order], rows)
+    given = (-np.concatenate([scores[i] for i in order]), *columns)
+    w = rows.spread(1.0 / rows.lengths)
+    best, logs = objective(w, given, rows)
     traces = [[value] for value in best]
-    etas = [cfg.step_size] * n
+    etas = np.full(n, cfg.step_size)
+    eta = rows.spread(etas)
     iteration = 0
+
+    def converged(p):
+        lo, hi = rows.starts[p], rows.ends[p]
+        weights = SimplexDistribution(w[lo:hi])
+        return OracleResult(weights, best[p], iteration, True, tuple(traces[p]))
 
     def end(ended):
         # Record each ended row's outcome and drop it from the running set.
-        nonlocal rows, best, limits, traces, etas, w, given, logs
+        nonlocal index, rows, w, given, logs, etas, eta, best, traces
         for p, outcome in ended.items():
-            if outcome is None:
-                outcome = OracleResult(
-                    SimplexDistribution(w[p]), best[p], iteration, True, tuple(traces[p])
-                )
-            outcomes[rows[p]] = outcome
-        keep = [p for p in range(len(rows)) if p not in ended]
-        rows, best, limits, traces, etas = (
-            [state[p] for p in keep] for state in (rows, best, limits, traces, etas)
-        )
-        w = w[keep]
-        given = tuple(a[keep] for a in given)
+            outcomes[index[p]] = outcome
+        running = np.ones(len(best), dtype=bool)
+        running[list(ended)] = False
+        keep = np.flatnonzero(running)
+        running = running.tolist()
+        best = list(itertools.compress(best, running))
+        traces = list(itertools.compress(traces, running))
+        if not best:
+            return
+        rows, entries = rows.take(keep)
+        index, etas = index[keep], etas[keep]
+        w, eta = w[entries], eta[entries]
+        given = tuple(a[entries] for a in given)
         if logs is not None:
-            logs = (logs[0][keep], logs[1][keep])
+            log_w = logs[0][entries]
+            logs = (log_w, log_w if logs[1] is logs[0] else logs[1][entries])
 
-    if any(math.isnan(value) for value in best):
+    def retry(rejected, values, new_w, new_logs, base, g, ended):
+        # Each rejecting row halves its step size and tries again, beside
+        # the other rejecting rows only, until it accepts, which puts its
+        # trial and value in new_w and values, or it ends at its current
+        # iterate when no step size is left.  Returns new_w's logs.
+        if new_logs is not None and new_logs[1] is new_logs[0]:
+            new_logs = (new_logs[0], new_logs[1].copy())
+        pending = [(p, values[p]) for p in rejected]
+        while pending:
+            trying = []
+            for p, value in pending:
+                if math.isnan(value):
+                    ended[p] = NumericalFailure("objective became NaN during descent")
+                    continue
+                etas[p] *= 0.5
+                if etas[p] >= _MIN_STEP:
+                    trying.append(p)
+                else:  # ascent at every step size: float-stationary
+                    ended[p] = converged(p)
+            if not trying:
+                break
+            sub, entries = rows.take(np.array(trying))
+            trial = step(base[entries], g[entries], sub.spread(etas[trying]), sub)
+            found, trial_logs = objective(trial, tuple(a[entries] for a in given), sub)
+            accepted = [value <= _acceptance_limit(best[p]) for p, value in zip(trying, found)]
+            taken = np.repeat(accepted, sub.lengths)
+            new_w[entries[taken]] = trial[taken]
+            if trial_logs is not None:
+                new_logs[0][entries[taken]] = trial_logs[0][taken]
+                new_logs[1][entries[taken]] = trial_logs[1][taken]
+            pending = []
+            for p, value, ok in zip(trying, found, accepted):
+                if ok:
+                    values[p] = value
+                else:
+                    pending.append((p, value))
+        return new_logs
+
+    if any(map(math.isnan, best)):
         nan_start = NumericalFailure("objective is NaN at the uniform start")
         end({p: nan_start for p, value in enumerate(best) if math.isnan(value)})
-    if rows and cfg.step_size < _MIN_STEP:
+    if best and cfg.step_size < _MIN_STEP:
         # No step size is left to try: float-stationary at the first iteration.
         iteration = 1
-        end(dict.fromkeys(range(len(rows))))
-    while rows and iteration < max_iterations:
+        end({p: converged(p) for p in range(len(best))})
+    while best and iteration < max_iterations:
         iteration += 1
         if multiplicative:
             if logs is None:
@@ -340,77 +493,45 @@ def _descend(
                     "projected gradient reached the boundary, "
                     "where the entropic gradient is infinite"
                 )
-                end({p: boundary for p in np.flatnonzero((w == 0.0).any(axis=1)).tolist()})
-                if not rows:
+                at_zero = np.logical_or.reduceat(w == 0.0, rows.starts)
+                end({p: boundary for p in np.flatnonzero(at_zero).tolist()})
+                if not best:
                     break
             base = w
         g = gradient(w, logs, given)
-        k = len(rows)
-        # The first trial takes every row at its own step size, as whole
-        # arrays; when a row rejects, each rejecting row halves its step
-        # size and tries again, until it accepts or no step size is left.
-        # In-place updates keep each expression's bits.
-        eta = etas[0] if k == 1 else np.array(etas)[:, np.newaxis]
-        start, grad, trial_given = base, g, given
-        stepped = None
+        new_w = step(base, g, eta, rows)
+        values, new_logs = objective(new_w, given, rows)
         ended = {}
-        while True:
-            if multiplicative:
-                trial = start - eta * grad
-                trial -= np.maximum.reduce(trial, axis=1, keepdims=True)
-                np.exp(trial, out=trial)
-                trial /= np.add.reduce(trial, axis=1, keepdims=True)
-            else:
-                trial = _project_simplex(start - eta * grad, ranks)
-            values, trial_logs = objective(trial, trial_given)
-            if stepped is None:
-                if (values[0] <= limits[0]) if k == 1 else all(map(operator.le, values, limits)):
-                    new_w, new_logs, stepped = trial, trial_logs, values
-                    break
-                new_w, new_logs, stepped = w.copy(), trial_logs, [None] * k
-                if trial_logs is not None:
-                    new_logs = (logs[0].copy(), logs[1].copy())
-                searching = range(k)
-            rejected = []
-            for j, p in enumerate(searching):
-                if values[j] <= limits[p]:
-                    stepped[p] = values[j]
-                    new_w[p] = trial[j]
-                    if new_logs is not None:
-                        new_logs[0][p] = trial_logs[0][j]
-                        new_logs[1][p] = trial_logs[1][j]
-                elif math.isnan(values[j]):
-                    ended[p] = NumericalFailure("objective became NaN during descent")
-                else:
-                    etas[p] *= 0.5
-                    if etas[p] >= _MIN_STEP:
-                        rejected.append(p)
-            if not rejected:
-                break
-            searching = rejected
-            eta = np.array([etas[p] for p in rejected])[:, np.newaxis]
-            if len(rejected) < k:
-                start, grad = base[rejected], g[rejected]
-                trial_given = tuple(a[rejected] for a in given)
+        if all(map(operator.lt, values, best)):
+            best = values  # every row improved, so every step is accepted
+        else:
+            # A row that did not improve accepts its step within one
+            # rounding unit of its best value, and keeps its best value.
+            rejected = [
+                p
+                for p in itertools.compress(
+                    itertools.count(), map(operator.not_, map(operator.lt, values, best))
+                )
+                if not values[p] <= _acceptance_limit(best[p])
+            ]
+            if rejected:
+                new_logs = retry(rejected, values, new_w, new_logs, base, g, ended)
+                eta = rows.spread(etas)
+            best = list(map(min, best, values))
         change = new_w - w
-        delta = np.maximum.reduce(np.abs(change, out=change), axis=1).tolist()
+        delta = rows.max(np.abs(change, out=change)).tolist()
         w, logs = new_w, new_logs
-        for p, value in enumerate(stepped):
-            if value is None:
-                # Ascent at every step size: float-stationary.
+        for trace, value in zip(traces, best):
+            trace.append(value)
+        for p, change in enumerate(delta):
+            if change < tolerance:
                 ended.setdefault(p, None)
-                continue
-            if value < best[p]:
-                best[p] = value
-                limits[p] = _acceptance_limit(value)
-            traces[p].append(best[p])
-            if delta[p] < tolerance:
-                ended[p] = None
         if ended:
-            end(ended)
-    for p, row in enumerate(rows):
-        outcomes[row] = OracleResult(
-            SimplexDistribution(w[p]), best[p], iteration, False, tuple(traces[p])
+            end({p: converged(p) if outcome is None else outcome for p, outcome in ended.items()})
+    for p in range(len(best)):
+        lo, hi = rows.starts[p], rows.ends[p]
+        outcomes[index[p]] = OracleResult(
+            SimplexDistribution(w[lo:hi]), best[p], iteration, False, tuple(traces[p])
         )
     return outcomes
 
@@ -442,20 +563,20 @@ def _minimize_many(
     """``minimize_on_simplex`` of every ``(scores, regularizer)`` pair, its
     ``NumericalFailure`` returned rather than raised, in input order.
 
-    Pairs with the same m, kind and alpha (hence the same method) run as
-    the rows of one lock-step descent, each under its own parameters, so
-    every outcome is the one its pair gets alone.
+    Pairs with the same kind and alpha (hence the same method) run as the
+    rows of one lock-step descent, whatever their m, each under its own
+    parameters, so every outcome is the one its pair gets alone.
     """
     groups: dict[tuple, list[int]] = {}
     for index, (s, reg) in enumerate(pairs):
         if reg.prior is not None:
             _check_lengths(reg.prior, s, "prior", "scores")
-        groups.setdefault((len(s), reg.kind, reg.alpha), []).append(index)
+        groups.setdefault((reg.kind, reg.alpha), []).append(index)
     outcomes: list = [None] * len(pairs)
     for members in groups.values():
-        S = np.array([pairs[i][0].values for i in members])
-        regs = [pairs[i][1] for i in members]
-        for i, outcome in zip(members, _descend(S, regs, cfg)):
+        scores = [pairs[i][0].values for i in members]
+        found = _descend(scores, [pairs[i][1] for i in members], cfg)
+        for i, outcome in zip(members, found):
             outcomes[i] = outcome
     return outcomes
 
@@ -518,9 +639,10 @@ def grid_search_simplex(s: Scores, reg: RegularizerSpec, resolution: int) -> Ora
     m = len(s)
     if m > 3:
         raise ValueError("grid search is exhaustive and limited to m <= 3")
+    resolution = _number(resolution, "resolution")
+    if not isinstance(resolution, (int, np.integer)) or resolution < 100:
+        raise ValueError("resolution must be an integer >= 100")
     resolution = int(resolution)
-    if resolution < 100:
-        raise ValueError("resolution must be at least 100")
     global _last_grid
     key = (m, resolution)
     kept = _last_grid

@@ -122,20 +122,28 @@ def sparsemax(s: Scores) -> SolveResult:
     # Sorting first gives the spread for free; a shift keeps the order.
     u = np.sort(s.values)[::-1]
     top = float(u[0])
-    if math.isfinite((top - float(u[-1])) * u.size):
-        v = s.values - top
-        u -= top
-    else:
+    finite = math.isfinite((top - float(u[-1])) * u.size)
+
+    def clipped(x):
         # The shift, the products k * u or the sums would overflow.  theta
         # is at least max(s) - 1, so entries more than 2 below the top get
         # no weight whatever their value: they are clipped to -2, and the
         # halved difference stays finite.
-        v, u = (2.0 * np.maximum(0.5 * x - 0.5 * top, -1.0) for x in (s.values, u))
+        return 2.0 * np.maximum(0.5 * x - 0.5 * top, -1.0)
+
+    if finite:
+        u -= top
+    else:
+        u = clipped(u)
     cssv = np.cumsum(u)
     u *= np.arange(1, u.size + 1)  # 1 + k * u, in place
     u += 1.0
     rho = int(np.count_nonzero(u > cssv))
     theta = (cssv[rho - 1] - 1.0) / rho
+    # Made once theta is known, in the cumulative sums' row and after the
+    # sorted row is freed, the weights add no row to the peak.
+    del u
+    v = np.subtract(s.values, top, out=cssv) if finite else clipped(s.values)
     v -= theta
     return _result(np.maximum(v, 0.0, out=v), None)
 

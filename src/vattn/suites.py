@@ -4,10 +4,10 @@ Each suite aggregates one named check per identity; a check draws its
 instances from a PCG64 generator keyed by (seed, suite, check, trial), so
 reports are reproducible bit-for-bit.  A check draws every trial's instance
 first and then computes their residuals together: the oracle solves of all
-its trials run as one lock-step descent per group of equal m, kind and
-alpha, each row under its own parameters, which gives each trial exactly
-the result it gets alone, since no draw depends on a solve.  The reported
-residual of a check is the worst value seen across its trials.
+its trials run as one lock-step descent per kind and alpha, rows of every
+m together, each row under its own parameters, which gives each trial
+exactly the result it gets alone, since no draw depends on a solve.  The
+reported residual of a check is the worst value seen across its trials.
 """
 
 from __future__ import annotations
@@ -346,9 +346,9 @@ def _trace_ascent(trace: tuple[float, ...]) -> float:
 
 
 def _descent_monotone_residuals(instances) -> list[float]:
-    # One minimize_on_simplex per trial: at most 20 trials spread over ~75
-    # (m, kind) groups, so solving them together would save nothing, and
-    # these calls keep the traced benchmark's per-solve oracle figures.
+    # One minimize_on_simplex per trial.  The at most 20 trials would run as
+    # one descent per (kind, alpha), seven of them, but these calls keep the
+    # traced benchmark's per-solve oracle figures, which count public solves.
     return [
         _trace_ascent(oracle.minimize_on_simplex(s, reg).objective_trace) for s, reg in instances
     ]

@@ -154,6 +154,28 @@ def test_grid_rejects_large_m_and_small_resolution():
         grid_search_simplex(Scores([1.0, 2.0]), RegularizerSpec.l2(), 99)
 
 
+def test_grid_resolution_is_an_integer_checked_before_the_search(monkeypatch):
+    # The resolution is validated as SolverConfig.max_iterations is: a
+    # number, then an integer, with no truncation and no overflow escaping.
+    def no_build(m, resolution):
+        raise AssertionError("a rejected resolution must not reach the grid build")
+
+    monkeypatch.setattr(oracle, "_build_grid", no_build)
+    oracle._last_grid = None
+    s, l2 = Scores([1.0, 2.0]), RegularizerSpec.l2()
+    for resolution in ("300", b"300", True, np.True_):
+        with pytest.raises(TypeError):
+            grid_search_simplex(s, l2, resolution)
+    for resolution in (150.9, 150.0, math.inf, -math.inf, math.nan, np.float64(200), None, 99, -5):
+        with pytest.raises(ValueError, match="resolution must be an integer >= 100"):
+            grid_search_simplex(s, l2, resolution)
+    monkeypatch.undo()
+    for resolution in (150, np.int64(150), np.int32(150)):
+        found = grid_search_simplex(s, l2, resolution)
+        assert found.iterations == 151
+        assert oracle._last_grid[0] == (2, 150) and type(oracle._last_grid[0][1]) is int
+
+
 def test_grid_softmax_m2():
     s = Scores([np.log(2), 0.0])
     found = grid_search_simplex(s, RegularizerSpec.shannon(1.0), 10**6)
@@ -658,6 +680,39 @@ def test_full_eot_with_an_underflowed_row():
     assert _sup(plan.entries, attention_matrix(batch, 0.25).entries) < 1e-6
 
 
+def test_projection_of_a_row_holding_nan_beside_ordinary_rows():
+    # An infinite trial entry leaves NaN after the max shift, so no entry
+    # lies above the projection's line: that row comes out NaN, as the
+    # reference projection's does, and the other rows keep their bits,
+    # whichever position it takes in the layout.
+    rng = np.random.default_rng(7)
+    for lengths in ((3,), (2, 3), (2, 2, 3), (3, 3, 5)):
+        for bad in range(len(lengths)):
+            rows = oracle._Ragged(np.array(lengths))
+            start = [rng.uniform(0.0, 1.0, m) for m in lengths]
+            start[bad][-1] = np.inf
+            grad = [rng.uniform(-1.0, 1.0, m) for m in lengths]
+            flat_start, flat_grad = np.concatenate(start), np.concatenate(grad)
+            eta = rows.spread([0.1] * len(lengths))
+            with np.errstate(invalid="ignore"):
+                found = oracle._projected_step(flat_start, flat_grad, eta, rows)
+                for row, (lo, hi) in enumerate(zip(rows.starts, rows.ends)):
+                    expected = _projected_step(start[row], grad[row], 0.1)
+                    assert found[lo:hi].tobytes() == expected.tobytes()
+            assert np.isnan(found[rows.starts[bad] : rows.ends[bad]]).all()
+
+
+def test_lockstep_row_failing_first_does_not_hold_back_the_others():
+    # An infinite score makes the first row's step NaN at iteration 1; the
+    # row beside it converges at that same iteration, as it does alone.
+    reg = RegularizerSpec.shannon(1.0)
+    with np.errstate(invalid="ignore"):
+        failed, alone = oracle._descend(np.array([[np.inf], [0.5]]), [reg, reg], None)
+    assert str(failed) == "objective became NaN during descent"
+    _assert_same_as_reference(alone, _reference_minimize(Scores([0.5]), reg))
+    assert alone.iterations == 1 and alone.converged
+
+
 def test_lockstep_step_size_below_the_floor_stops_at_once():
     scores = np.array([[0.3, -0.2], [1.0, 0.0]])
     reg = RegularizerSpec.shannon(1.0)
@@ -730,7 +785,7 @@ def test_grid_cache_makes_room_before_building(monkeypatch):
 
 # ------------------------------------- many instances (one descent per group)
 #
-# ``oracle._minimize_many`` groups (scores, regularizer) pairs by m, kind and
+# ``oracle._minimize_many`` groups (scores, regularizer) pairs by kind and
 # alpha and runs each group as one lock-step descent, every row under its own
 # parameters; each outcome must be the one ``minimize_on_simplex`` gives the
 # pair alone.
@@ -770,18 +825,18 @@ def test_many_pairs_are_bit_identical_to_one_solve_each():
     pairs = _many_pairs()
     groups = {}
     for s, reg in pairs:
-        groups.setdefault((len(s), reg.kind, reg.alpha), []).append(reg)
+        groups.setdefault((reg.kind, reg.alpha), []).append(reg)
     # Groups hold several rows, with parameters of their own.
     assert max(map(len, groups.values())) >= 8
     for kind, field in ((SHANNON, "temperature"), (ALIBI, "gamma"), (ALIBI, "query_position")):
         assert any(
             len({getattr(reg, field) for reg in regs}) > 1
-            for (m, group_kind, _), regs in groups.items()
+            for (group_kind, _), regs in groups.items()
             if group_kind == kind
         ), (kind, field)
     assert any(
         len({reg.prior.weights.tobytes() for reg in regs}) > 1
-        for (_, group_kind, _), regs in groups.items()
+        for (group_kind, _), regs in groups.items()
         if group_kind == KL_PRIOR
     )
     configs = (
@@ -819,6 +874,95 @@ def test_many_pairs_are_bit_identical_to_one_solve_each():
     # The underflowed weight stays exactly zero in the batch, as alone.
     for outcome in oracle._minimize_many(pairs[-3:]):
         assert outcome.converged and outcome.distribution.weights[1] == 0.0
+
+
+# ``_minimize_many`` runs each (kind, alpha) group as one descent over rows
+# of every length; each row must still follow the reference loop run on it
+# alone.
+
+
+def _mixed_length_pairs():
+    """Seeded pairs of every kind at m 1..20, tsallis at three alphas, in
+    input order that mixes short and long rows; then rows with an entry far
+    below the rest, whose weight underflows to exactly zero, at m = 3 and
+    m = 12."""
+    rng = np.random.default_rng(20261021)
+    pairs = []
+    for index in range(60):
+        kind = REGULARIZER_KINDS[index % len(REGULARIZER_KINDS)]
+        m = int(rng.integers(1, 21))
+        if kind == TSALLIS:
+            reg = RegularizerSpec.tsallis(float(rng.choice([1.5, 2.0, 3.0])))
+        else:
+            reg = _random_regularizer(rng, kind, m)
+        pairs.append((Scores(rng.uniform(-5.0, 5.0, m)), reg))
+    for values in ([0.0, -800.0, 3.0], [1.0] * 5 + [-800.0] + [2.0] * 6):
+        m = len(values)
+        prior = np.linspace(1.0, 2.0, m)
+        for reg in (
+            RegularizerSpec.shannon(0.25),
+            RegularizerSpec.kl_prior(prior / prior.sum(), 0.25),
+            RegularizerSpec.alibi(0.5, 1, 0.25),
+        ):
+            pairs.append((Scores(values), reg))
+    return pairs
+
+
+def test_mixed_length_rows_are_bit_identical_to_the_reference_loop(monkeypatch):
+    pairs = _mixed_length_pairs()
+    calls = []
+    descend = oracle._descend
+
+    def recording_descend(scores, regs, cfg):
+        calls.append(({(reg.kind, reg.alpha) for reg in regs}, sorted(map(len, scores))))
+        return descend(scores, regs, cfg)
+
+    monkeypatch.setattr(oracle, "_descend", recording_descend)
+    groups = {(reg.kind, reg.alpha) for _, reg in pairs}
+    configs = (
+        None,
+        SolverConfig(method=EXPONENTIATED_GRADIENT, max_iterations=300),
+        SolverConfig(method=PROJECTED_GRADIENT, max_iterations=300),
+    )
+    seen = {"reference": 0, "nonconverged": 0, "underflow": 0, "failed": 0}
+    for cfg in configs:
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcomes = oracle._minimize_many(pairs, cfg)
+        # One descent per (kind, alpha), each over rows of several lengths,
+        # long ones among short ones.
+        assert sorted(key for keys, _ in calls for key in keys) == sorted(groups)
+        assert all(len(keys) == 1 for keys, _ in calls)
+        assert sum(lengths[0] <= 3 and lengths[-1] >= 8 for _, lengths in calls) >= 4
+        assert min(lengths[0] for _, lengths in calls) == 1
+        assert max(lengths[-1] for _, lengths in calls) == 20
+        for (s, reg), outcome in zip(pairs, outcomes):
+            method = (cfg or default_config(reg)).method
+            try:
+                with np.errstate(all="ignore"):
+                    reference = _reference_minimize(s, reg, cfg)
+            except NumericalFailure:
+                # The reference loop cannot finish: projected gradient on an
+                # entropic kind at the boundary fails here too; exponentiated
+                # gradient keeps an underflowed weight at exactly zero.
+                alone = _outcome_alone(s, reg, cfg)
+                if method == PROJECTED_GRADIENT:
+                    assert isinstance(outcome, NumericalFailure)
+                    assert str(outcome) == str(alone)
+                    seen["failed"] += 1
+                    continue
+                weights = outcome.distribution.weights
+                assert weights.tobytes() == alone.distribution.weights.tobytes()
+                assert _hex_trace(outcome.objective_trace) == _hex_trace(alone.objective_trace)
+                assert outcome.iterations == alone.iterations
+                assert weights[np.argmin(s.values)] == 0.0
+                seen["underflow"] += 1
+                continue
+            _assert_same_as_reference(outcome, reference)
+            seen["reference"] += 1
+            seen["nonconverged"] += not outcome.converged
+    assert all(count > 0 for count in seen.values()), seen
 
 
 def test_many_pairs_edge_cases():

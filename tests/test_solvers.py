@@ -716,7 +716,7 @@ def test_solve_outputs_are_read_only(m):
 
 # Peak traced allocation of one solve at m = 1e6, in rows of 8 MB: the
 # result row, its working rows, and the boolean masks of the checks.
-PEAK_ROWS = {"shannon": 1.25, "l2": 4.25, "tsallis": 4.0, "alibi": 2.25, "kl_prior": 2.25}
+PEAK_ROWS = {"shannon": 1.25, "l2": 3.25, "tsallis": 4.0, "alibi": 2.25, "kl_prior": 2.25}
 
 
 def test_solve_peak_allocation_at_a_million_keys():

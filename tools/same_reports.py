@@ -88,7 +88,9 @@ def row_digest(s, reg, cfg, outcome):
         digest.update(repr((outcome.objective.hex(), outcome.iterations, outcome.converged, trace)).encode())
     return digest.hexdigest()
 
-# Older trees' _descend takes one regularizer for all rows, newer ones one per row.
+# _descend takes a score matrix and one regularizer for all rows in older
+# trees, a regularizer per row in newer ones, and a list of score rows of
+# mixed length in the newest; each row of S is recorded, whatever its length.
 recorded = []
 descend = oracle._descend
 def recording_descend(S, reg, cfg):
