@@ -509,10 +509,8 @@ def _descend(
             # rounding unit of its best value, and keeps its best value.
             rejected = [
                 p
-                for p in itertools.compress(
-                    itertools.count(), map(operator.not_, map(operator.lt, values, best))
-                )
-                if not values[p] <= _acceptance_limit(best[p])
+                for p, (value, previous) in enumerate(zip(values, best))
+                if not value < previous and not value <= _acceptance_limit(previous)
             ]
             if rejected:
                 new_logs = retry(rejected, values, new_w, new_logs, base, g, ended)

@@ -823,22 +823,25 @@ def _outcome_alone(s, reg, cfg):
 
 def test_many_pairs_are_bit_identical_to_one_solve_each():
     pairs = _many_pairs()
-    groups = {}
-    for s, reg in pairs:
-        groups.setdefault((reg.kind, reg.alpha), []).append(reg)
-    # Groups hold several rows, with parameters of their own.
-    assert max(map(len, groups.values())) >= 8
-    for kind, field in ((SHANNON, "temperature"), (ALIBI, "gamma"), (ALIBI, "query_position")):
+    # The rows of one descent, (kind, alpha), and the rows of one length
+    # within it, (m, kind, alpha), which share a (rows, m) block: both hold
+    # several rows, with parameters of their own.
+    for key in (lambda s, reg: (reg.kind, reg.alpha), lambda s, reg: (len(s), reg.kind, reg.alpha)):
+        groups = {}
+        for s, reg in pairs:
+            groups.setdefault(key(s, reg), []).append(reg)
+        assert max(map(len, groups.values())) >= 8
+        for kind, field in ((SHANNON, "temperature"), (ALIBI, "gamma"), (ALIBI, "query_position")):
+            assert any(
+                len({getattr(reg, field) for reg in regs}) > 1
+                for regs in groups.values()
+                if regs[0].kind == kind
+            ), (kind, field)
         assert any(
-            len({getattr(reg, field) for reg in regs}) > 1
-            for (group_kind, _), regs in groups.items()
-            if group_kind == kind
-        ), (kind, field)
-    assert any(
-        len({reg.prior.weights.tobytes() for reg in regs}) > 1
-        for (group_kind, _), regs in groups.items()
-        if group_kind == KL_PRIOR
-    )
+            len({reg.prior.weights.tobytes() for reg in regs}) > 1
+            for regs in groups.values()
+            if regs[0].kind == KL_PRIOR
+        )
     configs = (
         None,
         # A capped budget leaves rows unconverged.
