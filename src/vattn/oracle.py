@@ -641,6 +641,8 @@ def grid_search_simplex(s: Scores, reg: RegularizerSpec, resolution: int) -> Ora
     if not isinstance(resolution, (int, np.integer)) or resolution < 100:
         raise ValueError("resolution must be an integer >= 100")
     resolution = int(resolution)
+    if reg.prior is not None:  # before the grid is dropped or built
+        _check_lengths(reg.prior, s, "prior", "scores")
     global _last_grid
     key = (m, resolution)
     kept = _last_grid

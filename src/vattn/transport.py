@@ -90,10 +90,12 @@ def attention_matrix(batch: QueryKeyBatch, temperature: float) -> TransportPlan:
     scores = _frozen(_Adopt(_similarities(batch)), "scores", 2)
     top, bottom = scores.max(axis=1, keepdims=True), scores.min(axis=1, keepdims=True)
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing rows: NaN, redone below
-        plain = np.isfinite(bottom / t - top / t)[:, 0]
-        weights = solvers._softmax_rows(scores, t, top, True)
+        low = bottom / t - top / t
+        plain = np.isfinite(low)[:, 0]
+        cut = not float(low.min()) > solvers._EXP_CUT  # NaN: a guarded row, cut
+        weights = solvers._softmax_rows(scores, t, top, True, cut)
     if not plain.all():
-        weights[~plain] = solvers._softmax_rows(scores[~plain], t, top[~plain], False)
+        weights[~plain] = solvers._softmax_rows(scores[~plain], t, top[~plain], False, True)
     return TransportPlan(_Adopt(weights))
 
 

@@ -176,6 +176,23 @@ def test_grid_resolution_is_an_integer_checked_before_the_search(monkeypatch):
         assert oracle._last_grid[0] == (2, 150) and type(oracle._last_grid[0][1]) is int
 
 
+def test_grid_checks_the_prior_length_before_touching_the_grid(monkeypatch):
+    # A mismatched prior is rejected before the kept grid is dropped or a
+    # new one built.
+    s2 = Scores([1.0, 2.0])
+    grid_search_simplex(s2, RegularizerSpec.l2(), 150)
+    kept = oracle._last_grid
+
+    def no_build(m, resolution):
+        raise AssertionError("a mismatched prior must not reach the grid build")
+
+    monkeypatch.setattr(oracle, "_build_grid", no_build)
+    prior = SimplexDistribution([0.5, 0.5])
+    with pytest.raises(ValueError, match="length mismatch: prior 2 vs scores 3"):
+        grid_search_simplex(Scores([1.0, 2.0, 0.5]), RegularizerSpec.kl_prior(prior, 1.0), 2000)
+    assert oracle._last_grid is kept
+
+
 def test_grid_softmax_m2():
     s = Scores([np.log(2), 0.0])
     found = grid_search_simplex(s, RegularizerSpec.shannon(1.0), 10**6)

@@ -14,6 +14,7 @@ from test_solvers import _reference_entmax
 from vattn import (
     NumericalFailure,
     QueryKeyBatch,
+    RegularizerSpec,
     Scores,
     SimplexDistribution,
     alibi_softmax,
@@ -25,7 +26,7 @@ from vattn import (
     softmax,
     sparsemax,
 )
-from vattn.core import SIMPLEX_SUM_ATOL
+from vattn.core import SIMPLEX_SUM_ATOL, key_distances, objective_value
 from vattn.solvers import ENTMAX_MASS_ATOL
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -202,3 +203,125 @@ def test_prior_softmax_solves_every_row(m, scale_exponent, tied, seed, tau_expon
             return
         result = prior_softmax(s, prior, t)
     _assert_simplex(result, m)
+
+
+# The softmax family as it was before entries below exp's underflow cut
+# were skipped: every shifted entry exponentiated.  Every entry point
+# must keep these bits.
+def _guarded_gap(v, top, t):
+    with np.errstate(over="ignore"):
+        return 2.0 * ((0.5 * v - 0.5 * top) / t)
+
+
+def _reference_rows(v, t, top, plain):
+    if plain:
+        e = v / t
+        e -= top / t
+    else:
+        e = _guarded_gap(v, top, t)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def _reference_softmax(v, t):
+    top, bottom = float(v.max()), float(v.min())
+    if math.isfinite((bottom - top) / t):
+        gap = v - top
+        gap /= t
+    else:
+        gap = _guarded_gap(v, top, t)
+    potential = top + t * float(np.log(np.exp(gap, out=gap).sum()))
+    return _reference_rows(v, t, top, math.isfinite(bottom / t - top / t)), potential
+
+
+def _reference_attention(scores, t):
+    top, bottom = scores.max(axis=1, keepdims=True), scores.min(axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        plain = np.isfinite(bottom / t - top / t)[:, 0]
+        weights = _reference_rows(scores, t, top, True)
+    if not plain.all():
+        weights[~plain] = _reference_rows(scores[~plain], t, top[~plain], False)
+    return weights
+
+
+# Shifted quotients by class: ordinary, subnormal exp (-745.2, -708),
+# at or just around the cut -746, and far below it.
+GAPS = ((-30.0, 0.0), (-745.2, -708.0), (-746.5, -745.5), (-1e6, -746.0))
+
+
+def _gapped_row(rng, m, weights, t, guarded):
+    # A top score of 0 and entries at the drawn gaps below it, times tau;
+    # a guarded row is scaled so that its quotients or its spread overflow.
+    kinds = rng.choice(len(GAPS), m, p=np.asarray(weights) / sum(weights))
+    low, high = np.array(GAPS).T
+    x = rng.uniform(low[kinds], high[kinds]) * t
+    x[rng.random(m) < 0.05] = -746.0 * t
+    x[rng.integers(m)] = 0.0
+    if guarded:
+        x = x / np.abs(x).max() * 1.5e308 if np.abs(x).max() > 0.0 else x + 1e308
+        x[rng.integers(m)] = 1e308
+    return x + rng.choice([0.0, 1.0, -1e3])
+
+
+@hypothesis.settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@hypothesis.given(
+    m=st.one_of(st.integers(1, 64), st.sampled_from([1000, 2049])),
+    weights=st.lists(st.integers(0, 4), min_size=4, max_size=4).filter(any),
+    tau_exponent=st.one_of(st.sampled_from([-300.0, -8.0, 0.0]), st.floats(-3.0, 3.0)),
+    guarded=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_softmax_family_keeps_its_bits_past_the_exp_cut(
+    m, weights, tau_exponent, guarded, seed
+):
+    rng = np.random.default_rng(seed)
+    t = 10.0**tau_exponent
+    x = _gapped_row(rng, m, weights, t, guarded)
+    s = Scores(x)
+    position, gamma = int(rng.integers(1, m + 1)), float(10.0 ** rng.uniform(-3.0, 3.0))
+    penalized = x - gamma * key_distances(position, m)
+    # Prior entries of 1e-300 lower their shifted quotients by 690.8.
+    prior = rng.dirichlet(np.ones(m))
+    prior[rng.random(m) < 0.3] = 1e-300
+    prior = SimplexDistribution(prior / prior.sum())
+    effective = np.log(prior.weights) * t + x
+    n = int(rng.integers(1, 9))
+    rows = [_gapped_row(rng, m, weights, t, guarded and k % 2) for k in range(1, n)]
+    queries = np.vstack([x] + rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = softmax(s, t)
+        value, primal = lse(s, t), primal_value(s, t)
+        alibi = alibi_softmax(s, position, gamma, t).distribution.weights
+        posterior = prior_softmax(s, prior, t).distribution.weights
+        plan = attention_matrix(QueryKeyBatch(queries, np.eye(m)), t).entries
+        expected, potential = _reference_softmax(x, t)
+        expected_primal = objective_value(
+            SimplexDistribution(expected), s, RegularizerSpec.shannon(t)
+        )
+        expected_plan = _reference_attention(queries @ np.eye(m), t)
+    assert result.distribution.weights.tobytes() == expected.tobytes()
+    assert result.potential.hex() == value.hex() == potential.hex()
+    assert primal.hex() == expected_primal.hex()
+    assert alibi.tobytes() == _reference_softmax(penalized, t)[0].tobytes()
+    assert posterior.tobytes() == _reference_softmax(effective, t)[0].tobytes()
+    assert plan.tobytes() == expected_plan.tobytes()
+
+
+@pytest.mark.parametrize("length", range(1, 70))
+def test_exp_is_positive_zero_at_and_below_the_cut(length):
+    # The exp cut rests on this: every x <= -746 has exp(x) = +0.0, in
+    # numpy's vector body and its tails, at any alignment.
+    rng = np.random.default_rng(length)
+    x = -746.0 - np.abs(rng.standard_cauchy(length)) * 10.0 ** rng.uniform(0.0, 300.0, length)
+    x[rng.random(length) < 0.3] = -746.0
+    x[rng.random(length) < 0.1] = -np.inf
+    buffer = np.empty(length + 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for offset in range(8):
+            view = buffer[offset : offset + length]
+            view[:] = x
+            assert np.exp(view).tobytes() == bytes(8 * length)
+            assert np.exp(view, out=view).tobytes() == bytes(8 * length)

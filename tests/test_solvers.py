@@ -22,7 +22,13 @@ from vattn import (
     sparsemax,
 )
 from vattn.core import _check_alpha, objective_rows, objective_value
-from vattn.solvers import ENTMAX_MASS_ATOL, ENTMAX_MAX_BISECTIONS, SolveResult, _result
+from vattn.solvers import (
+    ENTMAX_MASS_ATOL,
+    ENTMAX_MAX_BISECTIONS,
+    SolveResult,
+    _SPARSEMAX_CANDIDATE_MIN_KEYS,
+    _result,
+)
 
 
 def _sup(a, b):
@@ -138,6 +144,91 @@ def test_sparsemax_large_offset_scores():
     r = sparsemax(Scores(np.array([0.5, 0.2, -1.0]) + 1e9))
     assert _sup(r.distribution.weights, [0.65, 0.35, 0.0]) < 1e-6
     assert abs(r.distribution.weights.sum() - 1.0) < 1e-12
+
+
+# The sort-and-threshold over the whole sorted row, kept verbatim from
+# before sparsemax sorted only its candidates: sparsemax must keep its bits.
+def _reference_sparsemax(s: Scores) -> np.ndarray:
+    u = np.sort(s.values)[::-1]
+    top = float(u[0])
+    finite = math.isfinite((top - float(u[-1])) * u.size)
+
+    def clipped(x):
+        return 2.0 * np.maximum(0.5 * x - 0.5 * top, -1.0)
+
+    if finite:
+        u -= top
+    else:
+        u = clipped(u)
+    cssv = np.cumsum(u)
+    u *= np.arange(1, u.size + 1)
+    u += 1.0
+    rho = int(np.count_nonzero(u > cssv))
+    theta = (cssv[rho - 1] - 1.0) / rho
+    v = s.values - top if finite else clipped(s.values)
+    v -= theta
+    return np.maximum(v, 0.0, out=v)
+
+
+def _sparsemax_rows(m, rng):
+    """(name, row, whether the candidate filter must shrink the sort)."""
+    x = rng.uniform(-5.0, 5.0, m)
+    yield "uniform", x, True
+    yield "tied", np.round(x), True
+    yield "tied eighths", np.round(x * 8.0) / 8.0, True
+    dominant = x.copy()
+    dominant[rng.integers(m)] += 50.0
+    yield "dominant", dominant, True
+    yield "offset 1e6", x + 1e6, True
+    yield "offset 1e15", x * 1e3 + 1e15, True
+    # One top score, then tied blocks just inside 1 below it (in the
+    # support, with tiny weights), at 1 below it, and on and past the
+    # candidate margin 1 + delta below it.
+    delta = (m * m + 2 * m + 2) * np.finfo(float).eps * 10.0
+    margin = rng.uniform(-5.0, 2.0, m)
+    edges = [3.0 + 2.0**-20, 3.0, 3.0 - 0.5 * delta, 3.0 - delta, 3.0 - 2.0 * delta]
+    margin[: 5 * (m // 16)] = np.repeat(edges, m // 16)
+    margin[-1] = 4.0
+    yield "margin ties", margin, True
+    yield "all candidates", rng.uniform(-0.4, 0.4, m), False
+    # Spreads far below 1 leave every entry a candidate; far above 1 the
+    # margin delta, which grows with the spread, can take most of them.
+    for exponent in (-8.0, -3.0, 2.0, 8.0, 100.0, 300.0):
+        filtered = {-8.0: False, -3.0: False, 2.0: True}.get(exponent)
+        yield f"spread 1e{exponent:g}", x * 10.0**exponent, filtered
+    # The largest spread whose m-fold product stays finite, and past it
+    # the clipped path, which sorts every entry.
+    limit = np.finfo(float).max / (2.0 * m)
+    yield "finite limit", np.clip(x * 0.2 * limit, -0.5 * limit, 0.5 * limit), None
+    yield "clipped", x * 1e307, False
+
+
+@pytest.mark.parametrize(
+    "m", [_SPARSEMAX_CANDIDATE_MIN_KEYS + k for k in (-1, 0, 1)] + [4096, 2 * 10**5]
+)
+def test_sparsemax_candidates_keep_the_full_sorts_bits(monkeypatch, m):
+    rng = np.random.default_rng(m)
+    sizes = []
+    sort = np.sort
+
+    def recording_sort(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return sort(a, *args, **kwargs)
+
+    for name, x, filtered in _sparsemax_rows(m, rng):
+        s = Scores(x)
+        sizes.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            monkeypatch.setattr(np, "sort", recording_sort)
+            w = sparsemax(s).distribution.weights
+            monkeypatch.undo()
+            expected = _reference_sparsemax(s)
+        assert w.tobytes() == expected.tobytes(), name
+        if m < _SPARSEMAX_CANDIDATE_MIN_KEYS or filtered is False:
+            assert sizes == [m], name
+        elif filtered:
+            assert sizes and sizes[0] < m // 2, name
 
 
 # ----------------------------------------------------------------- entmax
@@ -716,7 +807,7 @@ def test_solve_outputs_are_read_only(m):
 
 # Peak traced allocation of one solve at m = 1e6, in rows of 8 MB: the
 # result row, its working rows, and the boolean masks of the checks.
-PEAK_ROWS = {"shannon": 1.25, "l2": 3.25, "tsallis": 4.0, "alibi": 2.25, "kl_prior": 2.25}
+PEAK_ROWS = {"shannon": 1.25, "l2": 1.5, "tsallis": 4.0, "alibi": 2.25, "kl_prior": 2.25}
 
 
 def test_solve_peak_allocation_at_a_million_keys():

@@ -26,7 +26,11 @@ result's potential (as ``float.hex``) and support size: every kind at m=16
 and m=1000, tsallis at nine alphas from 1.0001 to 10 (10 enters entmax's
 stiff corner), and one 1e6-key row per kind; and tsallis at alphas 1.5, 2
 and 3 on tied rows and on rows with one dominant score (entmax's root at y
-= 0), at m=16 and m=1000.  It hashes the grid searches of a seeded list,
+= 0), at m=16 and m=1000; the softmax family where most shifted logits
+underflow (alibi at m=1e4 and 1e5 with the query at either end, softmax
+at tau 1e-3 on a 1e5-key row, kl_prior with prior entries down to
+1e-320); and sparsemax, tied and untied, at m=1023, 1024 (its candidate
+threshold) and 1e5.  It hashes the grid searches of a seeded list,
 each searched twice in a row: m from 1 to 3, every kind (tsallis at alphas
 1.5, 2 and 3), at resolutions 100, 2000 and, for m <= 2, 1e6.  It hashes
 the output bytes (or the error) of ``advantage_gradient``,
@@ -204,6 +208,43 @@ for m, rows in ((16, 40), (1000, 4)):
                     digest.update(repr(error).encode())
         for alpha, digest in digests.items():
             print(json.dumps([f"solve tsallis {alpha} {shape} m={m}", digest.hexdigest()]), flush=True)
+
+# The softmax family where most shifted logits fall below exp's underflow
+# cut, and sparsemax on both sides of its candidate threshold (1024 keys).
+def solve_bytes(result):
+    potential = None if result.potential is None else result.potential.hex()
+    return result.distribution.weights.tobytes() + repr((potential, result.support_size)).encode()
+
+cases = []
+for m in (10**4, 10**5):
+    x = np.random.default_rng([m, 8]).uniform(-5.0, 5.0, m)
+    for position in (1, m):
+        for gamma, t in ((0.3, 1.0), (2.0, 0.5)):
+            label = f"alibi m={m} query {position} gamma {gamma} t={t}"
+            cases.append((label, x, RegularizerSpec.alibi(gamma, position, t)))
+x = np.random.default_rng([10**5, 9]).uniform(-5.0, 5.0, 10**5)
+cases.append(("shannon m=100000 t=0.001", x, RegularizerSpec.shannon(1e-3)))
+for m in (16, 1000, 10**5):
+    rng = np.random.default_rng([m, 10])
+    prior = rng.dirichlet(np.ones(m))
+    tiny = rng.random(m) < 0.3
+    prior[tiny] = 10.0 ** -rng.uniform(290.0, 320.0, int(tiny.sum()))
+    prior = SimplexDistribution(prior / prior.sum())
+    x = rng.uniform(-5.0, 5.0, m)
+    for t in (0.1, 1.0):
+        cases.append((f"kl_prior tiny prior m={m} t={t}", x, RegularizerSpec.kl_prior(prior, t)))
+for m in (1023, 1024, 10**5):
+    rng = np.random.default_rng([m, 11])
+    x = rng.uniform(-5.0, 5.0, m)
+    rows = {"uniform": x, "tied": np.round(x * 4.0) / 4.0, "tied integers": np.round(x)}
+    for name, row in rows.items():
+        cases.append((f"l2 {name} m={m}", row, RegularizerSpec.l2()))
+for label, x, reg in cases:
+    try:
+        out = hashlib.sha256(solve_bytes(solvers.solve(Scores(x), reg))).hexdigest()
+    except (NumericalFailure, ValueError) as error:
+        out = repr(error)
+    print(json.dumps([f"solve {label}", out]), flush=True)
 
 # The gradient and transport outputs on a fixed seeded list: 40 rows at
 # m=16, every fourth at scale 1000, where softmax weights can underflow to
