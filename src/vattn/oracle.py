@@ -581,23 +581,24 @@ def _minimize_many(
 
 def _barycentric_grid(m: int, resolution: int) -> np.ndarray:
     """Every point of the simplex in R^m (m <= 3) whose coordinates are
-    multiples of 1/resolution, one per row."""
+    multiples of 1/resolution, one per row, ordered by the first
+    coordinate's numerator, then the second's."""
     if m == 1:
         return np.ones((1, 1))
+    steps = np.arange(resolution + 1) / resolution  # steps[k] = k / resolution
     if m == 2:
-        i = np.arange(resolution + 1, dtype=np.float64)
-        return np.column_stack([i, resolution - i]) / resolution
-    # Integer-valued doubles are exact here, so filling the columns in place
-    # gives the same bits as building them from integers.
-    counts = np.arange(resolution + 1, 0, -1)
-    i = np.repeat(np.arange(resolution + 1, dtype=np.float64), counts)
-    j = np.arange(i.size, dtype=np.float64)
-    j -= np.repeat((np.cumsum(counts) - counts).astype(np.float64), counts)
-    grid = np.empty((i.size, 3))
-    grid[:, 0] = i
-    grid[:, 1] = j
-    np.subtract(resolution - i, j, out=grid[:, 2])
-    grid /= resolution
+        return np.column_stack([steps, steps[::-1]])
+    # One block of rows per first coordinate i / resolution, filled from
+    # the cached steps rather than through grid-sized temporaries.
+    grid = np.empty(((resolution + 1) * (resolution + 2) // 2, 3))
+    start = 0
+    for i in range(resolution + 1):
+        size = resolution + 1 - i
+        block = grid[start : start + size]
+        block[:, 0] = steps[i]
+        block[:, 1] = steps[:size]
+        block[:, 2] = steps[size - 1 :: -1]
+        start += size
     return grid
 
 
@@ -609,9 +610,21 @@ class _Grid(NamedTuple):
     xlogx: np.ndarray
 
 
+# Grids are built and searched in chunks of rows (384 KB of m=3 points), so
+# temporaries stay in the L2 cache.  Chunks start on multiples of any vector
+# or block width, so every row keeps the bits of a whole-grid evaluation.
+_GRID_CHUNK_ROWS = 2**14
+
+
+def _grid_chunks(rows: int):
+    return (slice(start, start + _GRID_CHUNK_ROWS) for start in range(0, rows, _GRID_CHUNK_ROWS))
+
+
 def _build_grid(m: int, resolution: int) -> _Grid:
     points = _barycentric_grid(m, resolution)
-    xlogx = _xlogx_rows(points)
+    xlogx = np.empty(points.shape[0])
+    for chunk in _grid_chunks(points.shape[0]):
+        xlogx[chunk] = _xlogx_rows(points[chunk])
     points.flags.writeable = False
     xlogx.flags.writeable = False
     return _Grid(points, xlogx)
@@ -621,7 +634,8 @@ def _build_grid(m: int, resolution: int) -> _Grid:
 # takes at most _GRID_KEEP_BYTES with its entropy terms.  The tuple is read
 # and written whole, so concurrent searches need no lock.  The suites
 # search m=2 at resolution 1e6 (24 MB), m=3 at 2000 (64 MB) and m=2 at 2000,
-# each size's searches in a row.
+# each size's searches in a row.  Only the kept grid is grid-sized: a
+# search's own temporaries are one chunk's.
 _GRID_KEEP_BYTES = 64 * 2**20
 _last_grid: tuple[tuple[int, int], _Grid] | None = None
 
@@ -653,11 +667,17 @@ def grid_search_simplex(s: Scores, reg: RegularizerSpec, resolution: int) -> Ora
         grid = _build_grid(m, resolution)
         if grid.points.nbytes + grid.xlogx.nbytes <= _GRID_KEEP_BYTES:
             _last_grid = key, grid
-    objectives = objective_rows(grid.points, s, reg, xlogx=grid.xlogx)
-    best = int(np.argmin(objectives))
+    # The first minimum (or NaN) of each chunk, then the first among them:
+    # np.argmin's pick on the whole array.
+    picks = []
+    for chunk in _grid_chunks(grid.points.shape[0]):
+        objectives = objective_rows(grid.points[chunk], s, reg, xlogx=grid.xlogx[chunk])
+        best = int(np.argmin(objectives))
+        picks.append((objectives[best], chunk.start + best))
+    value, best = picks[int(np.argmin([value for value, _ in picks]))]
     return OracleResult(
         SimplexDistribution(grid.points[best]),
-        float(objectives[best]),
+        float(value),
         iterations=grid.points.shape[0],
         converged=True,
     )

@@ -256,8 +256,8 @@ def entmax(s: Scores, alpha: float) -> SolveResult:
     # The threshold search is shift-equivariant.  A gap or slope past
     # -DBL_MAX is -inf, and its entry's weight exactly 0.
     with np.errstate(over="ignore"):
-        v = s.values - s.values.max()
-        slope = a1 * v
+        slope = s.values - s.values.max()
+        slope *= a1
     total = np.add.reduce
 
     def weights_at(y: float) -> np.ndarray:
@@ -380,6 +380,7 @@ def entmax(s: Scores, alpha: float) -> SolveResult:
         upper = weights_at(hi)
         stiff = int(np.argmin(np.where(upper > 0.0, upper, np.inf)))
         with np.errstate(over="ignore"):
+            v = s.values - s.values.max()
             base = a1 * (v - v[stiff])
 
         def weights_at_g(g: float) -> np.ndarray:

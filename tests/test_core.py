@@ -12,6 +12,7 @@ from vattn import (
     kl_divergence,
     objective_value,
     shannon_entropy,
+    softmax,
 )
 from vattn.core import objective_rows, regularizer_value
 
@@ -236,6 +237,36 @@ def test_objective_rows_matches_scalar_path():
         for row, expected in zip(candidates, batch):
             got = objective_value(SimplexDistribution(row), s, reg)
             assert abs(got - expected) < 1e-12
+
+
+def test_tsallis_objective_near_alpha_one_is_the_shannon_limit():
+    # p^a - p cancels near a = 1 (relative error ~1e-16 / (a - 1)); the
+    # penalty there is summed from p expm1((a - 1) log p).
+    rng = np.random.default_rng(12)
+    s = Scores(rng.uniform(-1.0, 1.0, 16))
+    head = softmax(Scores(s.values[:15]), 1.0).distribution.weights
+    p = SimplexDistribution(np.append(head, 0.0))  # with an exact zero
+    limit = objective_value(p, s, RegularizerSpec.shannon(1.0))
+    assert abs(objective_value(p, s, RegularizerSpec.tsallis(1.0 + 1e-12)) - limit) <= 1e-10
+    assert abs(objective_value(p, s, RegularizerSpec.tsallis(1.0 + 1e-9)) - limit) <= 1e-8
+
+
+def test_tsallis_objective_keeps_its_bits_from_alpha_1_1():
+    rng = np.random.default_rng(13)
+    for m in (1, 2, 3, 16):
+        s = Scores(rng.uniform(-5.0, 5.0, m))
+        rows = rng.dirichlet(np.ones(m), size=5)
+        rows[0] = np.eye(m)[0]
+        for alpha in (1.1, 1.5, 2.0, 3.0):
+            old = np.sum(rows**alpha - rows, axis=1) / (alpha * (alpha - 1.0)) - rows @ s.values
+            batch = objective_rows(rows, s, RegularizerSpec.tsallis(alpha))
+            for row, expected, value in zip(rows, old, batch):
+                p = SimplexDistribution(row)
+                single = objective_value(p, s, RegularizerSpec.tsallis(alpha))
+                assert single == float(-np.dot(row, s.values)) + float(
+                    np.sum(row**alpha - row) / (alpha * (alpha - 1.0))
+                )
+                assert value.hex() == expected.hex()
 
 
 def test_regularizer_value_alibi_penalty_term():

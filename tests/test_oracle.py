@@ -4,6 +4,7 @@ import dataclasses
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 import weakref
 
@@ -225,6 +226,31 @@ def test_grid_can_never_beat_the_closed_form():
             found = grid_search_simplex(s, reg, 2000)
             best = objective_value(solve(s, reg).distribution, s, reg)
             assert best <= found.objective + 1e-12
+
+
+def test_grid_search_peak_allocation_on_the_kept_grid():
+    # The search works through the kept 2,003,001-point grid in chunks, so
+    # its temporaries are one chunk's, not grid-sized.
+    s = Scores([0.3, -1.2, 2.0])
+    grid_search_simplex(s, RegularizerSpec.l2(), 2000)
+    regs = [
+        RegularizerSpec.shannon(0.7),
+        RegularizerSpec.l2(),
+        *(RegularizerSpec.tsallis(alpha) for alpha in (1.05, 1.5, 2.0, 3.0)),
+        RegularizerSpec.alibi(0.3, 2, 0.7),
+        RegularizerSpec.kl_prior([0.2, 0.3, 0.5], 0.7),
+    ]
+    peaks = {}
+    for reg in regs:
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            grid_search_simplex(s, reg, 2000)
+            peaks[reg.kind, reg.alpha] = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+    assert oracle._last_grid[0] == (3, 2000)
+    assert all(peak <= 2e6 for peak in peaks.values()), peaks
 
 
 # ------------------------------------------------------- fenchel conjugate

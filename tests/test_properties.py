@@ -4,6 +4,7 @@ Each case must solve: a simplex output, no warning, and no
 ``NumericalFailure`` partway through.
 """
 
+import functools
 import math
 import warnings
 
@@ -20,13 +21,15 @@ from vattn import (
     alibi_softmax,
     attention_matrix,
     entmax,
+    grid_search_simplex,
     lse,
     primal_value,
     prior_softmax,
     softmax,
     sparsemax,
 )
-from vattn.core import SIMPLEX_SUM_ATOL, key_distances, objective_value
+from vattn import oracle
+from vattn.core import SIMPLEX_SUM_ATOL, _row_sums, key_distances, objective_rows, objective_value
 from vattn.solvers import ENTMAX_MASS_ATOL
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -325,3 +328,117 @@ def test_exp_is_positive_zero_at_and_below_the_cut(length):
             view[:] = x
             assert np.exp(view).tobytes() == bytes(8 * length)
             assert np.exp(view, out=view).tobytes() == bytes(8 * length)
+
+
+CHUNK = oracle._GRID_CHUNK_ROWS
+# Signed zeros, subnormals and values near the double range's ends.
+_EDGE_ENTRIES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e308, -1e308, -1.7e308, 1.7e308]
+
+
+@hypothesis.settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@hypothesis.given(
+    rows=st.one_of(st.integers(1, 40), st.sampled_from([CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK])),
+    width=st.integers(1, 3),
+    edge_share=st.sampled_from([0.0, 0.3, 1.0]),
+    layout=st.sampled_from(["C", "F", "strided"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_sums_have_the_bits_of_np_sum(rows, width, edge_share, layout, seed):
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(-1.0, 1.0, (rows, width)) * 10.0 ** rng.uniform(-320.0, 308.0, (rows, width))
+    edge = rng.random((rows, width)) < edge_share
+    q[edge] = rng.choice(_EDGE_ENTRIES, int(edge.sum()))
+    q[rng.random(rows) < 0.1] = -0.0  # these rows sum to +0.0
+    if layout == "F":
+        q = np.asfortranarray(q)
+    elif layout == "strided":
+        q = np.repeat(q, 2, axis=1)[:, ::2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _row_sums(q).tobytes() == np.sum(q, axis=1).tobytes()
+
+
+@functools.cache
+def _reference_grid(m, resolution):
+    # The grid and its entropy terms as one whole-array evaluation builds them.
+    r = resolution
+    if m == 1:
+        points = np.ones((1, 1))
+    elif m == 2:
+        i = np.arange(r + 1, dtype=np.float64)
+        points = np.column_stack([i, r - i]) / r
+    else:
+        counts = np.arange(r + 1, 0, -1)
+        i = np.repeat(np.arange(r + 1, dtype=np.float64), counts)
+        j = np.arange(i.size, dtype=np.float64) - np.repeat(np.cumsum(counts) - counts, counts)
+        points = np.column_stack([i, j, r - i - j]) / r
+    terms = np.where(points > 0.0, points, 1.0)
+    return points, np.sum(np.log(terms) * points, axis=1)
+
+
+# Grids of a chunk's size -1, 0 and +1 points, m=2 grids whose two middle
+# points (tied under equal scores) straddle a chunk boundary, and m=3 grids
+# over one and several chunk boundaries.
+_GRID_SIZES = [(1, 100), (2, 100), (2, CHUNK - 2), (2, CHUNK - 1), (2, CHUNK), (2, 2 * CHUNK - 1)]
+_GRID_SIZES += [(3, 100), (3, 180), (3, 400), (3, 2000)]
+
+
+def _grid_regularizer(choice, m, rng):
+    t = float(10.0 ** rng.uniform(-2.0, 2.0))
+    if choice == "shannon":
+        return RegularizerSpec.shannon(t)
+    if choice == "l2":
+        return RegularizerSpec.l2()
+    if choice.startswith("tsallis"):
+        return RegularizerSpec.tsallis(float(choice.split()[1]))
+    if choice == "alibi":
+        return RegularizerSpec.alibi(float(rng.uniform(0.0, 3.0)), int(rng.integers(1, m + 1)), t)
+    if choice == "overflowing alibi":  # NaN objectives: -inf entropy plus +inf locality
+        return RegularizerSpec.alibi(1.7e308, 1, 1.7e308)
+    return RegularizerSpec.kl_prior(0.9 * rng.dirichlet(np.ones(m)) + 0.1 / m, t)
+
+
+@hypothesis.settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@hypothesis.given(
+    size=st.sampled_from(_GRID_SIZES),
+    kind=st.sampled_from(
+        ["shannon", "l2", "tsallis 1.5", "tsallis 2", "tsallis 3", "tsallis 1.05"]
+        + ["alibi", "overflowing alibi", "kl_prior"]
+    ),
+    scores=st.sampled_from(["uniform", "equal", "large"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grid_search_picks_the_whole_grids_argmin(size, kind, scores, seed):
+    m, resolution = size
+    rng = np.random.default_rng(seed)
+    x = {
+        "uniform": lambda: rng.uniform(-5.0, 5.0, m),
+        "equal": lambda: np.full(m, 2.0 ** int(rng.integers(-3, 4))),
+        "large": lambda: rng.uniform(-1e300, 1e300, m),
+    }[scores]()
+    s, reg = Scores(x), _grid_regularizer(kind, m, rng)
+    points, xlogx = _reference_grid(m, resolution)
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflowing alibi's
+        found = grid_search_simplex(s, reg, resolution)
+        objectives = objective_rows(points, s, reg, xlogx=xlogx)
+    best = int(np.argmin(objectives))
+    kept = oracle._last_grid[1]
+    assert kept.points.tobytes() == points.tobytes()
+    assert kept.xlogx.tobytes() == xlogx.tobytes()
+    assert found.distribution.weights.tobytes() == points[best].tobytes()
+    assert found.objective.hex() == float(objectives[best]).hex()
+    assert found.iterations == len(points)
+
+
+@pytest.mark.parametrize("kind", ["shannon", "l2", "tsallis 1.5", "tsallis 2", "tsallis 3"])
+def test_grid_search_takes_the_first_of_minima_tied_across_a_chunk_boundary(kind):
+    # Under equal scores the two middle points of the m=2 grid, one each
+    # side of the first chunk boundary, have the same objective bits.
+    resolution = 2 * CHUNK - 1
+    s = Scores([1.0, 1.0])
+    reg = _grid_regularizer(kind, 2, np.random.default_rng(0))
+    points, xlogx = _reference_grid(2, resolution)
+    objectives = objective_rows(points, s, reg, xlogx=xlogx)
+    assert objectives[CHUNK - 1] == objectives[CHUNK] == objectives.min()
+    found = grid_search_simplex(s, reg, resolution)
+    assert found.distribution.weights.tobytes() == points[CHUNK - 1].tobytes()

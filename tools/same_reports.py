@@ -32,7 +32,10 @@ at tau 1e-3 on a 1e5-key row, kl_prior with prior entries down to
 1e-320); and sparsemax, tied and untied, at m=1023, 1024 (its candidate
 threshold) and 1e5.  It hashes the grid searches of a seeded list,
 each searched twice in a row: m from 1 to 3, every kind (tsallis at alphas
-1.5, 2 and 3), at resolutions 100, 2000 and, for m <= 2, 1e6.  It hashes
+1.5, 2 and 3), at resolutions 100, 2000 and, for m <= 2, 1e6; and around
+the search's 2^14-row chunks: m=2 grids of 2^14 - 1, 2^14 and 2^14 + 1
+points, an m=3 grid just over one chunk, and equal scores whose tied
+minima straddle a chunk boundary.  It hashes
 the output bytes (or the error) of ``advantage_gradient``,
 ``chain_rule_gradient``, ``softmax_jacobian`` and ``fisher_matrix`` on 40
 seeded rows at m=16, and of ``cost_matrix``, ``attention_matrix`` and
@@ -189,6 +192,21 @@ for m in (1, 2, 3):
                 for _ in range(2):
                     digest.update(search_bytes(grid_search(Scores(x), reg, resolution)))
         print(json.dumps([f"grid searches m={m} resolution={resolution}", digest.hexdigest()]), flush=True)
+
+# Grid searches around the 2^14-row chunks a search evaluates at a time:
+# m=2 grids of 2^14 - 1, 2^14 and 2^14 + 1 points, an m=3 grid just over
+# one chunk (16,471 points), and at m=2, resolution 2^15 - 1, equal scores
+# whose two tied minima straddle the first chunk boundary.  Each case runs
+# on seeded, equal (1.0) and constant (0.3) scores.
+for m, resolution in ((2, 2**14 - 2), (2, 2**14 - 1), (2, 2**14), (2, 2**15 - 1), (3, 180)):
+    digest = hashlib.sha256()
+    rng = np.random.default_rng([m, resolution, 12])
+    for x in (rng.uniform(-5.0, 5.0, m), np.full(m, 1.0), np.full(m, 0.3)):
+        for reg in regularizers(rng, m):
+            if reg.kind == "tsallis" and reg.alpha not in (1.5, 2.0, 3.0):
+                continue
+            digest.update(search_bytes(grid_search(Scores(x), reg, resolution)))
+    print(json.dumps([f"grid searches m={m} resolution={resolution} chunk edges", digest.hexdigest()]), flush=True)
 
 # entmax on tied rows and on rows with one dominant score.
 for m, rows in ((16, 40), (1000, 4)):
