@@ -174,6 +174,13 @@ def _check_positive_real(value, name: str = "temperature") -> float:
     return x
 
 
+def _check_count(value, name: str, least: int) -> int:
+    count = _number(value, name)
+    if not isinstance(count, (int, np.integer)) or count < least:
+        raise ValueError(f"{name} must be an integer >= {least}")
+    return int(count)
+
+
 def _check_alpha(alpha) -> float:
     a = float(_number(alpha, "alpha"))
     if not (math.isfinite(a) and a > 1.0):
@@ -410,6 +417,14 @@ def _xlogx_rows(P: np.ndarray) -> np.ndarray:
 _TSALLIS_EXPM1_BELOW = 1.1
 
 
+def _tsallis_terms(P: np.ndarray, a: float) -> np.ndarray:
+    """p^a - p for every entry of P >= 0, the Tsallis penalty's terms times
+    a (a - 1)."""
+    if a < _TSALLIS_EXPM1_BELOW:
+        return P * np.expm1((a - 1.0) * np.log(np.where(P == 0.0, 1.0, P)))
+    return P**a - P
+
+
 def _omega_rows(P: np.ndarray, reg: RegularizerSpec, xlogx: np.ndarray | None = None) -> np.ndarray:
     kind = reg.kind
     if xlogx is None and _KINDS[kind].entropic:
@@ -420,11 +435,7 @@ def _omega_rows(P: np.ndarray, reg: RegularizerSpec, xlogx: np.ndarray | None = 
         return 0.5 * _row_sums(P * P)
     if kind == TSALLIS:
         a = reg.alpha
-        if a < _TSALLIS_EXPM1_BELOW:
-            terms = P * np.expm1((a - 1.0) * np.log(np.where(P == 0.0, 1.0, P)))
-        else:
-            terms = P**a - P
-        return _row_sums(terms) / (a * (a - 1.0))
+        return _row_sums(_tsallis_terms(P, a)) / (a * (a - 1.0))
     if kind == ALIBI:
         d = key_distances(reg.query_position, P.shape[1])
         return reg.temperature * xlogx + reg.gamma * (P @ d)

@@ -29,9 +29,11 @@ from .core import (
     Scores,
     SimplexDistribution,
     _KINDS,
+    _TSALLIS_EXPM1_BELOW,
+    _check_count,
     _check_lengths,
     _check_positive_real,
-    _number,
+    _tsallis_terms,
     _xlogx_rows,
     key_distances,
     objective_rows,
@@ -67,10 +69,8 @@ class SolverConfig:
     method: str = EXPONENTIATED_GRADIENT
 
     def __post_init__(self):
-        iterations = _number(self.max_iterations, "max_iterations")
-        if not isinstance(iterations, (int, np.integer)) or iterations < 1:
-            raise ValueError("max_iterations must be an integer >= 1")
-        object.__setattr__(self, "max_iterations", int(iterations))
+        iterations = _check_count(self.max_iterations, "max_iterations", 1)
+        object.__setattr__(self, "max_iterations", iterations)
         for name in ("tolerance", "step_size"):
             object.__setattr__(self, name, _check_positive_real(getattr(self, name), name))
         if self.method not in _METHODS:
@@ -108,15 +108,9 @@ def _nonzero(w: np.ndarray) -> np.ndarray:
     return w if np.count_nonzero(w) == w.size else np.where(w > 0.0, w, 1.0)
 
 
-def _logs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log w for the objective and gradient, with 0 at exact zeros, and for
-    the multiplicative step, with -inf there so a zero stays zero; one
-    array for both when w has no zeros."""
-    if np.count_nonzero(w) == w.size:
-        log_w = np.log(w)
-        return log_w, log_w
-    log_w = np.log(np.where(w > 0.0, w, 1.0))
-    return log_w, np.where(w > 0.0, log_w, -np.inf)
+def _log(w: np.ndarray) -> np.ndarray:
+    """log w for the objective and gradient, with 0 at exact zeros."""
+    return np.log(_nonzero(w))
 
 
 class _Ragged:
@@ -251,8 +245,8 @@ def _descent_terms(regs: list[RegularizerSpec], rows: _Ragged):
     row's own parameters over its entries, as flat arrays: tau, gamma, the
     key distances and gamma*d (alibi), the prior and its log (kl_prior).
     ``objective(w, given, rows)`` returns one value per row of ``w``, laid
-    out as ``rows``, and, for the entropic kinds, ``_logs(w)``, which
-    ``gradient(w, logs, given)`` and the multiplicative step reuse once
+    out as ``rows``, and, for the entropic kinds, ``_log(w)``, which
+    ``gradient(w, log_w, given)`` and the multiplicative step reuse once
     ``w`` is accepted; ``given`` is ``(neg_s, *columns)`` for the same
     rows of ``w``, ``neg_s`` their negated scores.  Every expression is
     elementwise or per row and evaluated in one fixed order, so each row's
@@ -268,7 +262,7 @@ def _descent_terms(regs: list[RegularizerSpec], rows: _Ragged):
         def objective(w, given, rows):
             return rows.fsum(w * given[0], half * w * w), None
 
-        def gradient(w, logs, given):
+        def gradient(w, log_w, given):
             return given[0] + w
 
     elif kind == TSALLIS:
@@ -277,25 +271,37 @@ def _descent_terms(regs: list[RegularizerSpec], rows: _Ragged):
         a = reg.alpha
         a1 = a - 1.0
         scale = _const(a * a1)
-        factor = _const(a)
 
         def objective(w, given, rows):
-            return rows.fsum(w * given[0], (w**a - w) / scale), None
+            return rows.fsum(w * given[0], _tsallis_terms(w, a) / scale), None
 
-        def gradient(w, logs, given):
-            return given[0] + (factor * w**a1 - _ONE) / scale
+        if a < _TSALLIS_EXPM1_BELOW:
+            # (a w^(a-1) - 1) / (a (a-1)) cancels near alpha = 1; this form
+            # does not, and at w = 0 expm1(-inf) = -1 gives it exactly.
+            inverse = _const(1.0 / a)
+
+            def gradient(w, log_w, given):
+                with np.errstate(divide="ignore"):
+                    log_w = np.log(w)
+                return given[0] + (np.expm1(a1 * log_w) / a1 + inverse)
+
+        else:
+            factor = _const(a)
+
+            def gradient(w, log_w, given):
+                return given[0] + (factor * w**a1 - _ONE) / scale
 
     elif kind == SHANNON:
         columns = (rows.spread([r.temperature for r in regs]),)
 
         def objective(w, given, rows):
             neg_s, tau = given
-            logs = _logs(w)
-            return rows.fsum(w * neg_s, tau * (w * logs[0])), logs
+            log_w = _log(w)
+            return rows.fsum(w * neg_s, tau * (w * log_w)), log_w
 
-        def gradient(w, logs, given):
+        def gradient(w, log_w, given):
             neg_s, tau = given
-            return neg_s + tau * (logs[0] + _ONE)
+            return neg_s + tau * (log_w + _ONE)
 
     elif kind == ALIBI:
         gamma = rows.spread([r.gamma for r in regs])
@@ -305,12 +311,12 @@ def _descent_terms(regs: list[RegularizerSpec], rows: _Ragged):
 
         def objective(w, given, rows):
             neg_s, tau, gamma, d, _ = given
-            logs = _logs(w)
-            return rows.fsum(w * neg_s, tau * (w * logs[0]), gamma * w * d), logs
+            log_w = _log(w)
+            return rows.fsum(w * neg_s, tau * (w * log_w), gamma * w * d), log_w
 
-        def gradient(w, logs, given):
+        def gradient(w, log_w, given):
             neg_s, tau, _, _, gamma_d = given
-            return neg_s + tau * (logs[0] + _ONE) + gamma_d
+            return neg_s + tau * (log_w + _ONE) + gamma_d
 
     elif kind == KL_PRIOR:
         prior = np.concatenate([r.prior.weights for r in regs])
@@ -318,10 +324,10 @@ def _descent_terms(regs: list[RegularizerSpec], rows: _Ragged):
 
         def objective(w, given, rows):
             neg_s, tau, _, log_prior = given
-            logs = _logs(w)
-            return rows.fsum(w * neg_s, tau * w * (logs[0] - log_prior)), logs
+            log_w = _log(w)
+            return rows.fsum(w * neg_s, tau * w * (log_w - log_prior)), log_w
 
-        def gradient(w, logs, given):
+        def gradient(w, log_w, given):
             neg_s, tau, prior, _ = given
             return neg_s + tau * (np.log(_nonzero(w) / prior) + _ONE)
 
@@ -380,13 +386,16 @@ def _descend(
     once, row ``i`` under ``regs[i]`` (one kind, and for tsallis one
     alpha).
 
-    The rows run in lock-step on one ``_Ragged`` layout: the array work of
-    an iteration is done once for every row still running, while each row
-    keeps its own step size, acceptance limit, best value, trace and
-    convergence flag, so it follows exactly the iterates it would follow
-    alone.  When rows reject their step, only those rows try again, at
-    half their step size.  Returns, in input order, each row's
-    ``OracleResult`` or the ``NumericalFailure`` that ended its descent.
+    The rows run in lock-step on one ``_Ragged`` layout.  In each round
+    every row still running takes one trial step from its iterate at its
+    own step size, and the array work is done once for all of them.  A row
+    that accepts its trial moves on; a row that rejects it keeps its
+    iterate, halves its step size and steps again in the next round,
+    beside the other rows' next steps.  Each row keeps its own step size,
+    acceptance limit, best value, trace, iteration count and convergence
+    flag, so it follows exactly the iterates it would follow alone.
+    Returns, in input order, each row's ``OracleResult`` or the
+    ``NumericalFailure`` that ended its descent.
     """
     n = len(scores)
     if cfg is None:
@@ -404,91 +413,57 @@ def _descend(
     objective, gradient, columns = _descent_terms([regs[i] for i in order], rows)
     given = (-np.concatenate([scores[i] for i in order]), *columns)
     w = rows.spread(1.0 / rows.lengths)
-    best, logs = objective(w, given, rows)
+    best, log_w = objective(w, given, rows)
     traces = [[value] for value in best]
     etas = np.full(n, cfg.step_size)
     eta = rows.spread(etas)
-    iteration = 0
+    # A row's iteration is the number of rounds less the rounds it rejected.
+    rounds = 0
+    rejections = [0] * n
 
-    def converged(p):
+    def result(p, converged):
         lo, hi = rows.starts[p], rows.ends[p]
         weights = SimplexDistribution(w[lo:hi])
-        return OracleResult(weights, best[p], iteration, True, tuple(traces[p]))
+        return OracleResult(weights, best[p], rounds - rejections[p], converged, tuple(traces[p]))
 
     def end(ended):
-        # Record each ended row's outcome and drop it from the running set.
-        nonlocal index, rows, w, given, logs, etas, eta, best, traces
+        # Record each ended row's outcome, a bool being the converged flag
+        # of its current iterate, and drop the row from the running set.
+        nonlocal index, rows, w, given, log_w, etas, eta, best, traces, rejections
         for p, outcome in ended.items():
-            outcomes[index[p]] = outcome
+            outcomes[index[p]] = result(p, outcome) if isinstance(outcome, bool) else outcome
         running = np.ones(len(best), dtype=bool)
         running[list(ended)] = False
         keep = np.flatnonzero(running)
         running = running.tolist()
         best = list(itertools.compress(best, running))
         traces = list(itertools.compress(traces, running))
+        rejections = list(itertools.compress(rejections, running))
         if not best:
             return
         rows, entries = rows.take(keep)
         index, etas = index[keep], etas[keep]
         w, eta = w[entries], eta[entries]
         given = tuple(a[entries] for a in given)
-        if logs is not None:
-            log_w = logs[0][entries]
-            logs = (log_w, log_w if logs[1] is logs[0] else logs[1][entries])
-
-    def retry(rejected, values, new_w, new_logs, base, g, ended):
-        # Each rejecting row halves its step size and tries again, beside
-        # the other rejecting rows only, until it accepts, which puts its
-        # trial and value in new_w and values, or it ends at its current
-        # iterate when no step size is left.  Returns new_w's logs.
-        if new_logs is not None and new_logs[1] is new_logs[0]:
-            new_logs = (new_logs[0], new_logs[1].copy())
-        pending = [(p, values[p]) for p in rejected]
-        while pending:
-            trying = []
-            for p, value in pending:
-                if math.isnan(value):
-                    ended[p] = NumericalFailure("objective became NaN during descent")
-                    continue
-                etas[p] *= 0.5
-                if etas[p] >= _MIN_STEP:
-                    trying.append(p)
-                else:  # ascent at every step size: float-stationary
-                    ended[p] = converged(p)
-            if not trying:
-                break
-            sub, entries = rows.take(np.array(trying))
-            trial = step(base[entries], g[entries], sub.spread(etas[trying]), sub)
-            found, trial_logs = objective(trial, tuple(a[entries] for a in given), sub)
-            accepted = [value <= _acceptance_limit(best[p]) for p, value in zip(trying, found)]
-            taken = np.repeat(accepted, sub.lengths)
-            new_w[entries[taken]] = trial[taken]
-            if trial_logs is not None:
-                new_logs[0][entries[taken]] = trial_logs[0][taken]
-                new_logs[1][entries[taken]] = trial_logs[1][taken]
-            pending = []
-            for p, value, ok in zip(trying, found, accepted):
-                if ok:
-                    values[p] = value
-                else:
-                    pending.append((p, value))
-        return new_logs
+        if log_w is not None:
+            log_w = log_w[entries]
 
     if any(map(math.isnan, best)):
         nan_start = NumericalFailure("objective is NaN at the uniform start")
         end({p: nan_start for p, value in enumerate(best) if math.isnan(value)})
     if best and cfg.step_size < _MIN_STEP:
         # No step size is left to try: float-stationary at the first iteration.
-        iteration = 1
-        end({p: converged(p) for p in range(len(best))})
-    while best and iteration < max_iterations:
-        iteration += 1
+        rounds = 1
+        end(dict.fromkeys(range(len(best)), True))
+    while best:
+        rounds += 1
         if multiplicative:
-            if logs is None:
-                logs = _logs(w)
-            base = logs[1]
+            if log_w is None:  # l2 and tsallis
+                log_w = _log(w)
+            # A zero weight stays zero: its log is -inf in the step.
+            base = log_w if np.count_nonzero(w) == w.size else np.where(w > 0.0, log_w, -np.inf)
         else:
-            if logs is not None and np.count_nonzero(w) < w.size:  # entropic kinds only
+            if log_w is not None and np.count_nonzero(w) < w.size:  # entropic kinds only
                 boundary = NumericalFailure(
                     "projected gradient reached the boundary, "
                     "where the entropic gradient is infinite"
@@ -498,10 +473,11 @@ def _descend(
                 if not best:
                     break
             base = w
-        g = gradient(w, logs, given)
-        new_w = step(base, g, eta, rows)
-        values, new_logs = objective(new_w, given, rows)
+        g = gradient(w, log_w, given)
+        trial = step(base, g, eta, rows)
+        values, trial_log = objective(trial, given, rows)
         ended = {}
+        waiting = set()
         if all(map(operator.lt, values, best)):
             best = values  # every row improved, so every step is accepted
         else:
@@ -512,25 +488,40 @@ def _descend(
                 for p, (value, previous) in enumerate(zip(values, best))
                 if not value < previous and not value <= _acceptance_limit(previous)
             ]
-            if rejected:
-                new_logs = retry(rejected, values, new_w, new_logs, base, g, ended)
+            for p in rejected:
+                if math.isnan(values[p]):
+                    ended[p] = NumericalFailure("objective became NaN during descent")
+                    continue
+                etas[p] *= 0.5
+                if etas[p] < _MIN_STEP:  # ascent at every step size: float-stationary
+                    ended[p] = result(p, True)
+                else:
+                    waiting.add(p)
+                    rejections[p] += 1
+            if waiting:
+                # The waiting rows keep their iterates and logs.
                 eta = rows.spread(etas)
+                stay = np.zeros(len(best), dtype=bool)
+                stay[list(waiting)] = True
+                stay = np.repeat(stay, rows.lengths)
+                trial[stay] = w[stay]
+                if trial_log is not None:
+                    trial_log[stay] = log_w[stay]
             best = list(map(min, best, values))
-        change = new_w - w
+        change = trial - w
         delta = rows.max(np.abs(change, out=change)).tolist()
-        w, logs = new_w, new_logs
-        for trace, value in zip(traces, best):
-            trace.append(value)
+        w, log_w = trial, trial_log
         for p, change in enumerate(delta):
-            if change < tolerance:
-                ended.setdefault(p, None)
+            if p not in waiting:
+                traces[p].append(best[p])
+                if change < tolerance:
+                    ended.setdefault(p, True)
+        if rounds >= max_iterations:  # a row out of steps ends unconverged
+            for p, count in enumerate(rejections):
+                if rounds - count == max_iterations:
+                    ended.setdefault(p, False)
         if ended:
-            end({p: converged(p) if outcome is None else outcome for p, outcome in ended.items()})
-    for p in range(len(best)):
-        lo, hi = rows.starts[p], rows.ends[p]
-        outcomes[index[p]] = OracleResult(
-            SimplexDistribution(w[lo:hi]), best[p], iteration, False, tuple(traces[p])
-        )
+            end(ended)
     return outcomes
 
 
@@ -651,10 +642,7 @@ def grid_search_simplex(s: Scores, reg: RegularizerSpec, resolution: int) -> Ora
     m = len(s)
     if m > 3:
         raise ValueError("grid search is exhaustive and limited to m <= 3")
-    resolution = _number(resolution, "resolution")
-    if not isinstance(resolution, (int, np.integer)) or resolution < 100:
-        raise ValueError("resolution must be an integer >= 100")
-    resolution = int(resolution)
+    resolution = _check_count(resolution, "resolution", 100)
     if reg.prior is not None:  # before the grid is dropped or built
         _check_lengths(reg.prior, s, "prior", "scores")
     global _last_grid

@@ -224,9 +224,11 @@ def entmax(s: Scores, alpha: float) -> SolveResult:
     root: a midpoint is evaluated only when no evaluation so far decides it
     (mass <= 1 - 2 tol at or above it, or >= 1 + 2 tol at or below it).  The
     computed mass is monotone in y to far below the tolerance, so the replay
-    ends on the plain bisection's bits after ~10 evaluations instead of ~44;
-    one that ends above the tolerance runs again as the plain bisection,
-    which alone runs below alpha = 1 + 4e-5.
+    ends on the plain bisection's bits after ~10 evaluations instead of ~44.
+    A midpoint is settled unevaluated only where its residual is >= 2 tol,
+    so a replay that ends above the tolerance leaves the plain bisection's
+    bracket and budget to the stages below.  Below alpha = 1 + 4e-5 the
+    plain bisection runs without a replay.
 
     Each evaluation covers only the *candidates*, the entries positive at
     the y where the set was formed (usually the lowest y evaluated with
@@ -357,16 +359,13 @@ def entmax(s: Scores, alpha: float) -> SolveResult:
         return below, above
 
     bottom = float(-np.log(m) - 1.0)  # mass(bottom) <= 1/e < 1 <= mass(0)
+    best, best_residual, budget = None, np.inf, ENTMAX_MAX_BISECTIONS
+    top = consider(weights_at, 0.0, mass_at)
+    low = consider(weights_at, bottom, mass_at)
     # Below alpha - 1 = 4e-5 rounding makes stage 1 fail on most rows (see
     # the log-domain stage), so the plain bisection runs without a replay.
-    for replay in (True, False) if a1 > 4e-5 else (False,):
-        best, best_residual, budget = None, np.inf, ENTMAX_MAX_BISECTIONS
-        top = consider(weights_at, 0.0, mass_at)
-        low = consider(weights_at, bottom, mass_at)
-        bounds = home(low, top) if replay and best_residual >= ENTMAX_MASS_ATOL else ()
-        lo, hi = bisect(weights_at, bottom, 0.0, mass_at, *bounds)
-        if best_residual < ENTMAX_MASS_ATOL:
-            break
+    replay = a1 > 4e-5 and best_residual >= ENTMAX_MASS_ATOL
+    _, hi = bisect(weights_at, bottom, 0.0, mass_at, *(home(low, top) if replay else ()))
 
     if best_residual >= ENTMAX_MASS_ATOL:
         # Stiff corner of alpha > 2: the last entry to enter the support

@@ -20,6 +20,7 @@ from vattn import (
     SimplexDistribution,
     SolverConfig,
     attention_matrix,
+    entmax,
     fenchel_conjugate,
     grid_search_simplex,
     lse,
@@ -754,6 +755,83 @@ def test_lockstep_row_failing_first_does_not_hold_back_the_others():
     assert str(failed) == "objective became NaN during descent"
     _assert_same_as_reference(alone, _reference_minimize(Scores([0.5]), reg))
     assert alone.iterations == 1 and alone.converged
+
+
+def _spy_on_steps(monkeypatch):
+    # Each step call's step sizes, one per entry, and its row count.
+    steps = []
+    for name in ("_multiplicative_step", "_projected_step"):
+
+        def spying(start, grad, eta, rows, step=getattr(oracle, name)):
+            steps.append((eta.copy(), len(rows.lengths)))
+            return step(start, grad, eta, rows)
+
+        monkeypatch.setattr(oracle, name, spying)
+    return steps
+
+
+def test_rows_rejecting_in_different_rounds_are_the_reference_rows(monkeypatch):
+    # At step size 5.0 rows reject often, each in its own rounds: a row
+    # that rejects waits at its iterate with half its step size while the
+    # others step on, and each row has its own budget of accepted steps.
+    steps = _spy_on_steps(monkeypatch)
+    rng = np.random.default_rng(19)
+    compared = 0
+    for index in range(20):
+        kind = REGULARIZER_KINDS[index % len(REGULARIZER_KINDS)]
+        lengths = rng.integers(1, 9, int(rng.integers(3, 7))).tolist()
+        if kind == TSALLIS:
+            regs = [RegularizerSpec.tsallis(float(rng.uniform(1.25, 4.0)))] * len(lengths)
+        else:
+            regs = [_random_regularizer(rng, kind, m) for m in lengths]
+        scores = [rng.uniform(-5.0, 5.0, m) for m in lengths]
+        for method in (EXPONENTIATED_GRADIENT, PROJECTED_GRADIENT):
+            for budget in (1, 2, 3, 7):
+                cfg = SolverConfig(max_iterations=budget, step_size=5.0, method=method)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    outcomes = oracle._descend(scores, regs, cfg)
+                for row, reg, outcome in zip(scores, regs, outcomes):
+                    try:
+                        with np.errstate(all="ignore"):
+                            reference = _reference_minimize(Scores(row), reg, cfg)
+                    except NumericalFailure:
+                        assert isinstance(outcome, NumericalFailure)
+                        continue
+                    _assert_same_as_reference(outcome, reference)
+                    compared += 1
+    assert compared >= 500
+    # Rows at different step sizes share a step: they rejected in
+    # different rounds.
+    assert sum(len(np.unique(eta)) > 1 for eta, _ in steps) >= 100
+
+
+def test_one_row_rejecting_builds_no_sub_layout(monkeypatch):
+    # A rejected step is the next round's step: only compaction, which one
+    # row never needs, takes rows out of the layout.
+    steps = _spy_on_steps(monkeypatch)
+    takes = []
+    take = oracle._Ragged.take
+    monkeypatch.setattr(oracle._Ragged, "take", lambda *args: takes.append(args) or take(*args))
+    s, reg = Scores([0.3, -1.2, 2.5, 0.8]), RegularizerSpec.shannon(0.5)
+    found = minimize_on_simplex(s, reg, SolverConfig(step_size=5.0))
+    assert min(eta.min() for eta, _ in steps) < 5.0  # it rejected
+    assert found.converged and not takes
+    _assert_same_as_reference(found, _reference_minimize(s, reg, SolverConfig(step_size=5.0)))
+
+
+@pytest.mark.parametrize("alpha", [1.0 + 1e-9, 1.0 + 1e-6])
+def test_exponentiated_gradient_on_tsallis_near_softmax_matches_entmax(alpha):
+    # (w^a - w) / (a (a-1)) and its gradient cancel near alpha = 1, with
+    # relative error ~1e-16 / (alpha - 1); their expm1 forms do not.
+    rng = np.random.default_rng(23)
+    reg = RegularizerSpec.tsallis(alpha)
+    pairs = [(Scores(rng.uniform(-5.0, 5.0, int(m))), reg) for m in rng.integers(2, 41, 20)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcomes = oracle._minimize_many(pairs, SolverConfig(method=EXPONENTIATED_GRADIENT))
+    for (s, _), found in zip(pairs, outcomes):
+        assert _sup(found.distribution.weights, entmax(s, alpha).distribution.weights) < 1e-6
 
 
 def test_lockstep_step_size_below_the_floor_stops_at_once():

@@ -20,7 +20,13 @@ objective as ``float.hex`` and its iteration count), since a check's grid
 searches may run in another order.  And it solves, per seed and transport
 check, the ``solve_full_eot`` plan of every batch the transport suite
 draws (same generator keys) and reports a SHA-256 of the plan bytes, or
-the error a solve raised.  Each tree also hashes the ``solvers.solve``
+the error a solve raised.  It hashes the ``oracle._minimize_many``
+outcomes (weight bytes, objective, iterations, convergence and trace, or
+the error) of 18 seeded rows of mixed lengths from 1 to 16 per kind
+(tsallis at alphas 1.5, 2 and 3), one in three at scale 100, under both
+methods at budgets 1, 2, 3, 7, 40 and 300 and step sizes 0.1 and 5.0:
+the suites run their descents at the default budget only.  Each tree also
+hashes the ``solvers.solve``
 weight bytes (or the error) of a fixed seeded list of rows, with each
 result's potential (as ``float.hex``) and support size: every kind at m=16
 and m=1000, tsallis at nine alphas from 1.0001 to 10 (10 enters entmax's
@@ -178,6 +184,40 @@ for m, rows in ((16, 40), (1000, 4), (10**6, 1)):
                 digest.update(repr(error).encode())
     for label, digest in digests.items():
         print(json.dumps([f"solve {label} m={m}", digest.hexdigest()]), flush=True)
+
+# _minimize_many on seeded batches of rows of mixed lengths, every kind
+# under both methods, at small budgets and two step sizes, so rows reject
+# their steps, and run out of them, in different rounds.  One batch in
+# three is at scale 100, where multiplicative steps underflow.
+from vattn.oracle import EXPONENTIATED_GRADIENT, PROJECTED_GRADIENT, SolverConfig
+
+def outcome_bytes(outcome):
+    if isinstance(outcome, NumericalFailure):
+        return repr(outcome).encode()
+    trace = [value.hex() for value in outcome.objective_trace]
+    state = (outcome.objective.hex(), outcome.iterations, outcome.converged, trace)
+    return outcome.distribution.weights.tobytes() + repr(state).encode()
+
+def descent_regularizer(rng, kind, m):
+    if kind == "tsallis":  # the suites' alphas
+        return RegularizerSpec.tsallis(float(rng.choice([1.5, 2.0, 3.0])))
+    return next(reg for reg in regularizers(rng, m) if reg.kind == kind)
+
+for ordinal, kind in enumerate(("shannon", "l2", "tsallis", "alibi", "kl_prior")):
+    pairs = []
+    for batch in range(3):
+        rng = np.random.default_rng([ordinal, batch, 13])
+        for m in rng.integers(1, 17, 6).tolist():
+            x = rng.uniform(-5.0, 5.0, m) * (100.0 if batch == 2 else 1.0)
+            pairs.append((Scores(x), descent_regularizer(rng, kind, m)))
+    for method in (EXPONENTIATED_GRADIENT, PROJECTED_GRADIENT):
+        digest = hashlib.sha256()
+        for budget in (1, 2, 3, 7, 40, 300):
+            for step_size in (0.1, 5.0):
+                cfg = SolverConfig(max_iterations=budget, step_size=step_size, method=method)
+                for outcome in oracle._minimize_many(pairs, cfg):
+                    digest.update(outcome_bytes(outcome))
+        print(json.dumps([f"descents {kind} {method}", digest.hexdigest()]), flush=True)
 
 # Grid searches of a seeded list, each case searched twice in a row.
 for m in (1, 2, 3):
