@@ -81,16 +81,26 @@ class _Adopt(NamedTuple):  # a float64 array the library just made: frozen uncop
     array: np.ndarray
 
 
-def _frozen(values, name: str, ndim: int = 1) -> np.ndarray:
-    """A read-only float64 copy of ``values`` (or the adopted array itself)
-    with ``ndim`` axes, at least one entry and only finite entries."""
+def _array(values, name: str, ndim: int = 1) -> np.ndarray:
+    """A float64 copy of ``values`` (or the adopted array itself) with
+    ``ndim`` axes and at least one entry."""
     arr = values.array if type(values) is _Adopt else np.array(values, dtype=np.float64)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {_AXES[ndim]}, got shape {arr.shape}")
     if arr.size < 1:
         raise ValueError(f"{name} must have at least one entry")
+    return arr
+
+
+def _check_finite(arr: np.ndarray, name: str) -> None:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite (no NaN or Inf entries)")
+
+
+def _frozen(values, name: str, ndim: int = 1) -> np.ndarray:
+    """``_array``'s array, read-only, with only finite entries."""
+    arr = _array(values, name, ndim)
+    _check_finite(arr, name)
     arr.flags.writeable = False
     return arr
 
@@ -120,14 +130,22 @@ class SimplexDistribution:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = _frozen(self.weights, "weights")
-        if w.min() < 0.0:  # the entries are finite
-            raise ValueError("simplex entries must be nonnegative")
-        total = float(w.sum())
+        # A min >= 0 rules out NaN, -inf and negative entries and a max <= 2
+        # rules out +inf and a sum that overflows: such a row is finite
+        # without a pass of its own.  Any other row is checked finite, then
+        # nonnegative, so only a finite nonnegative row is ever summed.
+        w = _array(self.weights, "weights")
+        low = np.minimum.reduce(w)
+        if not (low >= 0.0 and np.maximum.reduce(w) <= 2.0):
+            _check_finite(w, "weights")
+            if low < 0.0:
+                raise ValueError("simplex entries must be nonnegative")
+        total = float(np.add.reduce(w))
         if abs(total - 1.0) > SIMPLEX_SUM_ATOL:
             raise ValueError(
                 f"simplex entries must sum to 1 within {SIMPLEX_SUM_ATOL}, got sum {total!r}"
             )
+        w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
     def __len__(self) -> int:

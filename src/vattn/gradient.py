@@ -54,6 +54,7 @@ _GRADIENT_SUM_ATOL = 1e-10
 # tolerances): scores beyond this magnitude are differenced shifted by
 # their maximum, smaller ones (the suites' |s| <= 5 rows) as given.
 _SHIFT_ABOVE = 16.0
+_DOUBLE_MAX = float(np.finfo(np.float64).max)
 
 
 def _stencil_scores(s: Scores) -> Scores:
@@ -92,21 +93,37 @@ def _exceeds(residual: float, atol: float, e: np.ndarray) -> bool:
     return residual > atol and residual > atol * float(np.abs(e).max())
 
 
-def _freeze_covariance(matrix, name: str) -> np.ndarray:
+def _freeze_covariance(matrix, name: str) -> tuple[np.ndarray, bool]:
     """The checks a Jacobian and a Fisher matrix share: finite, square,
     symmetric, rows summing to 0, a valid temperature.  Stores both frozen
-    and returns the entries for the caller's own check."""
+    and returns the entries, and whether they are exactly symmetric, for
+    the caller's own check."""
     e = _frozen(matrix.entries, name, 2)
     if e.shape[0] != e.shape[1]:
         raise ValueError(f"{name} must be a square matrix")
     asymmetry = e - e.T
-    if _exceeds(np.max(np.abs(asymmetry, out=asymmetry)), _MATRIX_ATOL, e):
+    skew = np.max(np.abs(asymmetry, out=asymmetry))
+    if _exceeds(skew, _MATRIX_ATOL, e):
         raise ValueError(f"{name} must be symmetric")
     if _exceeds(np.max(np.abs(e.sum(axis=1))), _MATRIX_ATOL, e):
         raise ValueError(f"{name} rows must sum to 0")
     object.__setattr__(matrix, "entries", e)
     object.__setattr__(matrix, "temperature", _check_positive_real(matrix.temperature))
-    return e
+    return e, skew == 0.0
+
+
+def _gershgorin_certifies(e: np.ndarray) -> bool:
+    """Whether min_i (e_ii - sum_{j != i} |e_ij|), computed as
+    min_i (e_ii + |e_ii| - sum_j |e_ij|), is at least -A M / 2 (see
+    ``FisherMatrix``); False, undecided, where a row sum could overflow."""
+    magnitudes = np.abs(e)
+    scale = max(1.0, float(np.maximum.reduce(magnitudes, axis=None)))
+    if not scale * e.shape[0] < 0.5 * _DOUBLE_MAX:
+        return False
+    diagonal = e.diagonal()
+    floor = diagonal + np.abs(diagonal)  # 2 e_ii or 0, exactly
+    floor -= np.add.reduce(magnitudes, axis=1)
+    return float(np.minimum.reduce(floor)) >= -0.5 * _EIGENVALUE_ATOL * scale
 
 
 @dataclass(frozen=True)
@@ -118,7 +135,7 @@ class JacobianMatrix:
     temperature: float
 
     def __post_init__(self):
-        e = _freeze_covariance(self, "Jacobian")
+        e, _ = _freeze_covariance(self, "Jacobian")
         if _exceeds(np.max(np.abs(e.sum(axis=0))), _MATRIX_ATOL, e):
             raise ValueError("Jacobian columns must sum to 0")
 
@@ -126,13 +143,28 @@ class JacobianMatrix:
 @dataclass(frozen=True)
 class FisherMatrix:
     """(1/tau^2)(diag(p) - p p^T): the metric of the softmax statistical
-    manifold; positive semidefinite with the ones vector in its kernel."""
+    manifold; positive semidefinite with the ones vector in its kernel.
+
+    Positive semidefinite means that eigvalsh's least eigenvalue is at
+    least -A M, A = ``_EIGENVALUE_ATOL``, M = max(1, max|e|).  An exactly
+    symmetric matrix (the one eigvalsh reads) is accepted first when
+    Gershgorin's bound on its eigenvalues, g = min_i (e_ii - sum_{j != i}
+    |e_ij|), computes to at least -A M / 2.  It then passes the eigvalsh
+    test too: its rows give ||e||_2 <= ||e||_inf <= (2 + A) M, the computed
+    g is within (m + 2) u ||e||_inf of g, and eigvalsh's least eigenvalue
+    within p(m) u ||e||_2 of the true one (Weyl's inequality on LAPACK's
+    backward error), u = 2^-53.  With p(m) <= m both stay below 5e-13 M at
+    m = 1000, far under the other half of the tolerance, 5e-11 M.  On the
+    library's own matrices row i's bound is p_i (1 - sum p) / tau^2, about 0.
+    """
 
     entries: np.ndarray
     temperature: float
 
     def __post_init__(self):
-        e = _freeze_covariance(self, "Fisher matrix")
+        e, symmetric = _freeze_covariance(self, "Fisher matrix")
+        if symmetric and _gershgorin_certifies(e):
+            return
         if _exceeds(-float(np.linalg.eigvalsh(e)[0]), _EIGENVALUE_ATOL, e):
             raise ValueError("Fisher matrix must be positive semidefinite")
 

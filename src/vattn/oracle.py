@@ -93,13 +93,22 @@ class OracleResult:
     objective_trace: tuple[float, ...] = ()
 
 
+# Below this alpha projected gradient on tsallis can end off entmax's answer:
+# on 10 rows of U(-5, 5) scores, m 2 to 40, by 2.5e-3 at 1.3, 3.0e-6 at 1.35
+# and 8.0e-7 at 1.38; exponentiated gradient, by at most 7.2e-9 from 1 + 1e-9 to 1.4.
+_TSALLIS_PROJECTED_FROM = 1.5
+
+
 def default_config(reg: RegularizerSpec) -> SolverConfig:
     """Exponentiated gradient for the entropy family (its multiplicative
     iterates stay interior, where those objectives' gradients blow up at
-    the boundary), projected gradient for L2/Tsallis whose optima are
+    the boundary) and for tsallis below alpha 1.5, which nears softmax;
+    projected gradient for L2 and the sparser tsallis, whose optima are
     sparse."""
-    entropic = _KINDS[reg.kind].entropic
-    return SolverConfig(method=EXPONENTIATED_GRADIENT if entropic else PROJECTED_GRADIENT)
+    multiplicative = _KINDS[reg.kind].entropic or (
+        reg.kind == TSALLIS and reg.alpha < _TSALLIS_PROJECTED_FROM
+    )
+    return SolverConfig(method=EXPONENTIATED_GRADIENT if multiplicative else PROJECTED_GRADIENT)
 
 
 def _nonzero(w: np.ndarray) -> np.ndarray:

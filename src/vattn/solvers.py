@@ -61,6 +61,10 @@ _SPARSEMAX_CANDIDATE_MIN_KEYS = 1024
 # exp(x) rounds to exactly +0.0 for every x <= _EXP_CUT: half the smallest
 # subnormal is exp(-745.133...).  numpy's exp is slow on such entries.
 _EXP_CUT = -746.0
+# ``_exp_cut`` gathers the entries above the cut when fewer than this share
+# survive: on rows of 1e3 to 1e6 keys whose survivors form one window, as
+# under ALiBi, the gather and the masked exp cost the same at 8-12%.
+_GATHER_BELOW = 0.1
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -79,8 +83,13 @@ class SolveResult:
 
 
 def _result(weights: np.ndarray, potential: float | None) -> SolveResult:
-    dist = SimplexDistribution(_Adopt(weights))
-    return SolveResult(dist, potential, int(np.count_nonzero(weights)))
+    # The support is counted here, once: the constructor's check would
+    # count the same weights again.
+    result = object.__new__(SolveResult)
+    object.__setattr__(result, "distribution", SimplexDistribution(_Adopt(weights)))
+    object.__setattr__(result, "potential", potential)
+    object.__setattr__(result, "support_size", int(np.count_nonzero(weights)))
+    return result
 
 
 def _shifted_gap(v: np.ndarray, top, t: float) -> np.ndarray:
@@ -94,10 +103,18 @@ def _shifted_gap(v: np.ndarray, top, t: float) -> np.ndarray:
 def _exp_cut(x: np.ndarray) -> np.ndarray:
     """exp(x) in place, with entries at or below ``_EXP_CUT`` set to +0.0,
     their exp, without exponentiating them: every entry keeps its bits and
-    its place, so later sums see the same array."""
+    its place, so later sums see the same array.  Few survivors are
+    gathered, exponentiated and scattered back into zeros; more are
+    exponentiated in place under the mask."""
     keep = x > _EXP_CUT
-    np.exp(x, out=x, where=keep)
-    np.copyto(x, 0.0, where=np.logical_not(keep, out=keep))
+    if np.count_nonzero(keep) < _GATHER_BELOW * keep.size:
+        survivors = keep.nonzero()
+        kept = np.exp(x[survivors])
+        x.fill(0.0)
+        x[survivors] = kept
+    else:
+        np.exp(x, out=x, where=keep)
+        np.copyto(x, 0.0, where=np.logical_not(keep, out=keep))
     return x
 
 

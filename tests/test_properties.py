@@ -28,8 +28,16 @@ from vattn import (
     softmax,
     sparsemax,
 )
-from vattn import oracle
-from vattn.core import SIMPLEX_SUM_ATOL, _row_sums, key_distances, objective_rows, objective_value
+from vattn import FisherMatrix, JacobianMatrix, SolveResult, fisher_matrix, oracle, solve, solvers
+from vattn.core import (
+    SIMPLEX_SUM_ATOL,
+    _check_positive_real,
+    _row_sums,
+    key_distances,
+    objective_rows,
+    objective_value,
+)
+from vattn.gradient import _EIGENVALUE_ATOL, _MATRIX_ATOL
 from vattn.solvers import ENTMAX_MASS_ATOL
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -442,3 +450,307 @@ def test_grid_search_takes_the_first_of_minima_tied_across_a_chunk_boundary(kind
     assert objectives[CHUNK - 1] == objectives[CHUNK] == objectives.min()
     found = grid_search_simplex(s, reg, resolution)
     assert found.distribution.weights.tobytes() == points[CHUNK - 1].tobytes()
+
+
+# ------------------------------------------- validated types, pass by pass
+#
+# The types check their invariants in fewer passes than the sequences
+# below, which they must match decision for decision: the accepted bytes,
+# or the exception's type and message.  Under simplefilter("error") a new
+# warning is an exception too, so it shows as a different outcome.
+
+
+def _outcome(build, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return build(*args)
+        except Exception as error:  # noqa: BLE001 - the outcome is the error
+            return type(error), str(error)
+
+
+def _reference_weights(values) -> bytes:
+    # The check sequence one pass at a time: shape, finite, nonnegative, sum.
+    arr = np.array(values, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError(f"weights must be a one-dimensional vector, got shape {arr.shape}")
+    if arr.size < 1:
+        raise ValueError("weights must have at least one entry")
+    if not np.isfinite(arr).all():
+        raise ValueError("weights must be finite (no NaN or Inf entries)")
+    if arr.min() < 0.0:
+        raise ValueError("simplex entries must be nonnegative")
+    total = float(arr.sum())
+    if abs(total - 1.0) > SIMPLEX_SUM_ATOL:
+        raise ValueError(
+            f"simplex entries must sum to 1 within {SIMPLEX_SUM_ATOL}, got sum {total!r}"
+        )
+    return arr.tobytes()
+
+
+def _weights_bytes(values) -> bytes:
+    return SimplexDistribution(values).weights.tobytes()
+
+
+def _sum_edges():
+    # The last sums accepted on each side of 1 and the first ulp past them.
+    edges = []
+    for side in (1.0, -1.0):
+        total = 1.0 + side * SIMPLEX_SUM_ATOL
+        while abs(total - 1.0) > SIMPLEX_SUM_ATOL:
+            total = math.nextafter(total, 1.0)
+        while abs(math.nextafter(total, side * 2.0) - 1.0) <= SIMPLEX_SUM_ATOL:
+            total = math.nextafter(total, side * 2.0)
+        edges += [total, math.nextafter(total, side * 2.0)]
+    return edges
+
+
+SUM_EDGES = _sum_edges()
+_ODD_ENTRIES = [
+    np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 2.2e-308, 1e308, 1.7e308, -1e308,
+    -1e-300, 2.0, 1.0,
+]
+
+
+def _row_summing_to(rng, m: int, total: float) -> np.ndarray:
+    # m nonnegative entries whose np.sum is exactly ``total``, if found.
+    w = rng.dirichlet(np.ones(m)) * total
+    for _ in range(64):
+        gap = total - float(w.sum())
+        if gap == 0.0:
+            break
+        w[-1] = max(w[-1] + gap, 0.0) if abs(gap) > 1e-18 else math.nextafter(w[-1], gap * 2.0)
+    return w
+
+
+@hypothesis.settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@hypothesis.given(
+    m=st.one_of(st.integers(1, 40), st.sampled_from([127, 128, 1000])),
+    shape=st.sampled_from(["valid", "edge sum", "odd entries", "random", "matrix", "empty"]),
+    as_list=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_simplex_distribution_decides_as_the_check_sequence(m, shape, as_list, seed):
+    rng = np.random.default_rng(seed)
+    if shape == "valid":
+        w = rng.dirichlet(np.full(m, 0.3))
+        w[rng.random(m) < 0.2] = 0.0  # exact zeros: renormalized below
+        w = w / w.sum() if w.sum() > 0.0 else np.eye(m)[0]
+    elif shape == "edge sum":
+        w = _row_summing_to(rng, m, SUM_EDGES[int(rng.integers(len(SUM_EDGES)))])
+    elif shape == "odd entries":
+        w = rng.dirichlet(np.ones(m))
+        picks = rng.random(m) < 0.3
+        w[picks] = rng.choice(_ODD_ENTRIES, int(picks.sum()))
+    elif shape == "random":
+        w = rng.uniform(-0.1, 1.0, m) * 10.0 ** rng.uniform(-310.0, 308.0)
+    elif shape == "matrix":
+        w = rng.dirichlet(np.ones(m))[np.newaxis, :]
+    else:
+        w = np.empty((0,) * int(rng.integers(1, 3)))
+    values = w.tolist() if as_list else w
+    assert _outcome(_weights_bytes, values) == _outcome(_reference_weights, values)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 16])
+@pytest.mark.parametrize("total", SUM_EDGES)
+def test_simplex_distribution_at_the_sum_tolerance(m, total):
+    # Rows of m equal powers-of-two shares of ``total`` sum to it exactly:
+    # the two accepted edges pass and the ulp past each is refused.
+    w = np.full(m, total / m)
+    assert float(w.sum()) == total
+    outcome = _outcome(_weights_bytes, w)
+    assert outcome == _outcome(_reference_weights, w)
+    assert isinstance(outcome, bytes) == (abs(total - 1.0) <= SIMPLEX_SUM_ATOL)
+
+
+def test_simplex_distribution_refuses_infinity_after_an_overflowing_prefix():
+    # The finiteness test comes before any sum, so these rows raise it and
+    # warn nothing, where a sum of them would overflow first.
+    for row in ([1e308, 1e308, np.inf], [1.7e308] * 9 + [np.inf], [np.inf, 1e308, 1e308]):
+        assert _outcome(_weights_bytes, row) == (
+            ValueError,
+            "weights must be finite (no NaN or Inf entries)",
+        )
+
+
+def _reference_fisher(entries, temperature) -> bytes:
+    # FisherMatrix's checks with eigvalsh deciding positive semidefiniteness.
+    e = np.array(entries, dtype=np.float64)
+    if e.ndim != 2:
+        raise ValueError(f"Fisher matrix must be a two-dimensional matrix, got shape {e.shape}")
+    if e.size < 1:
+        raise ValueError("Fisher matrix must have at least one entry")
+    if not np.isfinite(e).all():
+        raise ValueError("Fisher matrix must be finite (no NaN or Inf entries)")
+    if e.shape[0] != e.shape[1]:
+        raise ValueError("Fisher matrix must be a square matrix")
+    scale = max(1.0, float(np.abs(e).max()))
+    if float(np.max(np.abs(e - e.T))) > _MATRIX_ATOL * scale:
+        raise ValueError("Fisher matrix must be symmetric")
+    if float(np.max(np.abs(e.sum(axis=1)))) > _MATRIX_ATOL * scale:
+        raise ValueError("Fisher matrix rows must sum to 0")
+    _check_positive_real(temperature)
+    if -float(np.linalg.eigvalsh(e)[0]) > _EIGENVALUE_ATOL * scale:
+        raise ValueError("Fisher matrix must be positive semidefinite")
+    return e.tobytes()
+
+
+def _fisher_bytes(entries, temperature) -> bytes:
+    return FisherMatrix(entries, temperature).entries.tobytes()
+
+
+def _near_boundary_matrix(rng, m: int, least: float) -> np.ndarray:
+    # Symmetric, rows summing to 0, least eigenvalue ``least`` on the
+    # complement of the ones vector, the others in (0, 3].
+    basis = np.linalg.qr(np.column_stack([np.ones(m), rng.standard_normal((m, m - 1))]))[0]
+    rest = basis[:, 1:]
+    spectrum = rng.uniform(0.0, 3.0, m - 1)
+    spectrum[0] = least
+    e = (rest * spectrum) @ rest.T
+    return (e + e.T) / 2.0
+
+
+def _laplacian(rng, m: int, coupling: float) -> np.ndarray:
+    # A weighted graph Laplacian (positive semidefinite, Gershgorin bound 0),
+    # with one pair's edge weight replaced by -coupling.
+    weights = np.triu(rng.uniform(0.0, 1.0, (m, m)) * (rng.random((m, m)) < 0.5), 1)
+    weights[0, m - 1] = -coupling
+    weights = weights + weights.T
+    return np.diag(weights.sum(axis=1)) - weights
+
+
+def _tight_matrix(rng, m: int, least: float) -> np.ndarray:
+    # Blocks [[a, -a], [-a, a]] down the diagonal (a zero row if m is odd):
+    # at a < 0 both the least eigenvalue and Gershgorin's bound are 2a.
+    e = np.zeros((m, m))
+    scale = 10.0 ** rng.uniform(0.0, 3.0)
+    for k in range(m // 2):
+        a = least / 2.0 * scale if k == 0 else rng.uniform(0.0, scale)
+        e[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [[a, -a], [-a, a]]
+    return e
+
+
+@hypothesis.settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@hypothesis.given(
+    m=st.integers(2, 24),
+    family=st.sampled_from(["eigenvalue", "tight", "laplacian", "library", "library scaled"]),
+    share=st.sampled_from([-10.0, -2.0, -1.0, -0.99, -0.5, -0.49, -0.01, 0.0, 0.5, 1.0, 2.0]),
+    tau_exponent=st.floats(-4.0, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fisher_matrix_decides_as_eigvalsh(m, family, share, tau_exponent, seed):
+    # ``share`` places the least eigenvalue (or the coupling that lowers the
+    # Gershgorin bound) in units of the eigenvalue tolerance.
+    rng = np.random.default_rng(seed)
+    t = 10.0**tau_exponent
+    if family == "eigenvalue":
+        e = _near_boundary_matrix(rng, m, share * _EIGENVALUE_ATOL)
+    elif family == "tight":
+        e = _tight_matrix(rng, m, share * _EIGENVALUE_ATOL)
+    elif family == "laplacian":
+        e = _laplacian(rng, m, -share * _EIGENVALUE_ATOL)
+    else:
+        p = softmax(Scores(rng.uniform(-5.0, 5.0, m) * 10.0 ** rng.uniform(0.0, 3.0)), 1.0)
+        w = p.distribution.weights
+        e = (np.diag(w) - np.outer(w, w)) / (t * t)
+        if family == "library scaled":
+            e[0, 0] += share * _EIGENVALUE_ATOL * max(1.0, float(np.abs(e).max()))
+    assert _outcome(_fisher_bytes, e, t) == _outcome(_reference_fisher, e, t)
+
+
+@pytest.mark.parametrize("m", [1, 2, 16, 300, 1000])
+def test_library_fisher_matrices_decide_as_eigvalsh(m, monkeypatch):
+    # The library's own matrices certify by Gershgorin's bound, eigvalsh
+    # uncalled, and eigvalsh would accept each of them too.
+    rng = np.random.default_rng(m)
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+    cases = [
+        (rng.dirichlet(np.full(m, 0.5)), 0.3),
+        (softmax(Scores(rng.uniform(-1e3, 1e3, m)), 0.7).distribution.weights, 1e-3),
+        (np.full(m, 1.0 / m), 1e3),
+    ]
+    built = []
+    for w, t in cases:
+        p = SimplexDistribution(w / w.sum())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            built.append((fisher_matrix(p, t).entries, t))
+    assert not calls
+    for e, t in built:
+        assert e.tobytes() == _reference_fisher(e, t)
+    if m > 1:  # symmetric within the tolerance, not exactly: eigvalsh decides
+        e, t = built[0]
+        skewed = e.copy()
+        skewed[0, 1] = math.nextafter(skewed[0, 1], 1.0)
+        calls.clear()
+        assert _outcome(_fisher_bytes, skewed, t) == _outcome(_reference_fisher, skewed, t)
+        assert len(calls) == 2
+
+
+def test_solve_result_and_the_matrices_still_check_their_inputs():
+    p = SimplexDistribution([0.25, 0.75])
+    with pytest.raises(ValueError, match="support_size must count the strictly positive entries"):
+        SolveResult(p, None, 1)
+    assert SolveResult(p, None, 2).support_size == 2
+    with pytest.raises(ValueError, match="Jacobian rows must sum to 0"):
+        JacobianMatrix([[1.0, -0.5], [-0.5, 1.0]], 1.0)
+    with pytest.raises(ValueError, match="Fisher matrix must be positive semidefinite"):
+        FisherMatrix([[-1.0, 1.0], [1.0, -1.0]], 1.0)
+
+
+@pytest.mark.parametrize("m", [1, 16, 10**6])
+def test_solve_counts_the_support_once(m):
+    # support_size is counted once, in ``_result``; it must be the count.
+    rng = np.random.default_rng(m)
+    x = rng.uniform(-5.0, 5.0, m)
+    prior = rng.dirichlet(np.ones(m)) * 0.9 + 0.1 / m
+    regs = [
+        RegularizerSpec.shannon(0.5),
+        RegularizerSpec.l2(),
+        *(RegularizerSpec.tsallis(alpha) for alpha in (1.5, 2.0, 3.0)),
+        RegularizerSpec.alibi(1.0, max(1, m // 2), 0.5),
+        RegularizerSpec.kl_prior(prior / prior.sum(), 0.5),
+    ]
+    for reg in regs:
+        result = solve(Scores(x), reg)
+        assert result.support_size == np.count_nonzero(result.distribution.weights)
+
+
+def _reference_exp_cut(x: np.ndarray) -> np.ndarray:
+    out = np.exp(x)
+    out[x <= solvers._EXP_CUT] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("length", [1, 2, 7, 9, 10, 11, 19, 20, 21, 63, 100, 1001, 4099])
+def test_exp_cut_gathered_or_masked_is_the_plain_exp(length):
+    # Survivor counts on both sides of the gather share, as one window or
+    # scattered, in views at every offset from an 8-entry boundary.
+    rng = np.random.default_rng(length)
+    crossover = solvers._GATHER_BELOW * length
+    counts = {0, 1, length, int(crossover) - 1, int(crossover), math.ceil(crossover), length // 2}
+    buffer = np.empty(length + 8)
+    for count in sorted(c for c in counts if 0 <= c <= length):
+        for layout in ("window", "scattered"):
+            x = -746.0 - rng.uniform(0.0, 1e3, length)
+            x[rng.random(length) < 0.2] = -np.inf
+            alive = (
+                np.arange(length) < count
+                if layout == "window"
+                else rng.permutation(length) < count
+            )
+            x[alive] = rng.uniform(-745.9, 5.0, count)
+            expected = _reference_exp_cut(x)
+            for offset in range(8):
+                view = buffer[offset : offset + length]
+                view[:] = x
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert solvers._exp_cut(view) is view
+                assert view.tobytes() == expected.tobytes(), (count, layout, offset)
+    for low in (-1000.0, -10000.0):  # rows of a plan: 75% and 7.5% survive
+        rows = rng.uniform(low, 0.0, (7, 13))
+        assert solvers._exp_cut(rows.copy()).tobytes() == _reference_exp_cut(rows).tobytes()

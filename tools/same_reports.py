@@ -48,7 +48,17 @@ seeded rows at m=16, and of ``cost_matrix``, ``attention_matrix`` and
 ``context`` on one seeded 64x64 batch; the ``attention_matrix`` plans at n
 x m in {1x1, 1x7, 7x1, 13x37, 512x512} and temperatures 1e-8, 1 and 1e8,
 and on a 13x37 batch whose rows at scale 1e308 take the overflow-guarded
-path; and the error text of a batch whose similarities overflow.  Last,
+path; and the error text of a batch whose similarities overflow.  It
+hashes the outcomes (the accepted bytes, or the exception's type and
+message, every warning raised as an exception) of ``SimplexDistribution``
+and of ``SolveResult`` with the right support size and one off either
+way, on a seeded list of edge rows (NaN, +-inf, signed zeros,
+subnormals, entries near the double range's ends, sums one ulp either
+side of the tolerance, lists, 2-D and empty input), and of
+``FisherMatrix`` and ``JacobianMatrix`` on seeded matrices near the
+positive semidefinite boundary (the library's own with a nudged
+diagonal, a given least eigenvalue, 2x2 blocks where Gershgorin's bound
+is tight, some skewed by one ulp) and a few malformed ones.  Last,
 each tree makes a fixed list of in-process ``vattn.cli.main`` calls
 (``attn`` for every kind, by flags and by a file ``regularizer`` object;
 ``transport`` closed form and oracle; ``gradcheck``; malformed inputs and
@@ -364,6 +374,102 @@ try:
 except ValueError as error:
     failure = repr(error)
 print(json.dumps(["attention_matrix non-finite", failure]), flush=True)
+
+# The validated types on a seeded list of edge inputs: each outcome is the
+# accepted bytes, or the type and message of the exception raised, with
+# every warning raised as an exception.
+import math, warnings
+from vattn import FisherMatrix, JacobianMatrix, SolveResult
+
+def validated(build):  # (the built object or None, its outcome's bytes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            built = build()
+        except Exception as error:  # a refused input's outcome is its error
+            return None, repr((type(error).__name__, str(error))).encode()
+    if isinstance(built, SolveResult):
+        state = (built.potential, built.support_size)
+        return built, built.distribution.weights.tobytes() + repr(state).encode()
+    if isinstance(built, SimplexDistribution):
+        return built, built.weights.tobytes()
+    return built, built.entries.tobytes() + built.temperature.hex().encode()
+
+def sum_edges():
+    # The last sums accepted on each side of 1 and the first ulp past them.
+    atol, edges = 1e-12, []
+    for side in (1.0, -1.0):
+        total = 1.0 + side * atol
+        while abs(total - 1.0) > atol:
+            total = math.nextafter(total, 1.0)
+        while abs(math.nextafter(total, 2.0 * side) - 1.0) <= atol:
+            total = math.nextafter(total, 2.0 * side)
+        edges += [total, math.nextafter(total, 2.0 * side)]
+    return edges
+
+ODD = [np.nan, np.inf, -np.inf, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, 1.7e308, -1e308, 2.0]
+weight_rows = [[], [[0.5, 0.5]], [1.0], [-0.0, 1.0], ["0.5", 0.5], [1e308, 1e308], [1e308, 1e308, np.inf]]
+for total in sum_edges():
+    weight_rows += [[total], [total / 2.0] * 2, [total / 16.0] * 16]
+for row in range(60):
+    rng = np.random.default_rng([row, 14])
+    m = int(rng.choice([1, 2, 3, 7, 16, 129, 1000]))
+    w = rng.dirichlet(np.full(m, 0.3))
+    if row % 3 == 1:
+        picks = rng.random(m) < 0.3
+        w[picks] = rng.choice(ODD, int(picks.sum()))
+    elif row % 3 == 2:
+        w = rng.uniform(-0.1, 1.0, m) * 10.0 ** rng.uniform(-310.0, 308.0)
+    weight_rows += [w, w.tolist()]
+digest = hashlib.sha256()
+for w in weight_rows:
+    dist, outcome = validated(lambda: SimplexDistribution(w))
+    digest.update(outcome)
+    if dist is not None:
+        support = int(np.count_nonzero(dist.weights))
+        for count in (support, support - 1, support + 1):
+            digest.update(validated(lambda: SolveResult(dist, 0.5, count))[1])
+print(json.dumps(["SimplexDistribution and SolveResult outcomes", digest.hexdigest()]), flush=True)
+
+def covariance_cases():
+    for row in range(60):
+        rng = np.random.default_rng([row, 15])
+        m = int(rng.choice([1, 2, 3, 16, 100]))
+        t = float(10.0 ** rng.uniform(-4.0, 4.0))
+        least = float(rng.choice([-10.0, -1.0, -0.99, -0.5, -0.49, 0.0, 1.0])) * 1e-10
+        if row % 4 == 0:  # the library's own matrix, one diagonal entry nudged
+            w = rng.dirichlet(np.full(m, 0.5))
+            e = (np.diag(w) - np.outer(w, w)) / (t * t)
+            e[0, 0] += least * max(1.0, float(np.abs(e).max()))
+        elif row % 4 == 1 and m > 1:  # least eigenvalue ``least`` off the ones vector
+            basis = np.linalg.qr(np.column_stack([np.ones(m), rng.standard_normal((m, m - 1))]))[0]
+            spectrum = rng.uniform(0.0, 3.0, m - 1)
+            spectrum[0] = least
+            e = (basis[:, 1:] * spectrum) @ basis[:, 1:].T
+            e = (e + e.T) / 2.0
+        else:  # 2x2 blocks [[a, -a], [-a, a]]: Gershgorin's bound is tight
+            e = np.zeros((m, m))
+            for k in range(m // 2):
+                a = least / 2.0 if k == 0 else float(rng.uniform(0.0, 1.0))
+                e[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [[a, -a], [-a, a]]
+        yield e, t
+        if row % 5 == 0 and m > 1:
+            skewed = e.copy()
+            skewed[0, 1] = math.nextafter(skewed[0, 1], 1.0)
+            yield skewed, t
+    yield [[0.0]], 1.0
+    yield [[1.0, -1.0]], 1.0
+    yield [[np.nan]], 1.0
+    yield [[1e308, -1e308], [-1e308, 1e308]], 1.0
+    yield [[0.0]], 0.0
+    yield [[0.0]], "1"
+
+digests = {"FisherMatrix": hashlib.sha256(), "JacobianMatrix": hashlib.sha256()}
+for e, t in covariance_cases():
+    digests["FisherMatrix"].update(validated(lambda: FisherMatrix(e, t))[1])
+    digests["JacobianMatrix"].update(validated(lambda: JacobianMatrix(e, t))[1])
+for label, digest in digests.items():
+    print(json.dumps([f"{label} outcomes", digest.hexdigest()]), flush=True)
 
 import contextlib, io, os, re, tempfile
 from vattn.cli import main
