@@ -259,7 +259,10 @@ def _cmd_attn(args) -> int:
     document = _load_document(args.input)
     scores = Scores(_field(document, "scores", 1, required=True))
     reg = _build_regularizer(args, document, scores)
-    result = solvers.solve(scores, reg)
+    try:
+        result = solvers.solve(scores, reg)
+    except ValueError as exc:  # a penalty that overflows at every key
+        raise FlagError(str(exc)) from exc
     objective = core.objective_value(result.distribution, scores, reg)
     _emit(
         {

@@ -64,6 +64,8 @@ _KINDS = {
     KL_PRIOR: _Kind(("temperature", "prior"), True),
 }
 REGULARIZER_KINDS = tuple(_KINDS)
+# The error of a penalty that overflows at every key: no logit is finite.
+_OVERFLOWS = "the {} penalty overflows at every key, so no weight is defined"
 
 
 class NumericalFailure(RuntimeError):
@@ -390,23 +392,17 @@ def objective_value(p: SimplexDistribution, s: Scores, reg: RegularizerSpec) -> 
     return float(-np.dot(p.weights, s.values)) + regularizer_value(p, reg)
 
 
-def objective_rows(
-    candidates: np.ndarray, s: Scores, reg: RegularizerSpec, *, xlogx: np.ndarray | None = None
-) -> np.ndarray:
+def objective_rows(candidates: np.ndarray, s: Scores, reg: RegularizerSpec) -> np.ndarray:
     """Objective evaluated for every row of ``candidates`` at once.
 
-    Rows are treated as probability vectors; used by the brute-force search
-    and the random-point optimality certificates, where the per-call cost of
-    the scalar entry point would dominate.  ``xlogx``, when given, holds
-    sum_j P_ij log P_ij for every row as ``_xlogx_rows`` computes it; the
-    entropic kinds then use it instead of recomputing it.
+    Rows are treated as probability vectors; used by the random-point
+    optimality certificates, where the per-call cost of the scalar entry
+    point would dominate.
     """
     P = np.asarray(candidates, dtype=np.float64)
     if P.ndim != 2 or P.shape[1] != len(s):
         raise ValueError(f"candidate rows must have shape (k, {len(s)})")
-    if xlogx is not None and np.shape(xlogx) != (P.shape[0],):
-        raise ValueError(f"xlogx must hold one value per candidate row, {P.shape[0]}")
-    return -(P @ s.values) + _omega_rows(P, reg, xlogx)
+    return -(P @ s.values) + _omega_rows(P, reg)
 
 
 def _row_sums(q: np.ndarray) -> np.ndarray:

@@ -29,14 +29,15 @@ from .core import (
     Scores,
     SimplexDistribution,
     _KINDS,
+    _OVERFLOWS,
     _TSALLIS_EXPM1_BELOW,
     _check_count,
     _check_lengths,
     _check_positive_real,
+    _omega_rows,
     _tsallis_terms,
     _xlogx_rows,
     key_distances,
-    objective_rows,
 )
 
 __all__ = [
@@ -569,6 +570,9 @@ def _minimize_many(
     for index, (s, reg) in enumerate(pairs):
         if reg.prior is not None:
             _check_lengths(reg.prior, s, "prior", "scores")
+        if reg.kind == ALIBI:  # gamma * d is inf at every key if at the nearest
+            if math.isinf(reg.gamma * max(0.0, float(reg.query_position) - len(s))):
+                raise ValueError(_OVERFLOWS.format(ALIBI))
         groups.setdefault((reg.kind, reg.alpha), []).append(index)
     outcomes: list = [None] * len(pairs)
     for members in groups.values():
@@ -668,7 +672,8 @@ def grid_search_simplex(s: Scores, reg: RegularizerSpec, resolution: int) -> Ora
     # np.argmin's pick on the whole array.
     picks = []
     for chunk in _grid_chunks(grid.points.shape[0]):
-        objectives = objective_rows(grid.points[chunk], s, reg, xlogx=grid.xlogx[chunk])
+        points = grid.points[chunk]
+        objectives = -(points @ s.values) + _omega_rows(points, reg, grid.xlogx[chunk])
         best = int(np.argmin(objectives))
         picks.append((objectives[best], chunk.start + best))
     value, best = picks[int(np.argmin([value for value, _ in picks]))]

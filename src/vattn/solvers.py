@@ -29,6 +29,7 @@ from .core import (
     _check_positive_real,
     _check_positive_distribution,
     _check_query_position,
+    _OVERFLOWS,
     _Adopt,
     key_distances,
     objective_value,
@@ -145,9 +146,15 @@ def softmax(s: Scores, temperature: float) -> SolveResult:
     an exp; the lowest shifted entry, bottom / tau - top / tau, says
     whether a row has any.
     """
-    t = _check_positive_real(temperature)
-    v = s.values
+    return _softmax(s.values, _check_positive_real(temperature))
+
+
+def _softmax(v: np.ndarray, t: float, kind: str = SHANNON) -> SolveResult:
+    # Logits the library made, at a checked tau.  A -inf logit, where the
+    # kind's penalty overflowed, takes the guarded path and gets weight 0.
     top, bottom = float(v.max()), float(v.min())
+    if top == -math.inf:
+        raise ValueError(_OVERFLOWS.format(kind))
     potential = _lse(v, t, top, bottom)  # first, so its buffer is freed first
     low = bottom / t - top / t
     return _result(_softmax_rows(v, t, top, math.isfinite(low), not low > _EXP_CUT), potential)
@@ -452,13 +459,16 @@ def alibi_softmax(
 
     Positions are 1-based and the penalty is symmetric around the query
     position; this solves the entropy objective augmented with a linear
-    locality cost.
+    locality cost.  A key whose penalty overflows gets weight exactly 0; a
+    penalty that overflows at every key is a ``ValueError``.
     """
     i = _check_query_position(query_position)
     g = _check_gamma(gamma)
+    t = _check_positive_real(temperature)
     penalized = key_distances(i, len(s))
-    np.subtract(s.values, np.multiply(penalized, g, out=penalized), out=penalized)
-    return softmax(Scores(_Adopt(penalized)), temperature)
+    with np.errstate(over="ignore"):  # an overflowing penalty: a logit of -inf
+        np.subtract(s.values, np.multiply(penalized, g, out=penalized), out=penalized)
+    return _softmax(penalized, t, ALIBI)
 
 
 def prior_softmax(s: Scores, prior: SimplexDistribution, temperature: float) -> SolveResult:
@@ -466,14 +476,15 @@ def prior_softmax(s: Scores, prior: SimplexDistribution, temperature: float) -> 
 
     Computed in the log domain as softmax of s_j + tau * log(prior_j): the
     additive log-prior is the multiplicative Bayes update on the evidence
-    exp(s_j / tau).  A uniform prior recovers plain softmax.
+    exp(s_j / tau).  A uniform prior recovers plain softmax.  Overflows as in ``alibi_softmax``.
     """
     t = _check_positive_real(temperature)
     _check_lengths(prior, s, "prior", "scores")
     prior = _check_positive_distribution(prior)
     effective = np.log(prior.weights)
-    np.add(np.multiply(effective, t, out=effective), s.values, out=effective)
-    return softmax(Scores(_Adopt(effective)), t)
+    with np.errstate(over="ignore"):  # an overflowing penalty: a logit of -inf
+        np.add(np.multiply(effective, t, out=effective), s.values, out=effective)
+    return _softmax(effective, t, KL_PRIOR)
 
 
 def lse(s: Scores, temperature: float) -> float:

@@ -12,7 +12,6 @@ reported residual of a check is the worst value seen across its trials.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -536,20 +535,10 @@ def _rand_batch(rng):
     return batch, eps
 
 
-def _eot_plans(instances):
-    """``solve_full_eot``'s plan of every ``(batch, eps)`` instance, in
-    order, the rows of all plans solved together; a plan whose solve fails
-    raises its error when its turn comes."""
-    rows = [transport._eot_rows(batch, eps) for batch, eps in instances]
-    outcomes = iter(oracle._minimize_many([pair for _, pairs in rows for pair in pairs]))
-    for scores, pairs in rows:
-        yield transport._eot_plan(scores, list(itertools.islice(outcomes, len(pairs))))
-
-
 def _full_eot_residuals(instances) -> list[float]:
     return [
         float(np.max(np.abs(solved.entries - transport.attention_matrix(batch, eps).entries)))
-        for (batch, eps), solved in zip(instances, _eot_plans(instances))
+        for (batch, eps), solved in zip(instances, transport._eot_plans(instances))
     ]
 
 

@@ -19,7 +19,6 @@ from .core import (
     NumericalFailure,
     QueryKeyBatch,
     RegularizerSpec,
-    Scores,
     ValueSet,
     _Adopt,
     _check_lengths,
@@ -122,40 +121,35 @@ def solve_full_eot(
     one lock-step descent, and assemble the plan; never touches the closed
     form it is meant to certify.
 
-    A failure names the lowest-index row that fails, as solving the rows
-    one after another would.
+    Non-finite similarities are rejected before any row is solved, as in
+    ``attention_matrix``.  A failure names the lowest-index row that fails,
+    as solving the rows one after another would.
     """
-    scores, pairs = _eot_rows(batch, epsilon)
-    return _eot_plan(scores, oracle._minimize_many(pairs, cfg))
+    return next(_eot_plans([(batch, epsilon)], cfg))
 
 
-def _eot_rows(
-    batch: QueryKeyBatch, epsilon: float
-) -> tuple[np.ndarray, list[tuple[Scores, RegularizerSpec]]]:
-    """The similarity matrix of ``solve_full_eot`` and the (row,
-    regularizer) pairs it solves: the rows before the first non-finite one,
-    which is never solved."""
-    reg = RegularizerSpec.shannon(_check_positive_real(epsilon, "epsilon"))
-    scores = _similarities(batch)
-    finite = np.isfinite(scores).all(axis=1)
-    solvable = len(scores) if finite.all() else int(finite.argmin())
-    return scores, [(Scores(row), reg) for row in scores[:solvable]]
-
-
-def _eot_plan(scores: np.ndarray, outcomes: list) -> TransportPlan:
-    """The plan of ``_eot_rows``'s solved rows, or the error
-    ``solve_full_eot`` raises: the lowest-index failing row's, else the
-    rejection of the first non-finite row."""
-    for index, outcome in enumerate(outcomes):
-        if isinstance(outcome, NumericalFailure):
-            raise outcome
-        if not outcome.converged:
-            raise NumericalFailure(
-                f"row {index} did not converge within the iteration budget"
-            )
-    if len(outcomes) < len(scores):
-        Scores(scores[len(outcomes)])
-    return TransportPlan(_Adopt(np.vstack([outcome.distribution.weights for outcome in outcomes])))
+def _eot_plans(instances, cfg: oracle.SolverConfig | None = None):
+    """``solve_full_eot``'s plan of every ``(batch, epsilon)`` instance, in
+    order.  Every instance is checked first; then the rows of all plans are
+    solved in one descent, and a plan whose solve fails raises its error
+    when its turn comes."""
+    rows, regs, sizes = [], [], []
+    for batch, epsilon in instances:
+        reg = RegularizerSpec.shannon(_check_positive_real(epsilon, "epsilon"))
+        scores = _frozen(_Adopt(_similarities(batch)), "scores", 2)
+        rows += list(scores)
+        regs += [reg] * len(scores)
+        sizes.append(len(scores))
+    outcomes = iter(oracle._descend(rows, regs, cfg))
+    for size in sizes:
+        weights = []
+        for index, outcome in zip(range(size), outcomes):
+            if isinstance(outcome, NumericalFailure):
+                raise outcome
+            if not outcome.converged:
+                raise NumericalFailure(f"row {index} did not converge within the iteration budget")
+            weights.append(outcome.distribution.weights)
+        yield TransportPlan(_Adopt(np.vstack(weights)))
 
 
 def context(plan: TransportPlan, values: ValueSet) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Command-line surface: documents, exit codes, determinism."""
 
 import json
+import math
 import re
+import warnings
 
 import numpy as np
 
@@ -94,6 +96,33 @@ def test_attn_exit_codes(tmp_path, capsys):
     assert _run(capsys, ["attn", good, "--reg", "tsallis", "--alpha", "0.5"])[0] == 3
     assert _run(capsys, ["attn", good, "--reg", "bogus"])[0] == 3
     assert _run(capsys, ["attn", good])[0] == 3  # no regularizer anywhere
+
+
+def test_attn_overflowing_penalties_exit_3_or_weigh_the_finite_keys(tmp_path, capsys):
+    # A penalty that overflows at every key leaves no weight defined: exit 3.
+    # One that overflows at some keys gives them weight 0.  Neither warns.
+    path = _write(tmp_path, "in.json", {"scores": [0.7, -1.3, 2.1, 0.2, -0.4, 1.0, 0.3]})
+    prior = _write(tmp_path, "prior.json", [1e-300] * 6 + [1.0])
+    cases = [
+        (["alibi", "--tau", "1", "--gamma", "1e300", "--pos", "1000000000000000"], None),
+        (["alibi", "--tau", "1", "--gamma", "1e308", "--pos", "4"], 3),
+        (["kl", "--tau", "1e306", "--prior", prior], 6),
+        (["kl", "--tau", "1.7e308", "--prior", "uniform"], None),
+    ]
+    for flags, key in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run(capsys, ["attn", path, "--reg", *flags])
+        if key is None:
+            assert (code, out) == (3, "")
+            assert err.startswith("vattn: invalid flags: the ")
+            assert err.endswith(" penalty overflows at every key, so no weight is defined\n")
+            continue
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["distribution"] == [float(j == key) for j in range(7)]
+        assert doc["support_size"] == 1
+        assert math.isfinite(doc["potential"]) and math.isfinite(doc["objective"])
 
 
 def test_attn_tsallis_near_softmax_solves(tmp_path, capsys):

@@ -883,20 +883,6 @@ def test_grid_entries_carry_their_entropy_terms():
     assert grid_search_simplex(Scores([0.5]), l2, 100).iterations == 1
 
 
-def test_objective_rows_reuse_the_entropy_terms_bit_for_bit():
-    rng = np.random.default_rng(12)
-    for m, resolution in ((2, 1000), (3, 200)):
-        entry = oracle._build_grid(m, resolution)
-        for kind in REGULARIZER_KINDS:
-            s = Scores(rng.uniform(-5.0, 5.0, m))
-            reg = _random_regularizer(rng, kind, m)
-            plain = objective_rows(entry.points, s, reg)
-            reused = objective_rows(entry.points, s, reg, xlogx=entry.xlogx)
-            assert reused.tobytes() == plain.tobytes()
-    with pytest.raises(ValueError):
-        objective_rows(entry.points, s, reg, xlogx=entry.xlogx[:-1])
-
-
 def test_grid_cache_makes_room_before_building(monkeypatch):
     reg = RegularizerSpec.shannon(1.0)
     grid_search_simplex(Scores([0.1, 0.2]), reg, 100)
@@ -1119,3 +1105,35 @@ def test_many_pairs_edge_cases():
     (outcome,) = oracle._minimize_many([(s, RegularizerSpec.shannon(0.5))])
     alone = minimize_on_simplex(s, RegularizerSpec.shannon(0.5))
     assert outcome.distribution.weights.tobytes() == alone.distribution.weights.tobytes()
+
+
+def test_an_alibi_penalty_overflowing_at_every_key_is_rejected_before_any_descent(monkeypatch):
+    # gamma * d is inf at the nearest key, so at every key: the closed form
+    # has no finite logit either.  The oracle raises the closed form's
+    # error before any descent, where it used to warn and end on a NaN.
+    calls = []
+    descend = oracle._descend
+    monkeypatch.setattr(oracle, "_descend", lambda *args: calls.append(args) or descend(*args))
+    s = Scores(np.linspace(-1.0, 1.0, 7))
+    overflowing = [
+        RegularizerSpec.alibi(1e300, 10**15, 1.0),
+        RegularizerSpec.alibi(sys.float_info.max, 9, 1.0),  # two keys past the last
+        RegularizerSpec.alibi(1e308, 2**60 + 1, 0.5),  # past the doubles' integers
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for reg in overflowing:
+            with pytest.raises(ValueError) as closed:
+                solve(s, reg)
+            with pytest.raises(ValueError) as raised:
+                minimize_on_simplex(s, reg)
+            assert str(raised.value) == str(closed.value)
+            assert "overflows at every key" in str(raised.value)
+            with pytest.raises(ValueError):
+                oracle._minimize_many([(s, RegularizerSpec.shannon(1.0)), (s, reg)])
+        assert calls == []
+        # The nearest key's penalty is finite (and every other's): solved.
+        reg = RegularizerSpec.alibi(1e300, 8, 1.0)
+        found = minimize_on_simplex(s, reg)
+        expected = solve(s, reg).distribution.weights
+        assert found.converged and _sup(found.distribution.weights, expected) < 1e-12

@@ -4,8 +4,10 @@ Each case must solve: a simplex output, no warning, and no
 ``NumericalFailure`` partway through.
 """
 
+import fractions
 import functools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -214,6 +216,79 @@ def test_prior_softmax_solves_every_row(m, scale_exponent, tied, seed, tau_expon
             return
         result = prior_softmax(s, prior, t)
     _assert_simplex(result, m)
+
+
+# The entropic closed forms where a penalty overflows.  A logit of -inf
+# has weight 0 and the others are weighed as usual; a penalty that
+# overflows at every key leaves no weight defined.
+DBL_MAX = sys.float_info.max
+
+
+def _float_softmax(logits: np.ndarray, t: float) -> np.ndarray:
+    # exp((v - top) / tau) over the finite logits, normalized, with each gap
+    # taken exactly as a rational: the library halves the gaps instead.
+    top = fractions.Fraction(float(logits[np.isfinite(logits)].max()))
+    terms = []
+    for v in logits.tolist():
+        gap = (fractions.Fraction(v) - top) / fractions.Fraction(t) if math.isfinite(v) else -1000
+        terms.append(math.exp(gap) if gap > -1000 else 0.0)
+    return np.array(terms) / math.fsum(terms)
+
+
+def _assert_overflow_outcome(call, logits: np.ndarray, t: float):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if np.isneginf(logits).all():
+            with pytest.raises(ValueError, match="penalty overflows at every key"):
+                call()
+            return None
+        result = call()
+    w, potential = result.distribution.weights, result.potential
+    assert result.support_size == np.count_nonzero(w)
+    finite = np.isfinite(logits)
+    expected = softmax(Scores(logits[finite]), t)
+    if finite.all():
+        assert w.tobytes() == expected.distribution.weights.tobytes()
+        assert potential == expected.potential  # inf where tau * log(sum) overflows
+    else:  # the -inf logits add nothing to the potential
+        assert np.all(w[~finite] == 0.0)
+        assert np.max(np.abs(w - _float_softmax(logits, t))) <= 1e-15
+        gap = abs(potential - expected.potential)
+        assert potential == expected.potential or gap <= 1e-15 * (abs(expected.potential) + t)
+    return w.tobytes()
+
+
+@hypothesis.settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@hypothesis.given(
+    m=st.sampled_from([1, 2, 7, 16, 1000]),
+    gamma=st.sampled_from([0.0, 1.0, 1e300, 1e308, DBL_MAX]),
+    where=st.sampled_from(["first", "last", "past", "far"]),
+    t=st.sampled_from([1e-300, 1.0, 1e306, DBL_MAX]),
+    scale=st.sampled_from([5.0, 1e300]),
+    smallest=st.sampled_from([0.0, 100.0, 300.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_overflowing_penalties_weigh_only_the_finite_logits(
+    m, gamma, where, t, scale, smallest, seed
+):
+    rng = np.random.default_rng(seed)
+    s = Scores(rng.uniform(-scale, scale, m))
+    position = {"first": 1, "last": m, "past": m + 1, "far": 10**15}[where]
+    with np.errstate(over="ignore"):
+        logits = s.values - gamma * key_distances(position, m)
+    reg = RegularizerSpec.alibi(gamma, position, t)
+    found = _assert_overflow_outcome(lambda: alibi_softmax(s, position, gamma, t), logits, t)
+    assert _assert_overflow_outcome(lambda: solve(s, reg), logits, t) == found
+    # A prior with about half its entries from 1 down to 10**-smallest.
+    prior = rng.dirichlet(np.ones(m))
+    tiny = rng.random(m) < 0.5
+    prior[tiny] = 10.0 ** -rng.uniform(0.0, smallest, int(tiny.sum()))
+    prior = SimplexDistribution(prior / prior.sum())
+    with np.errstate(over="ignore"):
+        logits = s.values + t * np.log(prior.weights)
+    reg = RegularizerSpec.kl_prior(prior, t)
+    found = _assert_overflow_outcome(lambda: prior_softmax(s, prior, t), logits, t)
+    assert _assert_overflow_outcome(lambda: solve(s, reg), logits, t) == found
 
 
 # The softmax family as it was before entries below exp's underflow cut
@@ -428,7 +503,7 @@ def test_grid_search_picks_the_whole_grids_argmin(size, kind, scores, seed):
     with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
         warnings.simplefilter("ignore", RuntimeWarning)  # the overflowing alibi's
         found = grid_search_simplex(s, reg, resolution)
-        objectives = objective_rows(points, s, reg, xlogx=xlogx)
+        objectives = objective_rows(points, s, reg)
     best = int(np.argmin(objectives))
     kept = oracle._last_grid[1]
     assert kept.points.tobytes() == points.tobytes()
@@ -446,7 +521,7 @@ def test_grid_search_takes_the_first_of_minima_tied_across_a_chunk_boundary(kind
     s = Scores([1.0, 1.0])
     reg = _grid_regularizer(kind, 2, np.random.default_rng(0))
     points, xlogx = _reference_grid(2, resolution)
-    objectives = objective_rows(points, s, reg, xlogx=xlogx)
+    objectives = objective_rows(points, s, reg)
     assert objectives[CHUNK - 1] == objectives[CHUNK] == objectives.min()
     found = grid_search_simplex(s, reg, resolution)
     assert found.distribution.weights.tobytes() == points[CHUNK - 1].tobytes()

@@ -21,6 +21,7 @@ from vattn import (
     eot_matrix_objective,
     minimize_on_simplex,
     softmax,
+    oracle,
     solve_full_eot,
 )
 from vattn.core import NumericalFailure, objective_value
@@ -270,14 +271,24 @@ def test_full_eot_projected_gradient_failure_is_the_row_by_row_failure():
     assert str(error) == "row 0 did not converge within the iteration budget"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
-def test_full_eot_non_finite_scores_fail_in_row_order():
-    keys = [[1e200], [1.0]]
-    error = _same_outcome(QueryKeyBatch([[0.5], [1e200]], keys), 1.0)
-    assert isinstance(error, ValueError) and "finite" in str(error)
-    capped = SolverConfig(max_iterations=1, tolerance=1e-15)
-    error = _same_outcome(QueryKeyBatch([[0.5], [1e200]], keys), 1.0, capped)
-    assert str(error) == "row 0 did not converge within the iteration budget"
+def test_full_eot_rejects_non_finite_scores_before_any_row_is_solved(monkeypatch):
+    # Row 1's similarity overflows.  Solved row by row, row 0 would fail
+    # first under the capped budget; the batch is rejected before any
+    # descent instead, with attention_matrix's error, under every budget.
+    calls = []
+    descend = oracle._descend
+    monkeypatch.setattr(oracle, "_descend", lambda *args: calls.append(args) or descend(*args))
+    batch = QueryKeyBatch([[0.5], [1e200]], [[1e200], [1.0]])
+    with pytest.raises(ValueError) as expected:
+        attention_matrix(batch, 1.0)
+    assert "finite" in str(expected.value)
+    for cfg in (None, SolverConfig(max_iterations=1, tolerance=1e-15)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as raised:
+                solve_full_eot(batch, 1.0, cfg)
+        assert str(raised.value) == str(expected.value)
+    assert calls == []
 
 
 def test_attention_matrix_is_read_only():

@@ -35,8 +35,9 @@ and 3 on tied rows and on rows with one dominant score (entmax's root at y
 = 0), at m=16 and m=1000; the softmax family where most shifted logits
 underflow (alibi at m=1e4 and 1e5 with the query at either end, softmax
 at tau 1e-3 on a 1e5-key row, kl_prior with prior entries down to
-1e-320); and sparsemax, tied and untied, at m=1023, 1024 (its candidate
-threshold) and 1e5.  It hashes the grid searches of a seeded list,
+1e-320); alibi and kl_prior at m=16 and 1e5 whose penalties come within a
+factor of 2 of DBL_MAX without overflowing; and sparsemax, tied and
+untied, at m=1023, 1024 (its candidate threshold) and 1e5.  It hashes the grid searches of a seeded list,
 each searched twice in a row: m from 1 to 3, every kind (tsallis at alphas
 1.5, 2 and 3), at resolutions 100, 2000 and, for m <= 2, 1e6; and around
 the search's 2^14-row chunks: m=2 grids of 2^14 - 1, 2^14 and 2^14 + 1
@@ -48,7 +49,9 @@ seeded rows at m=16, and of ``cost_matrix``, ``attention_matrix`` and
 ``context`` on one seeded 64x64 batch; the ``attention_matrix`` plans at n
 x m in {1x1, 1x7, 7x1, 13x37, 512x512} and temperatures 1e-8, 1 and 1e8,
 and on a 13x37 batch whose rows at scale 1e308 take the overflow-guarded
-path; and the error text of a batch whose similarities overflow.  It
+path; the ``solve_full_eot`` plans (or the errors' type and text) of 12
+seeded finite batches at budgets 1, 5 and 300; and the error text of a
+batch whose similarities overflow.  It
 hashes the outcomes (the accepted bytes, or the exception's type and
 message, every warning raised as an exception) of ``SimplexDistribution``
 and of ``SolveResult`` with the right support size and one off either
@@ -279,6 +282,7 @@ for m, rows in ((16, 40), (1000, 4)):
 
 # The softmax family where most shifted logits fall below exp's underflow
 # cut, and sparsemax on both sides of its candidate threshold (1024 keys).
+import math
 def solve_bytes(result):
     potential = None if result.potential is None else result.potential.hex()
     return result.distribution.weights.tobytes() + repr((potential, result.support_size)).encode()
@@ -301,6 +305,26 @@ for m in (16, 1000, 10**5):
     x = rng.uniform(-5.0, 5.0, m)
     for t in (0.1, 1.0):
         cases.append((f"kl_prior tiny prior m={m} t={t}", x, RegularizerSpec.kl_prior(prior, t)))
+# Penalties within a factor of 2 of DBL_MAX that do not overflow: alibi's
+# gamma * |i - j| at its farthest key, at tau 1 and tau = gamma, and
+# kl_prior's tau * log(prior) at prior entries down to 1e-300.
+DBL_MAX = sys.float_info.max
+for m in (16, 10**5):
+    rng = np.random.default_rng([m, 16])
+    x = rng.uniform(-5.0, 5.0, m)
+    for position in (1, m // 2, m):
+        far = max(position - 1, m - position)
+        for share in (0.5, 0.99):
+            gamma = share * DBL_MAX / far
+            for t, name in ((1.0, "1"), (gamma, "gamma")):  # at gamma, weights ~ exp(-|i - j|)
+                label = f"alibi near DBL_MAX m={m} query {position} share {share} t={name}"
+                cases.append((label, x, RegularizerSpec.alibi(gamma, position, t)))
+    prior = rng.dirichlet(np.ones(m))
+    prior[rng.random(m) < 0.3] = 1e-300
+    prior = SimplexDistribution(prior / prior.sum())
+    for share in (0.5, 0.99):
+        t = share * DBL_MAX / -math.log(prior.weights.min())
+        cases.append((f"kl_prior near DBL_MAX m={m} share {share}", x, RegularizerSpec.kl_prior(prior, t)))
 for m in (1023, 1024, 10**5):
     rng = np.random.default_rng([m, 11])
     x = rng.uniform(-5.0, 5.0, m)
@@ -367,6 +391,20 @@ for t in (1e-8, 0.5):
     record(f"attention_matrix guarded 13x37 t={t}", lambda: transport.attention_matrix(batch, t))
 for label, digest in digests.items():
     print(json.dumps([f"{label} outputs", digest.hexdigest()]), flush=True)
+# solve_full_eot plans of seeded finite batches under small and default
+# budgets: the plan bytes, or the error's type and text.
+for budget in (1, 5, 300):
+    digest = hashlib.sha256()
+    for row in range(12):
+        rng = np.random.default_rng([row, budget, 17])
+        n, m, d = (int(k) for k in rng.integers(1, 9, 3))
+        batch = QueryKeyBatch(rng.uniform(-1.0, 1.0, (n, d)), rng.uniform(-1.0, 1.0, (m, d)))
+        eps, cfg = float(rng.choice([0.5, 1.0, 2.0])), SolverConfig(max_iterations=budget)
+        try:
+            digest.update(transport.solve_full_eot(batch, eps, cfg).entries.tobytes())
+        except (NumericalFailure, ValueError) as error:
+            digest.update(repr((type(error).__name__, str(error))).encode())
+    print(json.dumps([f"solve_full_eot plans budget {budget}", digest.hexdigest()]), flush=True)
 # A batch whose similarities overflow: the error's type and text.
 try:
     transport.attention_matrix(QueryKeyBatch([[0.5], [1e200]], [[1e200], [1.0]]), 1.0)
@@ -378,7 +416,7 @@ print(json.dumps(["attention_matrix non-finite", failure]), flush=True)
 # The validated types on a seeded list of edge inputs: each outcome is the
 # accepted bytes, or the type and message of the exception raised, with
 # every warning raised as an exception.
-import math, warnings
+import warnings
 from vattn import FisherMatrix, JacobianMatrix, SolveResult
 
 def validated(build):  # (the built object or None, its outcome's bytes)
