@@ -439,6 +439,9 @@ def _tsallis_terms(P: np.ndarray, a: float) -> np.ndarray:
     return P**a - P
 
 
+# A penalty past the double range is +-inf, its rounded value (alibi's
+# gamma * d, kl_prior's tau * KL): no warning.
+@np.errstate(over="ignore")
 def _omega_rows(P: np.ndarray, reg: RegularizerSpec, xlogx: np.ndarray | None = None) -> np.ndarray:
     kind = reg.kind
     if xlogx is None and _KINDS[kind].entropic:

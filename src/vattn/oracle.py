@@ -131,8 +131,7 @@ class _Ragged:
     Elementwise work takes the flat arrays whole, and the exact per-row
     reductions (max, count) take one ``reduceat``.  Sums, sorts and
     cumulative sums, whose results depend on how a row is traversed, run
-    on each block's view, so every row gets the bits it gets alone.  One
-    row, as every public solve has, takes shorter paths to the same bits.
+    on each block's view, so every row gets the bits it gets alone.
     """
 
     def __init__(self, lengths: np.ndarray):
@@ -176,9 +175,6 @@ class _Ragged:
     def sorted_sums(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each row sorted ascending, and the sums of its largest 1, 2, ...
         entries, stored from the row's end."""
-        if len(self.lengths) == 1:
-            u = np.sort(v)
-            return u, np.add.accumulate(u[::-1])[::-1]
         u = v.copy()
         cssv = np.empty_like(v)
         for lo, hi, m in self.blocks:
@@ -202,17 +198,12 @@ class _Ragged:
 
     def fsum(self, *terms: np.ndarray) -> list[float]:
         """Exactly-rounded sum of each row's terms, taken as one list per
-        row: the row's entries of the first term, then of the next, the
-        order that decides where an intermediate overflow raises.  Step
+        row: the row's entries of the first term, then of the next.  Step
         acceptance near the optimum compares objective values whose true
         differences sit far below the noise of a naive left-to-right
         accumulation, and every spurious rejection raises the solver's
-        error floor."""
-        if len(self.lengths) == 1:  # one row: one flat list of terms
-            flat = terms[0].tolist()
-            for term in terms[1:]:
-                flat += term.tolist()
-            return [math.fsum(flat)]
+        error floor.  ``math.fsum`` sums every row unless it raises on one;
+        then each row is ``_exact_sum``'s."""
         if self._terms is None:
             # The gather that brings each row's entries of every term
             # together, row after row, and each row's slice of the result.
@@ -224,7 +215,33 @@ class _Ragged:
             self._terms = gather, list(map(slice, *bounds))
         gather, slices = self._terms
         flat = np.concatenate(terms)[gather].tolist()
-        return list(map(math.fsum, map(flat.__getitem__, slices)))
+        try:
+            return list(map(math.fsum, map(flat.__getitem__, slices)))
+        except (OverflowError, ValueError):
+            return list(map(_exact_sum, map(flat.__getitem__, slices)))
+
+
+def _exact_sum(terms: list[float]) -> float:
+    """``math.fsum(terms)``, or where fsum raises, the sum it stands for.
+    fsum raises when its finite partial sums overflow, even where the exact
+    sum is finite or an infinite term settles it, and on +inf beside -inf.
+    Then the non-finite terms' plain sum is the row's (+-inf, or NaN), and
+    with none the finite terms' exact sum is rounded once, to +-inf past
+    the double range."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        pass
+    special = [x for x in terms if not math.isfinite(x)]
+    if special:
+        return sum(special)
+    from fractions import Fraction  # rarely needed, and slow to import
+
+    total = sum(map(Fraction, terms))
+    try:
+        return float(total)
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
 
 
 def _runs(shifts: np.ndarray, lengths: np.ndarray, size: int) -> np.ndarray:
@@ -366,15 +383,11 @@ def _projected_step(start, grad, eta, rows: _Ragged) -> np.ndarray:
     view -= rows.column(rows.max(v))
     u, cssv = rows.sorted_sums(v)
     above = _ONE + rows.ranks() * u > cssv
-    if len(rows.lengths) == 1:
-        rho = np.count_nonzero(above)
-        v -= (cssv[-rho] - 1.0) / rho
-    else:
-        rho = np.add.reduceat(above, rows.starts)
-        # rho is 0 only on a row holding NaN; its sum of every entry, at the
-        # row's start, keeps theta NaN.
-        top = rows.starts + (rows.lengths - rho) % rows.lengths
-        view -= rows.column((cssv[top] - 1.0) / rho)
+    rho = np.add.reduceat(above, rows.starts)
+    # rho is 0 only on a row holding NaN; its sum of every entry, at the
+    # row's start, keeps theta NaN.
+    top = rows.starts + (rows.lengths - rho) % rows.lengths
+    view -= rows.column((cssv[top] - 1.0) / rho)
     return np.maximum(v, _ZERO, out=v)
 
 
@@ -388,6 +401,9 @@ def _acceptance_limit(best: float) -> float:
     return best + 2.0 * math.ulp(max(1.0, abs(best)))
 
 
+# A penalty that overflows is +inf, its defined limit, where alibi's gamma * d
+# or kl_prior's tau * log(p / prior) passes the double range: no warning.
+@np.errstate(over="ignore")
 def _descend(
     scores, regs: list[RegularizerSpec], cfg: SolverConfig | None
 ) -> list[OracleResult | NumericalFailure]:

@@ -1137,3 +1137,132 @@ def test_an_alibi_penalty_overflowing_at_every_key_is_rejected_before_any_descen
         found = minimize_on_simplex(s, reg)
         expected = solve(s, reg).distribution.weights
         assert found.converged and _sup(found.distribution.weights, expected) < 1e-12
+
+
+def _uniform_scores(m):
+    return Scores(np.random.default_rng(0).uniform(-5.0, 5.0, m))
+
+
+_SPIKE_PRIOR = SimplexDistribution.renormalized([1e-300] * 6 + [1.0])
+_PAIR_PRIOR = SimplexDistribution.renormalized([1e-300, 1.0])
+
+
+@pytest.mark.parametrize(
+    "s, reg",
+    [
+        # Every term finite, their partial sums past DBL_MAX at the uniform start.
+        (_uniform_scores(7), RegularizerSpec.alibi(1e308, 1, 1.0)),
+        (_uniform_scores(1000), RegularizerSpec.alibi(1e306, 1, 1.0)),
+        (_uniform_scores(16), RegularizerSpec.alibi(1.7e308, 16, 1.0)),
+        (Scores(np.arange(1.0, 8.0)), RegularizerSpec.kl_prior(_SPIKE_PRIOR, 1e306)),
+        # gamma * d overflows at the far keys only.
+        (_uniform_scores(7), RegularizerSpec.alibi(1e308, 4, 1.0)),
+    ],
+)
+def test_a_penalty_past_the_double_range_is_solved_without_error_or_warning(s, reg):
+    # +inf is the overflowing penalty's defined limit: the descent converges
+    # to the closed form's weights, and neither raises nor warns.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = minimize_on_simplex(s, reg)
+        expected = solve(s, reg).distribution.weights
+    assert found.converged
+    assert _sup(found.distribution.weights, expected) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "reg", [RegularizerSpec.kl_prior(_PAIR_PRIOR, 1e306), RegularizerSpec.alibi(1e308, 3, 1.0)]
+)
+def test_grid_search_takes_an_overflowing_penalty_as_inf(reg):
+    s = Scores([1.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = grid_search_simplex(s, reg, 100)
+        expected = solve(s, reg).distribution.weights
+    assert found.converged
+    assert _sup(found.distribution.weights, expected) < 1e-6
+    assert found.distribution.weights.tolist() == [0.0, 1.0]
+
+
+def test_objective_value_of_an_overflowing_penalty_is_inf():
+    reg = RegularizerSpec.kl_prior(_PAIR_PRIOR, 1e306)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = objective_value(SimplexDistribution([0.5, 0.5]), Scores([1.0, 2.0]), reg)
+    assert value == math.inf
+
+
+_MAX = sys.float_info.max
+
+
+@pytest.mark.parametrize(
+    "row, expected",
+    [
+        # Finite terms whose partial sums pass DBL_MAX: the exact sum.
+        ([1e308, 1e308, -1e308], 1e308),
+        ([_MAX, 2.0**970, -(2.0**970)], _MAX),
+        ([5e-324, 1e308, 1e308, -1e308], 1e308),
+        # Past the double range, rounded once: +-inf.
+        ([1e308, 1e308], math.inf),
+        ([-1e308, -1e308], -math.inf),
+        ([_MAX, 2.0**970], math.inf),  # half an ulp past DBL_MAX: ties to even
+        ([_MAX, 2.0**970, -5e-324], _MAX),  # just under half an ulp past it
+        # An infinite term beside overflowing finite partial sums decides.
+        ([1e308, 1e308, -math.inf], -math.inf),
+        ([math.inf, -1e308, -1e308], math.inf),
+    ],
+)
+def test_row_sum_where_fsum_overflows(row, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (total,) = oracle._Ragged(np.array([len(row)])).fsum(np.array(row))
+    assert total == expected
+
+
+def test_row_sum_of_opposite_infinities_is_nan():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = oracle._Ragged(np.array([3, 3]))
+        totals = rows.fsum(np.array([math.inf, 1.0, -math.inf, 1e308, 1e308, 1.0]))
+    assert math.isnan(totals[0]) and totals[1] == math.inf
+
+
+def _wide_rows(rng, lengths, count):
+    # Terms of both signs across most of the double range's exponents.
+    size = int(sum(lengths))
+    return [
+        rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-300.0, 300.0, size)
+        for _ in range(count)
+    ]
+
+
+def _fsum_rows(lengths, terms):
+    ends = np.cumsum(lengths).tolist()
+    return [
+        math.fsum(np.concatenate([term[end - m : end] for term in terms]).tolist())
+        for m, end in zip(lengths, ends)
+    ]
+
+
+def test_row_sums_beside_an_overflowing_row_keep_fsums_bits():
+    rng = np.random.default_rng(21)
+    lengths = [1, 2, 2, 3, 5, 5]
+    terms = _wide_rows(rng, lengths, 2)
+    terms[0][5:8] = [1e308, 1e308, -1e308]  # the row of length 3
+    terms[1][5:8] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        totals = oracle._Ragged(np.array(lengths)).fsum(*terms)
+    expected = _fsum_rows(lengths[:3], [term[:5] for term in terms])
+    expected += [1e308] + _fsum_rows(lengths[4:], [term[8:] for term in terms])
+    assert [value.hex() for value in totals] == [value.hex() for value in expected]
+
+
+def test_row_sums_that_do_not_overflow_are_fsums():
+    rng = np.random.default_rng(22)
+    for _ in range(50):
+        lengths = np.sort(rng.integers(1, 17, int(rng.integers(1, 8))))
+        terms = _wide_rows(rng, lengths, int(rng.integers(1, 4)))
+        totals = oracle._Ragged(lengths).fsum(*terms)
+        expected = _fsum_rows(lengths.tolist(), terms)
+        assert [value.hex() for value in totals] == [value.hex() for value in expected]

@@ -25,8 +25,11 @@ outcomes (weight bytes, objective, iterations, convergence and trace, or
 the error) of 18 seeded rows of mixed lengths from 1 to 16 per kind
 (tsallis at alphas 1.5, 2 and 3), one in three at scale 100, under both
 methods at budgets 1, 2, 3, 7, 40 and 300 and step sizes 0.1 and 5.0:
-the suites run their descents at the default budget only.  Each tree also
-hashes the ``solvers.solve``
+the suites run their descents at the default budget only.  Under the same
+methods, budgets and step sizes it hashes the same outcomes of one-row
+``oracle.minimize_on_simplex`` calls, each row a descent of its own: every
+kind (tsallis at alphas 1.2, 1.5, 2 and 3) on seeded rows of m = 1 to 16,
+one in three at scale 100.  Each tree also hashes the ``solvers.solve``
 weight bytes (or the error) of a fixed seeded list of rows, with each
 result's potential (as ``float.hex``) and support size: every kind at m=16
 and m=1000, tsallis at nine alphas from 1.0001 to 10 (10 enters entmax's
@@ -231,6 +234,34 @@ for ordinal, kind in enumerate(("shannon", "l2", "tsallis", "alibi", "kl_prior")
                 for outcome in oracle._minimize_many(pairs, cfg):
                     digest.update(outcome_bytes(outcome))
         print(json.dumps([f"descents {kind} {method}", digest.hexdigest()]), flush=True)
+
+# minimize_on_simplex on one row per call, at the same budgets and step
+# sizes: every kind (tsallis at alphas 1.2, 1.5, 2 and 3) under both
+# methods, on seeded rows of m = 1 to 16, every third at scale 100.
+def one_row_regularizers(rng, m):
+    yield from (reg for reg in regularizers(rng, m) if reg.kind != "tsallis")
+    for alpha in (1.2, 1.5, 2.0, 3.0):
+        yield RegularizerSpec.tsallis(alpha)
+
+one_rows = []
+for m in range(1, 17):
+    rng = np.random.default_rng([m, 18])
+    x = rng.uniform(-5.0, 5.0, m) * (100.0 if m % 3 == 0 else 1.0)
+    one_rows += [(Scores(x), reg) for reg in one_row_regularizers(rng, m)]
+digests = {}
+for method in (EXPONENTIATED_GRADIENT, PROJECTED_GRADIENT):
+    for budget in (1, 2, 3, 7, 40, 300):
+        for step_size in (0.1, 5.0):
+            cfg = SolverConfig(max_iterations=budget, step_size=step_size, method=method)
+            for s, reg in one_rows:
+                label = f"{reg.kind} {reg.alpha}" if reg.kind == "tsallis" else reg.kind
+                digest = digests.setdefault(f"{label} {method}", hashlib.sha256())
+                try:
+                    digest.update(outcome_bytes(oracle.minimize_on_simplex(s, reg, cfg)))
+                except (NumericalFailure, ValueError) as error:
+                    digest.update(repr(error).encode())
+for label, digest in digests.items():
+    print(json.dumps([f"one-row descents {label}", digest.hexdigest()]), flush=True)
 
 # Grid searches of a seeded list, each case searched twice in a row.
 for m in (1, 2, 3):
