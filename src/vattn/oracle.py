@@ -572,6 +572,16 @@ def minimize_on_simplex(
     return outcome
 
 
+def _check_pair(s: Scores, reg: RegularizerSpec) -> None:
+    # The closed forms' errors for a prior of the wrong length and for an
+    # alibi penalty that overflows at every key, raised before any search.
+    if reg.prior is not None:
+        _check_lengths(reg.prior, s, "prior", "scores")
+    if reg.kind == ALIBI:  # gamma * d is inf at every key if at the nearest
+        if math.isinf(reg.gamma * max(0.0, float(reg.query_position) - len(s))):
+            raise ValueError(_OVERFLOWS.format(ALIBI))
+
+
 def _minimize_many(
     pairs: list[tuple[Scores, RegularizerSpec]], cfg: SolverConfig | None = None
 ) -> list[OracleResult | NumericalFailure]:
@@ -584,11 +594,7 @@ def _minimize_many(
     """
     groups: dict[tuple, list[int]] = {}
     for index, (s, reg) in enumerate(pairs):
-        if reg.prior is not None:
-            _check_lengths(reg.prior, s, "prior", "scores")
-        if reg.kind == ALIBI:  # gamma * d is inf at every key if at the nearest
-            if math.isinf(reg.gamma * max(0.0, float(reg.query_position) - len(s))):
-                raise ValueError(_OVERFLOWS.format(ALIBI))
+        _check_pair(s, reg)
         groups.setdefault((reg.kind, reg.alpha), []).append(index)
     outcomes: list = [None] * len(pairs)
     for members in groups.values():
@@ -660,6 +666,7 @@ _GRID_KEEP_BYTES = 64 * 2**20
 _last_grid: tuple[tuple[int, int], _Grid] | None = None
 
 
+@np.errstate(over="ignore")  # as in the descent, an overflowing objective is inf
 def grid_search_simplex(s: Scores, reg: RegularizerSpec, resolution: int) -> OracleResult:
     """Exhaustive minimum over the barycentric grid with the given number
     of subdivisions; only feasible for m <= 3.
@@ -672,8 +679,7 @@ def grid_search_simplex(s: Scores, reg: RegularizerSpec, resolution: int) -> Ora
     if m > 3:
         raise ValueError("grid search is exhaustive and limited to m <= 3")
     resolution = _check_count(resolution, "resolution", 100)
-    if reg.prior is not None:  # before the grid is dropped or built
-        _check_lengths(reg.prior, s, "prior", "scores")
+    _check_pair(s, reg)  # before the grid is dropped or built
     global _last_grid
     key = (m, resolution)
     kept = _last_grid

@@ -51,8 +51,8 @@ __all__ = [
 
 ENTMAX_MASS_ATOL = 1e-12
 ENTMAX_MAX_BISECTIONS = 200
-# entmax restricts its bisection to candidate entries only while they
-# number at least this many (see ``entmax``).
+# entmax restricts its bisection to candidate entries on rows of at least
+# this many keys (see ``entmax``).
 _ENTMAX_CANDIDATE_MIN_KEYS = 128
 # sparsemax sorts only its candidates on rows of at least this many keys
 # (see ``sparsemax``).  On uniform rows the filter costs what it saves at
@@ -183,8 +183,7 @@ def sparsemax(s: Scores) -> SolveResult:
     2 eps |max(s)| for its own rounding; that spare covers the rest.  The
     sorted candidates are the sorted row's prefix and the cumulative sum
     is sequential, so the support, theta and every weight keep the bits
-    of sorting the whole row.  A row whose candidates are most of it sorts
-    every entry, unfiltered.
+    of sorting the whole row.
     """
     # The projection is invariant under common shifts; shifting keeps the
     # cumulative sums O(m) so theta stays accurate for large raw scores.
@@ -200,10 +199,7 @@ def sparsemax(s: Scores) -> SolveResult:
         finite = math.isfinite((top - bottom) * m)
         if finite:
             delta = (m * m + 2 * m + 2) * _EPS * max(top - bottom, 1.0)
-            keep = v >= top - (1.0 + delta + 2.0 * _EPS * abs(top))
-            if 2 * np.count_nonzero(keep) < m:
-                v = v[keep]
-            del keep
+            v = v[v >= top - (1.0 + delta + 2.0 * _EPS * abs(top))]
         u = np.sort(v)[::-1]
 
     def clipped(x):
@@ -251,19 +247,17 @@ def entmax(s: Scores, alpha: float) -> SolveResult:
     ends on the plain bisection's bits after ~10 evaluations instead of ~44.
     A midpoint is settled unevaluated only where its residual is >= 2 tol,
     so a replay that ends above the tolerance leaves the plain bisection's
-    bracket and budget to the stages below.  Below alpha = 1 + 4e-5 the
-    plain bisection runs without a replay.
+    bracket and budget to the stages below.
 
     Each evaluation covers only the *candidates*, the entries positive at
-    the y where the set was formed (usually the lowest y evaluated with
-    mass >= 1).  Rounding is monotone, so the others are exactly 0.0 at
-    every y whose exp value does not exceed that y's; any other y evaluates
-    every entry and forms the set anew.  The candidates' weights go into a
-    full-length buffer, exact zeros elsewhere, that is summed whole, so
-    every mass, decision and weight has the bits of evaluating every entry.
-    Rows under ``_ENTMAX_CANDIDATE_MIN_KEYS`` keys evaluate every entry at
-    every step: there a step costs numpy's per-call overhead, not per-entry
-    work.
+    y = 0, the top of the bracket, where exp((alpha-1) y) is 1.  Every
+    evaluation lies at y <= 0, where that exp value is at most 1, and
+    rounding is monotone, so every other entry is exactly 0.0 there.  The
+    candidates' weights go into a full-length buffer, exact zeros
+    elsewhere, that is summed whole, so every mass, decision and weight has
+    the bits of evaluating every entry.  Rows under
+    ``_ENTMAX_CANDIDATE_MIN_KEYS`` keys evaluate every entry at every step:
+    there a step costs numpy's per-call overhead, not per-entry work.
 
     Two fallback stages run only when the bisection ends above the
     tolerance.  The stiff corner of alpha > 2 re-bisects in the weight of
@@ -275,8 +269,6 @@ def entmax(s: Scores, alpha: float) -> SolveResult:
     """
     a = _check_alpha(alpha)
     m = len(s)
-    if m == 1:
-        return _result(np.ones(1), None)
     a1 = a - 1.0
     power = 1.0 / a1
     # The threshold search is shift-equivariant.  A gap or slope past
@@ -294,8 +286,8 @@ def entmax(s: Scores, alpha: float) -> SolveResult:
         x **= power  # keeps numpy's fast paths for the square and the root
         return x
 
-    w = held = None  # the weights of the last stage-1 evaluation and its y
     if m < _ENTMAX_CANDIDATE_MIN_KEYS:
+        w = held = None  # the weights of the last stage-1 evaluation and its y
 
         def mass_at(y: float) -> float:
             nonlocal w, held
@@ -303,29 +295,16 @@ def entmax(s: Scores, alpha: float) -> SolveResult:
             return float(total(w))
 
     else:
-        keys = slope_keys = None
-        e_keys = -np.inf  # exp value at which keys were formed
+        # 1 + slope > 0 exactly where slope > -1 (near -1 the sum is exact).
+        keys = (slope > -1.0).nonzero()[0]
+        slope_keys, w, held = slope[keys], np.zeros(m), None
 
         def mass_at(y: float) -> float:
-            nonlocal w, held, keys, slope_keys, e_keys
-            e = np.exp(a1 * y)
-            if e <= e_keys:
-                x = np.maximum(e + slope_keys, 0.0)
-                w[keys] = x**power
-                mass = float(total(w))
-                if mass >= 1.0 and keys.size >= _ENTMAX_CANDIDATE_MIN_KEYS:
-                    # the set shrinks to the entries positive at y
-                    inside = (x > 0.0).nonzero()[0]
-                    keys, slope_keys, e_keys = keys[inside], slope_keys[inside], e
-            else:
-                x = e + slope
-                np.maximum(x, 0.0, out=x)
-                keys = (x > 0.0).nonzero()[0]  # before the power, which can underflow
-                slope_keys, e_keys = slope[keys], e
-                x **= power
-                w, mass = x, float(total(x))
-            held = y
-            return mass
+            nonlocal held
+            x = np.maximum(np.exp(a1 * y) + slope_keys, 0.0)
+            x **= power
+            w[keys], held = x, y
+            return float(total(w))
 
     def consider(weights, arg: float, mass_at=None) -> float:
         nonlocal best, best_residual
@@ -370,7 +349,9 @@ def entmax(s: Scores, alpha: float) -> SolveResult:
                 rate = (f - math.log(mass0)) / (y - y0)
                 if rate > 0.0:
                     root, step = y - f / rate, 3.0 * ENTMAX_MASS_ATOL / rate
-                    seen += [(p, mass_at(p)) for p in (root - step, root + step)]
+                    # Above 0, where the candidates end, mass >= top >= 1:
+                    # (0, top) is seen already, and such a probe decides nothing.
+                    seen += [(p, mass_at(p)) for p in (root - step, root + step) if p < 0.0]
                 break
             end = int(f > 0.0)
             if end == moved:
@@ -386,10 +367,8 @@ def entmax(s: Scores, alpha: float) -> SolveResult:
     best, best_residual, budget = None, np.inf, ENTMAX_MAX_BISECTIONS
     top = consider(weights_at, 0.0, mass_at)
     low = consider(weights_at, bottom, mass_at)
-    # Below alpha - 1 = 4e-5 rounding makes stage 1 fail on most rows (see
-    # the log-domain stage), so the plain bisection runs without a replay.
-    replay = a1 > 4e-5 and best_residual >= ENTMAX_MASS_ATOL
-    _, hi = bisect(weights_at, bottom, 0.0, mass_at, *(home(low, top) if replay else ()))
+    replay = home(low, top) if best_residual >= ENTMAX_MASS_ATOL else ()
+    _, hi = bisect(weights_at, bottom, 0.0, mass_at, *replay)
 
     if best_residual >= ENTMAX_MASS_ATOL:
         # Stiff corner of alpha > 2: the last entry to enter the support
@@ -447,7 +426,9 @@ def entmax(s: Scores, alpha: float) -> SolveResult:
             f"entmax(alpha={a}) threshold search stalled at mass residual {best_residual:.3e}"
         )
     weights, arg = best
-    if weights is weights_at and arg == held:  # usually the last step
+    if weights is weights_at:  # stage 1 solved it, usually at its last step
+        if arg != held:
+            mass_at(arg)
         return _result(w, None)
     return _result(weights(arg), None)
 
@@ -459,8 +440,9 @@ def alibi_softmax(
 
     Positions are 1-based and the penalty is symmetric around the query
     position; this solves the entropy objective augmented with a linear
-    locality cost.  A key whose penalty overflows gets weight exactly 0; a
-    penalty that overflows at every key is a ``ValueError``.
+    locality cost.  The penalized logit decides: a key whose logit
+    overflows to -inf, through gamma * |i - j| or the subtraction, gets
+    weight exactly 0, and a ``ValueError`` is raised when every key's does.
     """
     i = _check_query_position(query_position)
     g = _check_gamma(gamma)
@@ -476,7 +458,9 @@ def prior_softmax(s: Scores, prior: SimplexDistribution, temperature: float) -> 
 
     Computed in the log domain as softmax of s_j + tau * log(prior_j): the
     additive log-prior is the multiplicative Bayes update on the evidence
-    exp(s_j / tau).  A uniform prior recovers plain softmax.  Overflows as in ``alibi_softmax``.
+    exp(s_j / tau).  A uniform prior recovers plain softmax.  A logit that
+    overflows to -inf, through tau * log(prior_j) or the sum, is weighed as
+    in ``alibi_softmax``.
     """
     t = _check_positive_real(temperature)
     _check_lengths(prior, s, "prior", "scores")

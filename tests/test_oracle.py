@@ -1184,6 +1184,31 @@ def test_grid_search_takes_an_overflowing_penalty_as_inf(reg):
     assert found.distribution.weights.tolist() == [0.0, 1.0]
 
 
+def test_grid_search_follows_the_oracles_rules_at_the_double_range(monkeypatch):
+    # An alibi penalty that overflows at every key is the closed forms'
+    # error, raised before any grid is built; an objective past the double
+    # range is inf, as in the descent, without a warning.
+    builds = []
+    build = oracle._build_grid
+    monkeypatch.setattr(oracle, "_build_grid", lambda *args: builds.append(args) or build(*args))
+    monkeypatch.setattr(oracle, "_last_grid", None)
+    s, reg = Scores([1.0, 2.0]), RegularizerSpec.alibi(1e308, 5, 1.0)
+    prior = SimplexDistribution([0.5, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as closed:
+            solve(s, reg)
+        with pytest.raises(ValueError) as raised:
+            grid_search_simplex(s, reg, 100)
+        assert builds == []
+        found = grid_search_simplex(
+            Scores([-1.7e308, 0.0]), RegularizerSpec.kl_prior(prior, 1e308), 100
+        )
+    assert str(raised.value) == str(closed.value)
+    assert found.distribution.weights.tolist() == [0.15, 0.85]
+    assert math.isfinite(found.objective)
+
+
 def test_objective_value_of_an_overflowing_penalty_is_inf():
     reg = RegularizerSpec.kl_prior(_PAIR_PRIOR, 1e306)
     with warnings.catch_warnings():

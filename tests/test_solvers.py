@@ -777,6 +777,101 @@ def test_entmax_at_a_large_alpha_bisects_once(monkeypatch):
     assert np.mean(evaluations) <= 7.0 and max(evaluations) <= 70
 
 
+def _probe_rows():
+    # The top score leads the next by just under 1/(alpha-1): the root lies
+    # just below y = 0, where the probes after the regula falsi steps
+    # straddle it.
+    for m in (128, 200, 1000):
+        rng = np.random.default_rng([m, 23])
+        for alpha in (1.5, 2.0, 3.0, 10.0):
+            for u in range(-13, -5):
+                x = rng.uniform(-5.0, 5.0, m)
+                x[rng.integers(m)] = x.max() + 1.0 / (alpha - 1.0) - 10.0**u
+                yield Scores(x), alpha
+
+
+def _near_softmax_rows():
+    for m in (16, 1000):
+        rng = np.random.default_rng([m, 5])
+        for alpha in (1.00001, 1.00003):
+            for k in range(6):
+                x = rng.uniform(-5.0, 5.0, m)
+                if k % 3 == 1:
+                    x = np.round(x)  # ties
+                elif k % 3 == 2:
+                    x[rng.integers(m)] += 50.0  # one dominant score
+                yield Scores(x), alpha
+
+
+def _single_key_rows():
+    for alpha in (1.0 + 1e-12, *GUARD_ALPHAS, 1e3, 1e6):
+        yield Scores([3.7]), alpha
+
+
+@pytest.mark.parametrize(
+    "rows, log_domain", [(_probe_rows, False), (_near_softmax_rows, True), (_single_key_rows, False)]
+)
+def test_entmax_keeps_the_plain_bisections_bits_without_special_cases(monkeypatch, rows, log_domain):
+    # No single-key shortcut and no alpha below which the replay is skipped;
+    # and no weight evaluation above y = 0.  Its exp argument (alpha-1) y is
+    # the only positive float passed to np.exp outside the log-domain stage,
+    # which rows near softmax reach.
+    positive = []
+    exp = np.exp
+
+    def recording_exp(x, *args, **kwargs):
+        if isinstance(x, float) and x > 0.0:
+            positive.append(x)
+        return exp(x, *args, **kwargs)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s, alpha in rows():
+            try:
+                expected = _reference_entmax(s, alpha).distribution.weights
+            except NumericalFailure:
+                expected = None
+            monkeypatch.setattr(np, "exp", recording_exp)
+            weights = entmax(s, alpha).distribution.weights
+            monkeypatch.undo()
+            if expected is None:
+                assert abs(float(weights.sum()) - 1.0) < ENTMAX_MASS_ATOL
+            else:
+                assert weights.tobytes() == expected.tobytes(), (len(s), alpha)
+    assert log_domain or positive == []
+
+
+class _CountingMaximum:
+    """numpy, recording the length of every array given to ``maximum``."""
+
+    def __init__(self):
+        self.lengths = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def maximum(self, x, *args, **kwargs):
+        self.lengths.append(np.size(x))
+        return np.maximum(x, *args, **kwargs)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0])
+def test_entmax_large_rows_evaluate_only_the_candidates(monkeypatch, alpha):
+    # Every stage-1 evaluation, and the fill of the result, covers only the
+    # entries positive at y = 0, here 10-20% of the row.
+    m = 10**5
+    rng = np.random.default_rng([m, 18])
+    rows = [Scores(rng.uniform(-5.0, 5.0, m)) for _ in range(4)]
+    shim = _CountingMaximum()
+    monkeypatch.setattr("vattn.solvers.np", shim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in rows:
+            shim.lengths.clear()
+            entmax(s, alpha)
+            assert shim.lengths and max(shim.lengths) < m // 4
+
+
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("alpha", [1.00001, 1.000001])
 def test_entmax_near_softmax_does_not_stall(alpha, seed):

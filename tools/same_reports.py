@@ -40,7 +40,11 @@ underflow (alibi at m=1e4 and 1e5 with the query at either end, softmax
 at tau 1e-3 on a 1e5-key row, kl_prior with prior entries down to
 1e-320); alibi and kl_prior at m=16 and 1e5 whose penalties come within a
 factor of 2 of DBL_MAX without overflowing; and sparsemax, tied and
-untied, at m=1023, 1024 (its candidate threshold) and 1e5.  It hashes the grid searches of a seeded list,
+untied, at m=1023, 1024 (its candidate threshold) and 1e5; entmax at m=1e5
+and alphas 1.5, 2, 3 and 10, on rows whose root lies just below y = 0 (m =
+128 to 1000), and at alphas 1 + 1e-5 and 1 + 3e-5 (m=16 and 1000); and
+sparsemax at m = 1024, 4096 and 1e5 on rows of spread <= 0.8, where every
+entry is a candidate.  It hashes the grid searches of a seeded list,
 each searched twice in a row: m from 1 to 3, every kind (tsallis at alphas
 1.5, 2 and 3), at resolutions 100, 2000 and, for m <= 2, 1e6; and around
 the search's 2^14-row chunks: m=2 grids of 2^14 - 1, 2^14 and 2^14 + 1
@@ -310,6 +314,47 @@ for m, rows in ((16, 40), (1000, 4)):
                     digest.update(repr(error).encode())
         for alpha, digest in digests.items():
             print(json.dumps([f"solve tsallis {alpha} {shape} m={m}", digest.hexdigest()]), flush=True)
+
+# entmax on the rows whose candidate set, probes and replay gate changed:
+# m=1e5 rows (uniform and tied) at alphas 1.5, 2, 3 and 10; rows whose top
+# score leads the next by just under 1/(alpha-1), so the root lies just
+# below y = 0 (m = 128, 200 and 1000); and alphas 1 + 1e-5 and 1 + 3e-5 at
+# m=16 and 1000.  And sparsemax on rows of spread <= 0.8 at m = 1024, 4096
+# and 1e5, where every entry is a candidate.
+def hash_rows(label, rows, solve):
+    digest = hashlib.sha256()
+    for x, arg in rows:
+        try:
+            digest.update(solve(Scores(x), *arg).distribution.weights.tobytes())
+        except NumericalFailure as error:
+            digest.update(repr(error).encode())
+    print(json.dumps([label, digest.hexdigest()]), flush=True)
+
+rng = np.random.default_rng([10**5, 23])
+x = rng.uniform(-5.0, 5.0, 10**5)
+for alpha in (1.5, 2.0, 3.0, 10.0):
+    hash_rows(f"solve tsallis {alpha} m=100000", [(x, (alpha,)), (np.round(x), (alpha,))], solvers.entmax)
+for m in (128, 200, 1000):
+    rng = np.random.default_rng([m, 24])
+    rows = []
+    for alpha in (1.5, 2.0, 3.0, 10.0):
+        for u in range(-13, -5):
+            x = rng.uniform(-5.0, 5.0, m)
+            x[rng.integers(m)] = x.max() + 1.0 / (alpha - 1.0) - 10.0**u
+            rows.append((x, (alpha,)))
+    hash_rows(f"solve tsallis root near y=0 m={m}", rows, solvers.entmax)
+for m in (16, 1000):
+    rng = np.random.default_rng([m, 25])
+    for alpha in (1.00001, 1.00003):
+        rows = [(rng.uniform(-5.0, 5.0, m), (alpha,)) for _ in range(8 if m == 16 else 2)]
+        hash_rows(f"solve tsallis {alpha} m={m}", rows, solvers.entmax)
+for m in (1024, 4096, 10**5):
+    rng = np.random.default_rng([m, 26])
+    rows = []
+    for spread in (1e-8, 0.1, 0.4, 0.8):
+        x = rng.uniform(-0.5 * spread, 0.5 * spread, m)
+        rows += [(x, ()), (np.round(x * 64.0) / 64.0, ()), (x + 1e6, ())]
+    hash_rows(f"solve l2 all candidates m={m}", rows, solvers.sparsemax)
 
 # The softmax family where most shifted logits fall below exp's underflow
 # cut, and sparsemax on both sides of its candidate threshold (1024 keys).
