@@ -213,7 +213,10 @@ def marginal_utility(context_gradient, values: ValueSet) -> UtilityVector:
     """
     g = _frozen(context_gradient, "context gradient")
     _check_lengths(g, values.values.T, "context gradient", "value dimension")
-    return UtilityVector(-(values.values @ g))
+    # A product that overflows comes out inf or nan, which UtilityVector
+    # rejects with a ValueError; numpy's warning would only say it first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return UtilityVector(-(values.values @ g))
 
 
 def advantage_gradient(
@@ -223,11 +226,15 @@ def advantage_gradient(
     t = _divisor(temperature)
     _check_lengths(p, u, "distribution", "utilities")
     w = p.weights
-    expected = float(w @ u.values)
-    advantage = u.values - expected
-    if _exceeds(abs(float(w @ advantage)), _GRADIENT_SUM_ATOL, advantage):
+    # Entries that overflow come out inf or nan, which GradientReport rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = float(w @ u.values)
+        advantage = u.values - expected
+        centered = abs(float(w @ advantage))
+        gradient = -(w / t) * advantage
+    if _exceeds(centered, _GRADIENT_SUM_ATOL, advantage):
         raise NumericalFailure("advantage failed to center under the distribution")
-    return GradientReport(_Adopt(-(w / t) * advantage), _Adopt(advantage), expected)
+    return GradientReport(_Adopt(gradient), _Adopt(advantage), expected)
 
 
 def chain_rule_gradient(
@@ -271,8 +278,7 @@ def finite_difference_gradient(
     f: Callable[[np.ndarray], float], x, h: float
 ) -> np.ndarray:
     """Central differences (f(x + h e_j) - f(x - h e_j)) / 2h per coordinate."""
-    if not h > 0.0:
-        raise ValueError("step h must be positive")
+    h = _check_positive_real(h, "step h")
     x = np.asarray(x, dtype=np.float64)
     grad = np.empty(x.size)
     for j in range(x.size):
@@ -290,8 +296,7 @@ def finite_difference_hessian(
     f: Callable[[np.ndarray], float], x, h: float
 ) -> np.ndarray:
     """Central second differences; the off-diagonal uses the 4-point stencil."""
-    if not h > 0.0:
-        raise ValueError("step h must be positive")
+    h = _check_positive_real(h, "step h")
     x = np.asarray(x, dtype=np.float64)
     m = x.size
     hess = np.empty((m, m))

@@ -218,11 +218,7 @@ def sparsemax(s: Scores) -> SolveResult:
     u += 1.0
     rho = int(np.count_nonzero(u > cssv))
     theta = (cssv[rho - 1] - 1.0) / rho
-    # Made once theta is known, after the sorted row is freed, the weights
-    # add no row to the peak; a full-length cssv lends them its buffer.
-    del u
-    out = cssv if cssv.size == m else None
-    v = np.subtract(s.values, top, out=out) if finite else clipped(s.values)
+    v = s.values - top if finite else clipped(s.values)
     v -= theta
     return _result(np.maximum(v, 0.0, out=v), None)
 
@@ -255,7 +251,8 @@ def entmax(s: Scores, alpha: float) -> SolveResult:
     rounding is monotone, so every other entry is exactly 0.0 there.  The
     candidates' weights go into a full-length buffer, exact zeros
     elsewhere, that is summed whole, so every mass, decision and weight has
-    the bits of evaluating every entry.  Rows under
+    the bits of evaluating every entry.  The stiff corner below reads its
+    upper weights from the same buffer.  Rows under
     ``_ENTMAX_CANDIDATE_MIN_KEYS`` keys evaluate every entry at every step:
     there a step costs numpy's per-call overhead, not per-entry work.
 
@@ -278,43 +275,36 @@ def entmax(s: Scores, alpha: float) -> SolveResult:
         slope *= a1
     total = np.add.reduce
 
+    # At m >= 128 stage 1 evaluates only the candidates, 1 + slope > 0
+    # exactly where slope > -1 (near -1 the sum is exact), into a buffer of
+    # exact zeros; w is the weights of the last evaluation and held its y.
+    w, held = (None if m < _ENTMAX_CANDIDATE_MIN_KEYS else np.zeros(m)), None
+    keys = None if w is None else (slope > -1.0).nonzero()[0]
+    slope_keys = slope if keys is None else slope[keys]
+
     def weights_at(y: float) -> np.ndarray:
         # x = (alpha-1)(s - theta) with the top entry pinned to exp((alpha-1) y),
         # so the top weight is exactly exp(y) and mass is increasing in y.
-        x = np.exp(a1 * y) + slope
+        nonlocal w, held
+        x = np.exp(a1 * y) + slope_keys
         np.maximum(x, 0.0, out=x)
         x **= power  # keeps numpy's fast paths for the square and the root
-        return x
+        if keys is None:
+            w = x
+        else:
+            w[keys] = x
+        held = y
+        return w
 
-    if m < _ENTMAX_CANDIDATE_MIN_KEYS:
-        w = held = None  # the weights of the last stage-1 evaluation and its y
-
-        def mass_at(y: float) -> float:
-            nonlocal w, held
-            w, held = weights_at(y), y
-            return float(total(w))
-
-    else:
-        # 1 + slope > 0 exactly where slope > -1 (near -1 the sum is exact).
-        keys = (slope > -1.0).nonzero()[0]
-        slope_keys, w, held = slope[keys], np.zeros(m), None
-
-        def mass_at(y: float) -> float:
-            nonlocal held
-            x = np.maximum(np.exp(a1 * y) + slope_keys, 0.0)
-            x **= power
-            w[keys], held = x, y
-            return float(total(w))
-
-    def consider(weights, arg: float, mass_at=None) -> float:
+    def consider(weights, arg: float) -> float:
         nonlocal best, best_residual
-        mass = mass_at(arg) if mass_at else float(total(weights(arg)))
+        mass = float(total(weights(arg)))
         residual = abs(mass - 1.0)
         if residual < best_residual:
             best, best_residual = (weights, arg), residual
         return mass
 
-    def bisect(weights, lo, hi, mass_at=None, below=-np.inf, above=np.inf):
+    def bisect(weights, lo, hi, below=-np.inf, above=np.inf):
         # Mass is increasing in the search variable; keeps the best
         # step seen and stops on tolerance or a collapsed bracket; midpoints
         # at or beyond ``below`` and ``above`` are decided unevaluated.
@@ -324,7 +314,7 @@ def entmax(s: Scores, alpha: float) -> SolveResult:
             if not (lo < mid < hi):
                 break
             budget -= 1
-            if mid >= above or (mid > below and consider(weights, mid, mass_at) >= 1.0):
+            if mid >= above or (mid > below and consider(weights, mid) >= 1.0):
                 hi = mid
             else:
                 lo = mid
@@ -334,6 +324,11 @@ def entmax(s: Scores, alpha: float) -> SolveResult:
         # Up to 12 Anderson-Bjorck regula falsi steps on log(mass), nearly
         # linear in y, then a probe each side of the root (mass ~1 -+ 3 tol).
         # Returns the highest y with mass <= 1 - 2 tol, the lowest >= 1 + 2 tol.
+        # Its evaluations only settle midpoints: one that became best would
+        # change the bits.
+        def mass_at(y: float) -> float:
+            return float(total(weights_at(y)))
+
         seen = [(bottom, low), (0.0, top)]
         ends = [[bottom, math.log(low) if low else -math.inf], [0.0, math.log(top)]]
         moved = None  # which end the last step replaced
@@ -365,10 +360,10 @@ def entmax(s: Scores, alpha: float) -> SolveResult:
 
     bottom = float(-np.log(m) - 1.0)  # mass(bottom) <= 1/e < 1 <= mass(0)
     best, best_residual, budget = None, np.inf, ENTMAX_MAX_BISECTIONS
-    top = consider(weights_at, 0.0, mass_at)
-    low = consider(weights_at, bottom, mass_at)
+    top = consider(weights_at, 0.0)
+    low = consider(weights_at, bottom)
     replay = home(low, top) if best_residual >= ENTMAX_MASS_ATOL else ()
-    _, hi = bisect(weights_at, bottom, 0.0, mass_at, *replay)
+    _, hi = bisect(weights_at, bottom, 0.0, *replay)
 
     if best_residual >= ENTMAX_MASS_ATOL:
         # Stiff corner of alpha > 2: the last entry to enter the support
@@ -426,11 +421,7 @@ def entmax(s: Scores, alpha: float) -> SolveResult:
             f"entmax(alpha={a}) threshold search stalled at mass residual {best_residual:.3e}"
         )
     weights, arg = best
-    if weights is weights_at:  # stage 1 solved it, usually at its last step
-        if arg != held:
-            mass_at(arg)
-        return _result(w, None)
-    return _result(weights(arg), None)
+    return _result(w if weights is weights_at and arg == held else weights(arg), None)
 
 
 def alibi_softmax(

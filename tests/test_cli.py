@@ -284,6 +284,21 @@ def test_gradcheck_values_route(tmp_path, capsys):
     assert "derived from values" in details["advantage-equals-chain-rule"]
 
 
+def test_gradcheck_rejects_overflowing_utilities_without_warnings(tmp_path, capsys):
+    payload = {
+        "scores": [1.0, 2.0],
+        "temperature": 1.0,
+        "values": [[1.0], [2.0]],
+        "context_gradient": [1e308],
+    }
+    path = _write(tmp_path, "in.json", payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, ["gradcheck", path])
+    assert code == 2 and out == ""
+    assert err == "vattn: input error: utilities must be finite (no NaN or Inf entries)\n"
+
+
 def test_gradcheck_small_temperature_flags_adjustment(tmp_path, capsys):
     path = _write(tmp_path, "in.json", {"scores": [0.4, -0.2, 0.1], "temperature": 1e-6})
     code, out, _ = _run(capsys, ["gradcheck", path])

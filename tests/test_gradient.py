@@ -1,5 +1,6 @@
 """Backward-pass identities and the finite-difference certifications."""
 
+import math
 import tracemalloc
 import warnings
 
@@ -379,6 +380,35 @@ def test_advantage_gradient_centers_large_utilities():
         report = advantage_gradient(p, u, 1.0)
         chain = chain_rule_gradient(p, u, 1.0)
         assert np.max(np.abs(report.score_gradient - chain)) <= 1e-12 * np.max(np.abs(chain))
+
+
+def test_overflowing_backward_products_are_rejected_without_warnings():
+    # The product overflows: the validated type rejects it, and numpy's
+    # overflow warning does not come first.
+    p = softmax(Scores([1.0, 2.0]), 1.0).distribution
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="utilities must be finite"):
+            marginal_utility([1e308], ValueSet([[1.0], [2.0]]))
+        with pytest.raises(ValueError, match="score_gradient must be finite"):
+            advantage_gradient(p, UtilityVector([1e308, -1e308]), 1e-10)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda h: finite_difference_gradient(lambda v: 0.0, np.zeros(2), h),
+        lambda h: finite_difference_hessian(lambda v: 0.0, np.zeros(2), h),
+        lambda h: lse_hessian_check(Scores([1.0, 2.0]), 1.0, h),
+        lambda h: envelope_check(Scores([1.0, 2.0]), 1.0, h),
+    ],
+    ids=["gradient", "hessian", "lse_hessian_check", "envelope_check"],
+)
+def test_an_infinite_step_is_rejected_by_name(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="step h must be a positive finite real"):
+            call(math.inf)
 
 
 @pytest.mark.parametrize("t", [5e-8, 1e-11, 1e-100])

@@ -540,6 +540,15 @@ def test_softmax_and_lse_overflow_safely_without_warnings(scores, t, weights, po
     assert result.potential == value == potential
 
 
+def _long_spread_row(m, low):
+    # Scores in [-1, 1] and one entry at ``low``; its twin puts that entry
+    # 10 below the top, where the spread is moderate and the row filtered.
+    x = np.random.default_rng(m).uniform(-1.0, 1.0, m)
+    moderate = x.copy()
+    x[m // 3], moderate[m // 3] = low, -10.0
+    return x, moderate
+
+
 @pytest.mark.parametrize(
     "scores, moderate",
     [
@@ -549,6 +558,8 @@ def test_softmax_and_lse_overflow_safely_without_warnings(scores, t, weights, po
         ([1e308, 1e308, -1e308], [1e308, 1e308, 1e308 - 1e300]),
         ([1.0, 0.5, -1e308], [1.0, 0.5, -10.0]),
         ([0.25, 1.0, 0.5, -1.7e308, -1e308], [0.25, 1.0, 0.5, -9.0, -3.0]),
+        _long_spread_row(2048, -1.7e308),
+        _long_spread_row(10**5, -1e304),
     ],
 )
 def test_sparsemax_at_an_overflowing_spread_without_warnings(scores, moderate):
@@ -870,6 +881,57 @@ def test_entmax_large_rows_evaluate_only_the_candidates(monkeypatch, alpha):
             shim.lengths.clear()
             entmax(s, alpha)
             assert shim.lengths and max(shim.lengths) < m // 4
+
+
+class _CountingStiffCorner(_CountingMaximum):
+    """Also records, at each call of ``argmin``, which only the stiff-corner
+    stage makes, how many arrays ``maximum`` had been given."""
+
+    def __init__(self):
+        super().__init__()
+        self.stiff = []
+
+    def argmin(self, *args, **kwargs):
+        self.stiff.append(len(self.lengths))
+        return np.argmin(*args, **kwargs)
+
+
+def _stiff_corner_rows():
+    # Rows of at least 128 keys whose replay ends above the tolerance:
+    # about half the U(-5, 5) rows at alpha 10, m = 128 and 200.
+    for m in (128, 200):
+        rng = np.random.default_rng([m, 10])
+        for _ in range(20):
+            yield Scores(rng.uniform(-5.0, 5.0, m)), 10.0
+    yield Scores(np.random.default_rng([10**5, 6, 10]).uniform(-5.0, 5.0, 10**5)), 6.0
+
+
+def test_entmax_stiff_corner_of_large_rows_reads_the_candidates(monkeypatch):
+    # The stiff corner takes its upper weights from stage 1's candidate
+    # buffer: until it starts, no array as long as the row reaches
+    # np.maximum, and the weights keep the plain bisection's bits.
+    shim = _CountingStiffCorner()
+    reached = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s, alpha in _stiff_corner_rows():
+            try:
+                expected = _reference_entmax(s, alpha).distribution.weights
+            except NumericalFailure:
+                expected = None
+            shim.lengths.clear()
+            shim.stiff.clear()
+            monkeypatch.setattr("vattn.solvers.np", shim)
+            weights = entmax(s, alpha).distribution.weights
+            monkeypatch.undo()
+            if shim.stiff:
+                reached += 1
+                assert max(shim.lengths[: shim.stiff[0]]) < len(s)
+            if expected is None:
+                assert abs(float(weights.sum()) - 1.0) < ENTMAX_MASS_ATOL
+            else:
+                assert weights.tobytes() == expected.tobytes(), (len(s), alpha)
+    assert reached >= 20
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -44,7 +44,9 @@ untied, at m=1023, 1024 (its candidate threshold) and 1e5; entmax at m=1e5
 and alphas 1.5, 2, 3 and 10, on rows whose root lies just below y = 0 (m =
 128 to 1000), and at alphas 1 + 1e-5 and 1 + 3e-5 (m=16 and 1000); and
 sparsemax at m = 1024, 4096 and 1e5 on rows of spread <= 0.8, where every
-entry is a candidate.  It hashes the grid searches of a seeded list,
+entry is a candidate; entmax on rows of 128, 200 and 1e5 keys that reach
+its stiff corner, and sparsemax at m = 1024, 2048 and 1e5 on rows whose
+spread overflows.  It hashes the grid searches of a seeded list,
 each searched twice in a row: m from 1 to 3, every kind (tsallis at alphas
 1.5, 2 and 3), at resolutions 100, 2000 and, for m <= 2, 1e6; and around
 the search's 2^14-row chunks: m=2 grids of 2^14 - 1, 2^14 and 2^14 + 1
@@ -355,6 +357,28 @@ for m in (1024, 4096, 10**5):
         x = rng.uniform(-0.5 * spread, 0.5 * spread, m)
         rows += [(x, ()), (np.round(x * 64.0) / 64.0, ()), (x + 1e6, ())]
     hash_rows(f"solve l2 all candidates m={m}", rows, solvers.sparsemax)
+
+# entmax on rows of at least 128 keys whose replay ends above the tolerance,
+# so the stiff corner reads its upper weights from the candidates' buffer:
+# U(-5, 5) at alpha 10 (about half of these rows) and one m=1e5 row at
+# alpha 6.  And sparsemax at m = 1024, 2048 and 1e5 on rows whose spread,
+# or only m times it, overflows.
+for m in (128, 200):
+    rng = np.random.default_rng([m, 10])
+    rows = [(rng.uniform(-5.0, 5.0, m), (10.0,)) for _ in range(20)]
+    hash_rows(f"solve tsallis 10.0 stiff corner m={m}", rows, solvers.entmax)
+x = np.random.default_rng([10**5, 6, 10]).uniform(-5.0, 5.0, 10**5)
+hash_rows("solve tsallis 6.0 stiff corner m=100000", [(x, (6.0,))], solvers.entmax)
+for m in (1024, 2048, 10**5):
+    rng = np.random.default_rng([m, 28])
+    x = rng.uniform(-5.0, 5.0, m)
+    rows = [(x * 1e305, ())]
+    for base in (x, np.round(x)):
+        for low in (-1.7e308, -1e304):
+            row = base.copy()
+            row[rng.integers(m)] = low
+            rows.append((row, ()))
+    hash_rows(f"solve l2 overflowing spread m={m}", rows, solvers.sparsemax)
 
 # The softmax family where most shifted logits fall below exp's underflow
 # cut, and sparsemax on both sides of its candidate threshold (1024 keys).
