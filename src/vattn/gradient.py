@@ -23,6 +23,7 @@ from .core import (
     UtilityVector,
     ValueSet,
     _Adopt,
+    _check_finite,
     _check_lengths,
     _check_positive_real,
     _distribution,
@@ -242,11 +243,14 @@ def chain_rule_gradient(
 ) -> np.ndarray:
     """The same score gradient computed the long way, as -J^T u through the
     explicit softmax Jacobian; must agree with ``advantage_gradient`` to
-    machine precision."""
+    machine precision, and rejects a product that overflows as it does."""
     t = _divisor(temperature)
     _check_lengths(p, u, "distribution", "utilities")
     jacobian = _weight_covariance(p.weights) / t
-    return -(jacobian.T @ u.values)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below, not warned
+        gradient = -(jacobian.T @ u.values)
+    _check_finite(gradient, "score_gradient")
+    return gradient
 
 
 def fisher_matrix(p: SimplexDistribution, temperature: float) -> FisherMatrix:
@@ -265,12 +269,15 @@ def natural_gradient_identity_check(
 
     The left side comes from the advantage closed form, the right side from
     the Fisher matrix applied to the utilities; the two code paths share
-    nothing but p, u, and tau.
+    nothing but p, u, and tau.  A side that overflows is rejected with a
+    ``ValueError`` that names it, without a warning.
     """
     t = _divisor(temperature, squared=True)
     lhs = advantage_gradient(p, u, t).score_gradient
     fisher = _weight_covariance(p.weights) / (t * t)
-    rhs = -t * (fisher @ u.values)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below, not warned
+        rhs = -t * (fisher @ u.values)
+    _check_finite(rhs, "Fisher product -tau F u")
     return float(np.max(np.abs(lhs - rhs)))
 
 

@@ -183,12 +183,17 @@ def sparsemax(s: Scores) -> SolveResult:
     2 eps |max(s)| for its own rounding; that spare covers the rest.  The
     sorted candidates are the sorted row's prefix and the cumulative sum
     is sequential, so the support, theta and every weight keep the bits
-    of sorting the whole row.
+    of sorting the whole row.  Weights are computed and written only at
+    the candidates, into a row of zeros: every other entry lies more than
+    1 + delta below the top, and theta >= max(s) - 1, so its
+    s - max(s) - theta is negative and the full row's max with 0 gives it
+    the same +0.0.
     """
     # The projection is invariant under common shifts; shifting keeps the
     # cumulative sums O(m) so theta stays accurate for large raw scores.
     v = s.values
     m = v.size
+    keys = None
     if m < _SPARSEMAX_CANDIDATE_MIN_KEYS:
         # Sorting first gives the spread for free; a shift keeps the order.
         u = np.sort(v)[::-1]
@@ -199,7 +204,8 @@ def sparsemax(s: Scores) -> SolveResult:
         finite = math.isfinite((top - bottom) * m)
         if finite:
             delta = (m * m + 2 * m + 2) * _EPS * max(top - bottom, 1.0)
-            v = v[v >= top - (1.0 + delta + 2.0 * _EPS * abs(top))]
+            keys = (v >= top - (1.0 + delta + 2.0 * _EPS * abs(top))).nonzero()[0]
+            v = v[keys]
         u = np.sort(v)[::-1]
 
     def clipped(x):
@@ -218,9 +224,22 @@ def sparsemax(s: Scores) -> SolveResult:
     u += 1.0
     rho = int(np.count_nonzero(u > cssv))
     theta = (cssv[rho - 1] - 1.0) / rho
-    v = s.values - top if finite else clipped(s.values)
+    if keys is None:
+        v = s.values - top if finite else clipped(s.values)
+    else:
+        v -= top  # the candidates, gathered: a copy
     v -= theta
-    return _result(np.maximum(v, 0.0, out=v), None)
+    return _result(_scatter(m, keys, np.maximum(v, 0.0, out=v)), None)
+
+
+def _scatter(m: int, keys: np.ndarray | None, weights: np.ndarray) -> np.ndarray:
+    """``weights`` if ``keys`` is None, else a row of m exact zeros that
+    holds them at ``keys``."""
+    if keys is None:
+        return weights
+    row = np.zeros(m)
+    row[keys] = weights
+    return row
 
 
 def entmax(s: Scores, alpha: float) -> SolveResult:
@@ -263,8 +282,38 @@ def entmax(s: Scores, alpha: float) -> SolveResult:
     again with weights from the log domain,
     log p_j = y + log1p((alpha-1) v_j e^{-(alpha-1) y}) / (alpha-1) for
     v = s - max(s), and p_j = 0 where the log1p argument is <= -1.
+
+    At alpha = 1.5 none of the above runs: the threshold has an exact
+    sort-based form (Peters, Niculae and Martins 2019).  In half units
+    x = (s - max(s)) / 2 and tau = theta / 2 the weights are
+    p_j = (x_j - tau)_+^2.  With x sorted descending, x_(k) is in the
+    support exactly when the top k entries' mass at threshold x_(k),
+    f(k) = sum_{i<=k} (x_(i) - x_(k))^2, is below 1; f grows with k, so
+    the support is the first rho = #{k : f(k) < 1} entries, and there
+    sum_{i<=rho} (x_(i) - tau)^2 = 1 gives
+    tau = mu - sqrt((1 - q) / rho), with mu the support's mean and q its
+    sum of squared deviations (1 - q >= 1 / rho, so no cancellation).
+    f is accumulated from nonnegative terms only:
+    f(k+1) = f(k) + d_k (g(k) + g(k+1)), g(k+1) = g(k) + k d_k, with
+    d_k = x_(k) - x_(k+1) >= 0; mu and q are recomputed in two passes of
+    pairwise sums, as a one-pass variance misses the mass tolerance on
+    long plateaus.
+
+    The top weight is at most 1, so tau >= -1, and only the candidates,
+    the x > -1, are sorted.  When more than K = 1024 candidates remain,
+    tau >= x_(K) - 1/sqrt(K) too, since K entries all above that bound
+    would carry mass above K (1/sqrt(K))^2 = 1, and the candidates shrink
+    to the entries above it.  Both cuts are widened by 4 eps for their own
+    rounding: x and x_(K) are each within eps/2 of their exact values
+    (halving is exact and |x| <= 1.1 there), 1/sqrt(K) = 1/32 is exact, and
+    the two subtractions that form a cut round by at most 0.6 eps each,
+    2.2 eps in all.  So every entry whose exact weight is positive is a
+    candidate.  Weights are computed and written only at the candidates,
+    into exact zeros.
     """
     a = _check_alpha(alpha)
+    if a == 1.5:
+        return _result(_entmax15(s.values), None)
     m = len(s)
     a1 = a - 1.0
     power = 1.0 / a1
@@ -422,6 +471,38 @@ def entmax(s: Scores, alpha: float) -> SolveResult:
         )
     weights, arg = best
     return _result(w if weights is weights_at and arg == held else weights(arg), None)
+
+
+def _entmax15(v: np.ndarray) -> np.ndarray:
+    # Entmax at alpha 1.5 by sorting (see ``entmax``).
+    x = v * 0.5  # exact, so x - top / 2 rounds (s - max(s)) / 2 once
+    x -= 0.5 * float(v.max())
+    margin = 4.0 * _EPS  # for the cuts' own rounding
+    keys = (x > -1.0 - margin).nonzero()[0]
+    x = x[keys]
+    rank = 1024  # K: a power of 4, so that 1 / sqrt(K) is exact
+    if x.size > rank:
+        kth = float(np.partition(x, x.size - rank)[x.size - rank])
+        keep = (x > kth - 1.0 / math.sqrt(rank) - margin).nonzero()[0]
+        keys, x = keys[keep], x[keep]
+    z = np.sort(x)[::-1]
+    d = z[:-1] - z[1:]
+    g = np.arange(1.0, z.size)
+    g *= d
+    np.cumsum(g, out=g)  # g(k + 1)
+    f = d * g
+    f[1:] += d[1:] * g[:-1]
+    np.cumsum(f, out=f)  # f(k + 1)
+    rho = 1 + int(np.count_nonzero(f < 1.0))
+    support = z[:rho]
+    mu = float(support.sum()) / rho
+    deviation = support - mu
+    deviation *= deviation
+    tau = mu - math.sqrt((1.0 - float(deviation.sum())) / rho)
+    x -= tau
+    np.maximum(x, 0.0, out=x)
+    x *= x
+    return _scatter(v.size, keys, x)
 
 
 def alibi_softmax(

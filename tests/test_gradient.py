@@ -394,6 +394,27 @@ def test_overflowing_backward_products_are_rejected_without_warnings():
             advantage_gradient(p, UtilityVector([1e308, -1e308]), 1e-10)
 
 
+def test_an_overflowing_chain_rule_product_is_rejected_without_warnings():
+    # -J^T u overflows where the advantage form rejects too: the same error,
+    # and numpy's overflow warning does not come first.
+    p = softmax(Scores([1.0, 2.0]), 1.0).distribution
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="score_gradient must be finite"):
+            chain_rule_gradient(p, UtilityVector([1e308, -1e308]), 1e-10)
+
+
+def test_an_overflowing_fisher_product_is_rejected_without_warnings():
+    # -tau F u overflows where the advantage form stays finite, at
+    # [-3.9e219, 3.9e219]: the identity check rejects the Fisher side, by
+    # name, instead of returning an infinite residual.
+    p = softmax(Scores([1.0, 2.0]), 1.0).distribution
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="Fisher product -tau F u must be finite"):
+            natural_gradient_identity_check(p, UtilityVector([1e120, -1e120]), 1e-100)
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -4,6 +4,7 @@ Each case must solve: a simplex output, no warning, and no
 ``NumericalFailure`` partway through.
 """
 
+import decimal
 import fractions
 import functools
 import math
@@ -70,14 +71,17 @@ def test_entmax_solves_every_row(unit, levels, scale_exponent, alpha_exponent):
 @hypothesis.given(
     m=st.one_of(st.integers(1, 64), st.sampled_from([128, 300, 1000])),
     shape=st.sampled_from(["uniform", "tied", "dominant"]),
-    alpha=st.one_of(st.sampled_from([1.5, 2.0, 3.0]), st.floats(1.0001, 10.0)),
+    alpha=st.one_of(
+        st.sampled_from([1.25, 1.75, 2.0, 3.0]), st.floats(1.0001, 10.0).filter(lambda a: a != 1.5)
+    ),
     scale=st.floats(0.01, 100.0),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_entmax_returns_the_plain_bisections_bits(m, shape, alpha, scale, seed):
     # Homing in first and replaying the bisection must not change a bit
-    # wherever the plain bisection solves.  A dominant score puts the root
-    # at y = 0; ties put several entries on one threshold.
+    # wherever the plain bisection solves (alpha 1.5 sorts instead).  A
+    # dominant score puts the root at y = 0; ties put several entries on
+    # one threshold.
     rng = np.random.default_rng(seed)
     x = rng.uniform(-scale, scale, m)
     if shape == "tied":
@@ -93,6 +97,67 @@ def test_entmax_returns_the_plain_bisections_bits(m, shape, alpha, scale, seed):
             assert abs(float(w.sum()) - 1.0) <= ENTMAX_MASS_ATOL
             return
     assert w.tobytes() == expected.tobytes()
+
+
+def _decimal_entmax15(v: np.ndarray) -> np.ndarray:
+    """Entmax at alpha 1.5 in 50-digit decimal arithmetic: in half units
+    x = (s - max(s)) / 2, x_(k) is in the support while
+    sum_{i<=k} (x_(i) - x_(k))^2 < 1 (summed here as
+    k x_(k)^2 - 2 x_(k) sum_{i<k} x_(i) + sum_{i<k} x_(i)^2), and on the support of size rho
+    p_j = (x_j - tau)_+^2 with tau = mu - sqrt((1 - q) / rho), mu its
+    mean and q its sum of squared deviations.  Entries at or below
+    x = -1 have weight 0, as the top weight is at most 1."""
+    with decimal.localcontext() as context:
+        context.prec = 50
+        top = decimal.Decimal(float(v.max()))
+        x = {j: (decimal.Decimal(float(a)) - top) / 2 for j, a in enumerate(v)}
+        x = {j: a for j, a in x.items() if a > -1}
+        z = sorted(x.values(), reverse=True)
+        rho, first, second = len(z), 0, 0  # running sums of z and z^2
+        for k, a in enumerate(z):
+            if k * a * a - 2 * a * first + second >= 1:
+                rho = k
+                break
+            first, second = first + a, second + a * a
+        mu = sum(z[:rho]) / rho
+        tau = mu - ((1 - sum((a - mu) ** 2 for a in z[:rho])) / rho).sqrt()
+        w = np.zeros(v.size)
+        for j, a in x.items():
+            w[j] = float(max(a - tau, 0) ** 2)
+        return w
+
+
+@hypothesis.settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@hypothesis.given(
+    m=st.one_of(st.integers(1, 64), st.sampled_from([1023, 1024, 4096, 10**5])),
+    shape=st.sampled_from(["uniform", "tied", "plateau"]),
+    scale_exponent=st.one_of(
+        st.sampled_from([-8.0, 0.0, 300.0]), st.floats(-2.0, 2.0), st.floats(-8.0, 300.0)
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_entmax_at_alpha_one_and_a_half_matches_a_decimal_reference(
+    m, shape, scale_exponent, seed
+):
+    # The sort path, its two cuts (at 4096 and 1e5 keys and small scales
+    # more than 1024 entries pass the first) and its candidate-only
+    # writes: the same support, the unit mass, and every weight within a
+    # few ulps of 1 of the exact one.
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, m)
+    if shape == "tied":
+        x = np.round(x * 4.0) / 4.0
+    elif shape == "plateau":  # one dominant score over equal ones
+        x = np.full(m, rng.uniform(-1.0, 1.0))
+        x[rng.integers(m)] += rng.uniform(0.0, 3.0)
+    s = Scores(x * 10.0**scale_exponent)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = entmax(s, 1.5).distribution.weights
+    exact = _decimal_entmax15(s.values)
+    assert np.array_equal(w > 0.0, exact > 0.0)
+    assert abs(float(w.sum()) - 1.0) <= ENTMAX_MASS_ATOL
+    assert float(np.max(np.abs(w - exact))) <= 4.0 * np.finfo(float).eps
 
 
 @hypothesis.settings(derandomize=True, max_examples=200, deadline=None, database=None)

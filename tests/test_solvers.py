@@ -146,6 +146,26 @@ def test_sparsemax_large_offset_scores():
     assert abs(r.distribution.weights.sum() - 1.0) < 1e-12
 
 
+class _CountingMaximum:
+    """numpy, recording the length of every array given to ``maximum``,
+    and to ``sort`` in ``sorted``."""
+
+    def __init__(self):
+        self.lengths = []
+        self.sorted = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def maximum(self, x, *args, **kwargs):
+        self.lengths.append(np.size(x))
+        return np.maximum(x, *args, **kwargs)
+
+    def sort(self, x, *args, **kwargs):
+        self.sorted.append(np.size(x))
+        return np.sort(x, *args, **kwargs)
+
+
 # The sort-and-threshold over the whole sorted row, kept verbatim from
 # before sparsemax sorted only its candidates: sparsemax must keep its bits.
 def _reference_sparsemax(s: Scores) -> np.ndarray:
@@ -201,34 +221,40 @@ def _sparsemax_rows(m, rng):
     limit = np.finfo(float).max / (2.0 * m)
     yield "finite limit", np.clip(x * 0.2 * limit, -0.5 * limit, 0.5 * limit), None
     yield "clipped", x * 1e307, False
+    # Blocks tied on the candidate cut and one ulp either side of it.
+    top, eps = float(x.max()), float(np.finfo(float).eps)
+    cut_delta = (m * m + 2 * m + 2) * eps * max(top - float(x.min()), 1.0)
+    cut = top - (1.0 + cut_delta + 2.0 * eps * abs(top))
+    ties = x.copy()
+    inner = np.setdiff1d(np.arange(m), [x.argmax(), x.argmin()])[: 3 * (m // 16)]
+    ties[inner] = np.repeat([np.nextafter(cut, -np.inf), cut, np.nextafter(cut, np.inf)], m // 16)
+    yield "cut ties", ties, True
 
 
 @pytest.mark.parametrize(
-    "m", [_SPARSEMAX_CANDIDATE_MIN_KEYS + k for k in (-1, 0, 1)] + [4096, 2 * 10**5]
+    "m", [_SPARSEMAX_CANDIDATE_MIN_KEYS + k for k in (-1, 0, 1)] + [2048, 4096, 10**5, 2 * 10**5]
 )
 def test_sparsemax_candidates_keep_the_full_sorts_bits(monkeypatch, m):
+    # The weights are also computed only at the sorted entries: the last
+    # np.maximum, which makes them, spans exactly what was sorted.
     rng = np.random.default_rng(m)
-    sizes = []
-    sort = np.sort
-
-    def recording_sort(a, *args, **kwargs):
-        sizes.append(np.size(a))
-        return sort(a, *args, **kwargs)
-
+    shim = _CountingMaximum()
     for name, x, filtered in _sparsemax_rows(m, rng):
         s = Scores(x)
-        sizes.clear()
+        shim.lengths.clear()
+        shim.sorted.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            monkeypatch.setattr(np, "sort", recording_sort)
+            monkeypatch.setattr("vattn.solvers.np", shim)
             w = sparsemax(s).distribution.weights
             monkeypatch.undo()
             expected = _reference_sparsemax(s)
         assert w.tobytes() == expected.tobytes(), name
+        assert shim.lengths[-1] == shim.sorted[0], name
         if m < _SPARSEMAX_CANDIDATE_MIN_KEYS or filtered is False:
-            assert sizes == [m], name
+            assert shim.sorted == [m], name
         elif filtered:
-            assert sizes and sizes[0] < m // 2, name
+            assert shim.sorted[0] < m // 2, name
 
 
 # ----------------------------------------------------------------- entmax
@@ -691,7 +717,8 @@ def _reference_entmax(s: Scores, alpha: float) -> SolveResult:
     return _result(best_w, None)
 
 
-GUARD_ALPHAS = (1.00001, 1.0001, 1.2, 1.5, 1.7, 2.0, 2.5, 3.0, 4.0, 10.0)
+# Alpha 1.5 takes the exact sort, not the bisection: 1.25 and 1.75 stand in.
+GUARD_ALPHAS = (1.00001, 1.0001, 1.2, 1.25, 1.7, 1.75, 2.0, 2.5, 3.0, 4.0, 10.0)
 
 
 def _guard_rows():
@@ -705,7 +732,7 @@ def _guard_rows():
                 elif k % 4 == 2:
                     x[rng.integers(m)] += 50.0  # one dominant score
                 yield Scores(x), alpha
-    yield Scores(rng.uniform(-5.0, 5.0, 10**6)), 1.5
+    yield Scores(rng.uniform(-5.0, 5.0, 10**6)), 1.75
 
 
 def test_entmax_keeps_the_plain_bisections_bits(monkeypatch):
@@ -794,7 +821,7 @@ def _probe_rows():
     # straddle it.
     for m in (128, 200, 1000):
         rng = np.random.default_rng([m, 23])
-        for alpha in (1.5, 2.0, 3.0, 10.0):
+        for alpha in (1.25, 1.75, 2.0, 3.0, 10.0):
             for u in range(-13, -5):
                 x = rng.uniform(-5.0, 5.0, m)
                 x[rng.integers(m)] = x.max() + 1.0 / (alpha - 1.0) - 10.0**u
@@ -815,7 +842,7 @@ def _near_softmax_rows():
 
 
 def _single_key_rows():
-    for alpha in (1.0 + 1e-12, *GUARD_ALPHAS, 1e3, 1e6):
+    for alpha in (1.0 + 1e-12, *GUARD_ALPHAS, 1.5, 1e3, 1e6):
         yield Scores([3.7]), alpha
 
 
@@ -852,35 +879,71 @@ def test_entmax_keeps_the_plain_bisections_bits_without_special_cases(monkeypatc
     assert log_domain or positive == []
 
 
-class _CountingMaximum:
-    """numpy, recording the length of every array given to ``maximum``."""
-
-    def __init__(self):
-        self.lengths = []
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def maximum(self, x, *args, **kwargs):
-        self.lengths.append(np.size(x))
-        return np.maximum(x, *args, **kwargs)
+# entmax's alpha-1.5 sort over the whole row, without its two cuts.
+def _reference_entmax15(s: Scores) -> np.ndarray:
+    v = s.values
+    x = np.maximum(0.5 * v - 0.5 * float(v.max()), -2.0)
+    z = np.sort(x)[::-1]
+    d = z[:-1] - z[1:]
+    g = np.cumsum(np.arange(1.0, z.size) * d)
+    f = d * g
+    f[1:] += d[1:] * g[:-1]
+    rho = 1 + int(np.count_nonzero(np.cumsum(f) < 1.0))
+    support = z[:rho]
+    mu = float(support.sum()) / rho
+    tau = mu - math.sqrt((1.0 - float(((support - mu) ** 2).sum())) / rho)
+    return np.maximum(x - tau, 0.0) ** 2
 
 
 @pytest.mark.parametrize("alpha", [1.5, 2.0])
 def test_entmax_large_rows_evaluate_only_the_candidates(monkeypatch, alpha):
-    # Every stage-1 evaluation, and the fill of the result, covers only the
-    # entries positive at y = 0, here 10-20% of the row.
+    # At alpha 2 every stage-1 evaluation, and the fill of the result,
+    # covers only the entries positive at y = 0, here 10-20% of the row.
+    # At alpha 1.5 the sort and the weights cover only the entries above
+    # both cuts, here under 2% of the row, and the cuts change no bit.
     m = 10**5
     rng = np.random.default_rng([m, 18])
     rows = [Scores(rng.uniform(-5.0, 5.0, m)) for _ in range(4)]
     shim = _CountingMaximum()
-    monkeypatch.setattr("vattn.solvers.np", shim)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for s in rows:
             shim.lengths.clear()
-            entmax(s, alpha)
-            assert shim.lengths and max(shim.lengths) < m // 4
+            shim.sorted.clear()
+            monkeypatch.setattr("vattn.solvers.np", shim)
+            weights = entmax(s, alpha).distribution.weights
+            monkeypatch.undo()
+            if alpha == 2.0:
+                assert shim.lengths and max(shim.lengths) < m // 4
+            else:
+                assert len(shim.sorted) == 1 and shim.sorted[0] < m // 50
+                assert shim.lengths == shim.sorted
+                assert weights.tobytes() == _reference_entmax15(s).tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 16, 64, 256, 1000, 1023])
+def test_entmax15_short_rows_sort_only_the_candidates_and_keep_the_whole_sorts_bits(
+    monkeypatch, m
+):
+    # Short rows take the cuts too: the sort covers the entries within
+    # 2 + 8 eps of the top, and the weights keep the bytes of sorting the
+    # whole row, on uniform rows, on rows whose every entry is a candidate,
+    # on tied rows and on a dominant score over a plateau.
+    rng = np.random.default_rng([m, 19])
+    x = rng.uniform(-5.0, 5.0, m)
+    plateau = np.full(m, -1.9)
+    plateau[0] = 0.0
+    rows = [x, 0.1 * x, np.round(x), plateau]
+    shim = _CountingMaximum()
+    for row in rows:
+        s = Scores(row)
+        shim.sorted.clear()
+        monkeypatch.setattr("vattn.solvers.np", shim)
+        weights = entmax(s, 1.5).distribution.weights
+        monkeypatch.undo()
+        candidates = int(np.count_nonzero(row - row.max() > -2.0 - 8.0 * np.finfo(float).eps))
+        assert shim.sorted == [candidates]
+        assert weights.tobytes() == _reference_entmax15(s).tobytes()
 
 
 class _CountingStiffCorner(_CountingMaximum):

@@ -46,7 +46,11 @@ and alphas 1.5, 2, 3 and 10, on rows whose root lies just below y = 0 (m =
 sparsemax at m = 1024, 4096 and 1e5 on rows of spread <= 0.8, where every
 entry is a candidate; entmax on rows of 128, 200 and 1e5 keys that reach
 its stiff corner, and sparsemax at m = 1024, 2048 and 1e5 on rows whose
-spread overflows.  It hashes the grid searches of a seeded list,
+spread overflows; and entmax at alpha 1.5 on rows of 1025, 4096 and 1e5
+keys where more than 1024 entries pass its first cut (so its K-th largest
+bound applies), on rows of 16, 1000 and 1e5 keys with one dominant score
+over a plateau (also at alphas 2 and 3), and on rows of 16, 1024 and 1e5
+keys whose spread overflows.  It hashes the grid searches of a seeded list,
 each searched twice in a row: m from 1 to 3, every kind (tsallis at alphas
 1.5, 2 and 3), at resolutions 100, 2000 and, for m <= 2, 1e6; and around
 the search's 2^14-row chunks: m=2 grids of 2^14 - 1, 2^14 and 2^14 + 1
@@ -379,6 +383,36 @@ for m in (1024, 2048, 10**5):
             row[rng.integers(m)] = low
             rows.append((row, ()))
     hash_rows(f"solve l2 overflowing spread m={m}", rows, solvers.sparsemax)
+
+# entmax at alpha 1.5, which sorts: rows of at least 1024 keys on which more
+# than 1024 entries pass the first cut, so the K-th largest bound applies;
+# one dominant score over a plateau at 0.5 to 2.5 below it, at alphas 1.5,
+# 2 and 3; and rows whose spread, or only its half, overflows.
+for m in (1025, 4096, 10**5):
+    rng = np.random.default_rng([m, 29])
+    rows = []
+    for spread in (0.1, 1.0, 2.0, 10.0):
+        x = rng.uniform(-0.5 * spread, 0.5 * spread, m)
+        rows += [(x, (1.5,)), (np.round(x * 64.0) / 64.0, (1.5,))]
+    hash_rows(f"solve tsallis 1.5 second cut m={m}", rows, solvers.entmax)
+for m in (16, 1000, 10**5):
+    rng = np.random.default_rng([m, 30])
+    for alpha in (1.5, 2.0, 3.0):
+        rows = []
+        for gap in (0.5, 1.9, 1.99, 2.0, 2.5):
+            x = np.full(m, rng.uniform(-5.0, 5.0))
+            x[rng.integers(m)] += gap
+            rows.append((x, (alpha,)))
+        hash_rows(f"solve tsallis {alpha} dominant plateau m={m}", rows, solvers.entmax)
+for m in (16, 1024, 10**5):
+    rng = np.random.default_rng([m, 31])
+    x = rng.uniform(-5.0, 5.0, m)
+    rows = [(x * 1e305, (1.5,)), (x * (1.7e308 / 5.0), (1.5,))]
+    for base in (x, np.round(x)):
+        row = base.copy()
+        row[rng.integers(m)] = -1.7e308
+        rows.append((row, (1.5,)))
+    hash_rows(f"solve tsallis 1.5 overflowing spread m={m}", rows, solvers.entmax)
 
 # The softmax family where most shifted logits fall below exp's underflow
 # cut, and sparsemax on both sides of its candidate threshold (1024 keys).
