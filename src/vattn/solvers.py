@@ -119,9 +119,9 @@ def _exp_cut(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _softmax_rows(v: np.ndarray, t: float, top, plain: bool, cut: bool) -> np.ndarray:
-    """Softmax along the last axis of ``v``, whose max there is ``top`` (a float or an (n, 1)
-    column), as a new array: v / t - top / t if ``plain`` (finite), else ``_shifted_gap``.
+def _shifted_exp(v: np.ndarray, t: float, top, plain: bool, cut: bool) -> np.ndarray:
+    """exp(v / t - top / t) along the last axis of ``v``, whose max there is ``top`` (a float or
+    an (n, 1) column), as a new array; ``_shifted_gap`` forms the quotients unless ``plain``.
     ``cut`` says that some shifted entry may lie at or below ``_EXP_CUT`` (see ``_exp_cut``)."""
     if plain:
         e = v / t
@@ -129,22 +129,34 @@ def _softmax_rows(v: np.ndarray, t: float, top, plain: bool, cut: bool) -> np.nd
     else:
         e = _shifted_gap(v, top, t)
     if cut:
-        _exp_cut(e)
-    else:
-        np.exp(e, out=e)
+        return _exp_cut(e)
+    return np.exp(e, out=e)
+
+
+def _softmax_rows(v: np.ndarray, t: float, top, plain: bool, cut: bool) -> np.ndarray:
+    """Softmax along the last axis of ``v``: ``_shifted_exp`` over its row sums."""
+    e = _shifted_exp(v, t, top, plain, cut)
     e /= e.sum(axis=-1, keepdims=True)
     return e
+
+
+def _row_exp(v: np.ndarray, t: float, top: float) -> np.ndarray:
+    # One row's shifted exp; its lowest shifted quotient picks the path.
+    low = float(v.min()) / t - top / t
+    return _shifted_exp(v, t, top, math.isfinite(low), not low > _EXP_CUT)
 
 
 def softmax(s: Scores, temperature: float) -> SolveResult:
     """exp(s_j / tau) / sum_l exp(s_l / tau), computed max-shifted.
 
-    The attached potential is ``lse(s, temperature)``; the distribution is
-    the gradient of that potential.  Scores whose quotients by tau, or
-    their spread, overflow take an overflow-safe path.  Shifted entries at
-    or below -746, whose exp rounds to exactly +0.0, get that zero without
-    an exp; the lowest shifted entry, bottom / tau - top / tau, says
-    whether a row has any.
+    One exp per row: the terms exp(s_j / tau - top / tau), top = max s,
+    are summed once; the sum normalizes the weights and gives the
+    attached potential top + tau * log(sum), whose gradient the weights
+    are.  ``lse`` computes it on the same path, bit for bit.  Scores
+    whose quotients by tau, or their spread, overflow take an
+    overflow-safe path.  Shifted entries at or below -746, whose exp
+    rounds to exactly +0.0, get that zero without an exp; the lowest
+    shifted entry, bottom / tau - top / tau, says whether a row has any.
     """
     return _softmax(s.values, _check_positive_real(temperature))
 
@@ -152,12 +164,13 @@ def softmax(s: Scores, temperature: float) -> SolveResult:
 def _softmax(v: np.ndarray, t: float, kind: str = SHANNON) -> SolveResult:
     # Logits the library made, at a checked tau.  A -inf logit, where the
     # kind's penalty overflowed, takes the guarded path and gets weight 0.
-    top, bottom = float(v.max()), float(v.min())
+    top = float(v.max())
     if top == -math.inf:
         raise ValueError(_OVERFLOWS.format(kind))
-    potential = _lse(v, t, top, bottom)  # first, so its buffer is freed first
-    low = bottom / t - top / t
-    return _result(_softmax_rows(v, t, top, math.isfinite(low), not low > _EXP_CUT), potential)
+    e = _row_exp(v, t, top)
+    total = e.sum()
+    e /= total
+    return _result(e, top + t * float(np.log(total)))
 
 
 def sparsemax(s: Scores) -> SolveResult:
@@ -548,23 +561,14 @@ def lse(s: Scores, temperature: float) -> float:
 
     This is the dual potential of the entropy-regularized problem: its
     gradient is the softmax distribution and its value is the negative of
-    ``primal_value``.  Terms whose shifted quotient is at or below -746
-    are exactly +0.0 and are not exponentiated, as in ``softmax``.
+    ``primal_value``.  It is top + tau * log of the normalizer of
+    ``softmax``'s weights, sum_l exp(s_l / tau - top / tau) with top =
+    max s, computed on the same path (overflow guard and exp cut), so it
+    equals ``softmax(s, temperature).potential`` bit for bit.
     """
     t = _check_positive_real(temperature)
-    v = s.values
-    return _lse(v, t, float(v.max()), float(v.min()))
-
-
-def _lse(v: np.ndarray, t: float, top: float, bottom: float) -> float:
-    low = (bottom - top) / t  # the lowest shifted quotient
-    if math.isfinite(low):
-        gap = v - top
-        gap /= t
-    else:
-        gap = _shifted_gap(v, top, t)
-    terms = np.exp(gap, out=gap) if low > _EXP_CUT else _exp_cut(gap)
-    return top + t * float(np.log(terms.sum()))
+    top = float(s.values.max())
+    return top + t * float(np.log(_row_exp(s.values, t, top).sum()))
 
 
 def primal_value(s: Scores, temperature: float) -> float:

@@ -31,7 +31,9 @@ methods, budgets and step sizes it hashes the same outcomes of one-row
 kind (tsallis at alphas 1.2, 1.5, 2 and 3) on seeded rows of m = 1 to 16,
 one in three at scale 100.  Each tree also hashes the ``solvers.solve``
 weight bytes (or the error) of a fixed seeded list of rows, with each
-result's potential (as ``float.hex``) and support size: every kind at m=16
+result's support size, and, in a report of their own, the softmax family's
+potentials, with ``lse`` and ``primal_value`` of the logits the kind
+solves at its temperature (all as ``float.hex``): every kind at m=16
 and m=1000, tsallis at nine alphas from 1.0001 to 10 (10 enters entmax's
 stiff corner), and one 1e6-key row per kind; and tsallis at alphas 1.5, 2
 and 3 on tied rows and on rows with one dominant score (entmax's root at y
@@ -39,7 +41,8 @@ and 3 on tied rows and on rows with one dominant score (entmax's root at y
 underflow (alibi at m=1e4 and 1e5 with the query at either end, softmax
 at tau 1e-3 on a 1e5-key row, kl_prior with prior entries down to
 1e-320); alibi and kl_prior at m=16 and 1e5 whose penalties come within a
-factor of 2 of DBL_MAX without overflowing; and sparsemax, tied and
+factor of 2 of DBL_MAX without overflowing; softmax at m=16 and 1000 on
+rows that take the overflow guard; and sparsemax, tied and
 untied, at m=1023, 1024 (its candidate threshold) and 1e5; entmax at m=1e5
 and alphas 1.5, 2, 3 and 10, on rows whose root lies just below y = 0 (m =
 128 to 1000), and at alphas 1 + 1e-5 and 1 + 3e-5 (m=16 and 1000); and
@@ -180,6 +183,22 @@ for seed in seeds:
 # (tsallis at several alphas, 10 entering entmax's stiff corner) and one
 # 1e6-key row per kind.
 from vattn import Scores, SimplexDistribution, solvers
+from vattn.core import key_distances
+
+def logits(x, reg):  # the logits each softmax-family kind solves, as it forms them
+    with np.errstate(over="ignore"):
+        if reg.kind == "alibi":
+            return x - key_distances(reg.query_position, x.size) * reg.gamma
+        if reg.kind == "kl_prior":
+            return np.log(reg.prior.weights) * reg.temperature + x
+    return x
+
+def potentials(result, x, reg):  # the potential, lse and primal_value, as float.hex
+    try:
+        s, t = Scores(logits(x, reg)), reg.temperature
+        return [result.potential.hex(), solvers.lse(s, t).hex(), solvers.primal_value(s, t).hex()]
+    except (NumericalFailure, ValueError) as error:
+        return repr(error)
 
 def regularizers(rng, m):
     yield RegularizerSpec.shannon(float(rng.uniform(0.5, 2.0)))
@@ -200,16 +219,18 @@ for m, rows in ((16, 40), (1000, 4), (10**6, 1)):
             if m == 10**6 and reg.kind == "tsallis" and reg.alpha != 1.5:
                 continue
             label = f"{reg.kind} {reg.alpha}" if reg.kind == "tsallis" else reg.kind
-            digest = digests.setdefault(label, hashlib.sha256())
+            digest = digests.setdefault(f"solve {label}", hashlib.sha256())
             try:
                 result = solvers.solve(Scores(x), reg)
                 digest.update(result.distribution.weights.tobytes())
-                potential = None if result.potential is None else result.potential.hex()
-                digest.update(repr((potential, result.support_size)).encode())
+                digest.update(repr(result.support_size).encode())
+                if result.potential is not None:
+                    values = digests.setdefault(f"potential, lse and primal_value {label}", hashlib.sha256())
+                    values.update(repr(potentials(result, x, reg)).encode())
             except (NumericalFailure, ValueError) as error:
                 digest.update(repr(error).encode())
     for label, digest in digests.items():
-        print(json.dumps([f"solve {label} m={m}", digest.hexdigest()]), flush=True)
+        print(json.dumps([f"{label} m={m}", digest.hexdigest()]), flush=True)
 
 # _minimize_many on seeded batches of rows of mixed lengths, every kind
 # under both methods, at small budgets and two step sizes, so rows reject
@@ -418,8 +439,7 @@ for m in (16, 1024, 10**5):
 # cut, and sparsemax on both sides of its candidate threshold (1024 keys).
 import math
 def solve_bytes(result):
-    potential = None if result.potential is None else result.potential.hex()
-    return result.distribution.weights.tobytes() + repr((potential, result.support_size)).encode()
+    return result.distribution.weights.tobytes() + repr(result.support_size).encode()
 
 cases = []
 for m in (10**4, 10**5):
@@ -459,6 +479,16 @@ for m in (16, 10**5):
     for share in (0.5, 0.99):
         t = share * DBL_MAX / -math.log(prior.weights.min())
         cases.append((f"kl_prior near DBL_MAX m={m} share {share}", x, RegularizerSpec.kl_prior(prior, t)))
+# Softmax rows that take the overflow guard: a spread that overflows, quotients
+# by tau that overflow, and one score at -1.7e308 whose quotient overflows
+# while the others' terms count.
+for m in (16, 1000):
+    x = np.random.default_rng([m, 32]).uniform(-5.0, 5.0, m)
+    low = x.copy()
+    low[0] = -1.7e308
+    guarded = (("spread", x * (1.7e308 / 5.0), 1.0), ("quotients", x * 1e305, 1e-3), ("bottom", low, 0.1))
+    for name, row, t in guarded:
+        cases.append((f"shannon guarded {name} m={m} t={t}", row, RegularizerSpec.shannon(t)))
 for m in (1023, 1024, 10**5):
     rng = np.random.default_rng([m, 11])
     x = rng.uniform(-5.0, 5.0, m)
@@ -467,10 +497,13 @@ for m in (1023, 1024, 10**5):
         cases.append((f"l2 {name} m={m}", row, RegularizerSpec.l2()))
 for label, x, reg in cases:
     try:
-        out = hashlib.sha256(solve_bytes(solvers.solve(Scores(x), reg))).hexdigest()
+        result = solvers.solve(Scores(x), reg)
+        out = hashlib.sha256(solve_bytes(result)).hexdigest()
     except (NumericalFailure, ValueError) as error:
-        out = repr(error)
+        result, out = None, repr(error)
     print(json.dumps([f"solve {label}", out]), flush=True)
+    if result is not None and result.potential is not None:
+        print(json.dumps([f"potential, lse and primal_value {label}", potentials(result, x, reg)]), flush=True)
 
 # The gradient and transport outputs on a fixed seeded list: 40 rows at
 # m=16, every fourth at scale 1000, where softmax weights can underflow to
