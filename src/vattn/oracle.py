@@ -605,106 +605,200 @@ def _minimize_many(
     return outcomes
 
 
-def _barycentric_grid(m: int, resolution: int) -> np.ndarray:
-    """Every point of the simplex in R^m (m <= 3) whose coordinates are
-    multiples of 1/resolution, one per row, ordered by the first
-    coordinate's numerator, then the second's."""
-    if m == 1:
-        return np.ones((1, 1))
-    steps = np.arange(resolution + 1) / resolution  # steps[k] = k / resolution
-    if m == 2:
-        return np.column_stack([steps, steps[::-1]])
-    # One block of rows per first coordinate i / resolution, filled from
-    # the cached steps rather than through grid-sized temporaries.
-    grid = np.empty(((resolution + 1) * (resolution + 2) // 2, 3))
-    start = 0
-    for i in range(resolution + 1):
-        size = resolution + 1 - i
-        block = grid[start : start + size]
-        block[:, 0] = steps[i]
-        block[:, 1] = steps[:size]
-        block[:, 2] = steps[size - 1 :: -1]
-        start += size
-    return grid
+class _Steps(NamedTuple):
+    """The coordinates n / resolution, n = 0..resolution, and each one's
+    x log x, formed as ``_xlogx_rows`` forms an entry; read-only.  Every
+    coordinate of a barycentric grid point is one of these steps, so the
+    grid's rows and their entropy terms are gathered from this table."""
 
-
-class _Grid(NamedTuple):
-    """A read-only barycentric grid and, per point, sum_j p_j log p_j as
-    the objective computes it, so the entropic kinds reuse it."""
-
-    points: np.ndarray
+    values: np.ndarray
     xlogx: np.ndarray
 
 
-# Grids are built and searched in chunks of rows (384 KB of m=3 points), so
+def _build_table(resolution: int) -> _Steps:
+    values = np.arange(resolution + 1) / resolution
+    xlogx = np.where(values > 0.0, values, 1.0)
+    np.log(xlogx, out=xlogx)
+    xlogx *= values
+    values.flags.writeable = False
+    xlogx.flags.writeable = False
+    return _Steps(values, xlogx)
+
+
+# The last resolution's table, as ``(resolution, table)``.  The tuple is
+# read and written whole, so concurrent searches need no lock.  The suites
+# search at resolution 1e6 (m=2, a 16 MB table) and 2000 (m=2 and 3).
+_last_steps: tuple[int, _Steps] | None = None
+
+
+def _coordinate_table(resolution: int) -> _Steps:
+    global _last_steps
+    kept = _last_steps
+    if kept is not None and kept[0] == resolution:
+        return kept[1]
+    kept = _last_steps = None  # the old table is freed before the build
+    table = _build_table(resolution)
+    _last_steps = resolution, table
+    return table
+
+
+# 8x the suites' largest grid (2,003,001 points at m=3, resolution 2000),
+# yet an m=2 table stays within 256 MiB and a search within seconds.
+_GRID_MAX_POINTS = 2**24
+
+# The grid is searched in chunks of rows (384 KB of m=3 points), so
 # temporaries stay in the L2 cache.  Chunks start on multiples of any vector
 # or block width, so every row keeps the bits of a whole-grid evaluation.
 _GRID_CHUNK_ROWS = 2**14
 
 
-def _grid_chunks(rows: int):
-    return (slice(start, start + _GRID_CHUNK_ROWS) for start in range(0, rows, _GRID_CHUNK_ROWS))
+def _grid_size(m: int, resolution: int) -> int:
+    return (1, resolution + 1, (resolution + 1) * (resolution + 2) // 2)[m - 1]
 
 
-def _build_grid(m: int, resolution: int) -> _Grid:
-    points = _barycentric_grid(m, resolution)
-    xlogx = np.empty(points.shape[0])
-    for chunk in _grid_chunks(points.shape[0]):
-        xlogx[chunk] = _xlogx_rows(points[chunk])
-    points.flags.writeable = False
-    xlogx.flags.writeable = False
-    return _Grid(points, xlogx)
+def _block_starts(resolution: int) -> np.ndarray:
+    # The m=3 grid's first row with first coordinate i / resolution.
+    counts = np.arange(resolution + 1, 0, -1)
+    return np.cumsum(counts) - counts
 
 
-# The last grid searched, as ``((m, resolution), grid)``, kept while it
-# takes at most _GRID_KEEP_BYTES with its entropy terms.  The tuple is read
-# and written whole, so concurrent searches need no lock.  The suites
-# search m=2 at resolution 1e6 (24 MB), m=3 at 2000 (64 MB) and m=2 at 2000,
-# each size's searches in a row.  Only the kept grid is grid-sized: a
-# search's own temporaries are one chunk's.
-_GRID_KEEP_BYTES = 64 * 2**20
-_last_grid: tuple[tuple[int, int], _Grid] | None = None
+def _grid_rows(m: int, table: _Steps, chunk: slice, starts=None):
+    """The barycentric grid's rows ``chunk``, and their sum_j p_j log p_j
+    as ``_xlogx_rows`` sums them.  The grid holds every point of the simplex
+    in R^m (m <= 3) whose coordinates are multiples of 1/resolution, ordered
+    by the first coordinate's numerator, then the second's."""
+    values, xlogx = table
+    resolution = len(values) - 1
+    if m == 1:
+        index = [slice(resolution, None)]
+    elif m == 2:  # slices: a gather of 1e6 rows costs twice as much
+        stop = resolution - chunk.stop
+        index = [chunk, slice(resolution - chunk.start, stop if stop >= 0 else None, -1)]
+    else:
+        rows = np.arange(chunk.start, chunk.stop)
+        i = starts.searchsorted(rows, "right") - 1
+        j = rows - starts[i]
+        index = [i, j, resolution - i - j]
+    # Summed left to right, as _row_sums sums a row; its start at +0.0
+    # changes no bits, as no entry is -0.0.
+    terms = xlogx[index[0]]
+    points = np.empty((len(terms), m))
+    for column, k in enumerate(index):
+        points[:, column] = values[k]
+        if column:
+            terms = terms + xlogx[k]
+    return points, terms
+
+
+# The screen's margin, relative to its scale, and the scales it runs at:
+# below, subnormal roundings could pass the margin; above, a sum of terms
+# bounded by a few times the scale could overflow.
+_SCREEN_MARGIN = 2.0**-40
+_SCREEN_SCALES = (2.0**-900, 2.0**1020)
+# Rows of sliding-window sums per block (512 KB at resolution 2000).
+_SCREEN_ROWS = 32
+
+
+def _screen(s: Scores, reg: RegularizerSpec, table: _Steps, starts: np.ndarray):
+    """The indices of the m=3 chunks that can hold the grid's first
+    minimum, in increasing order, or None when every chunk can."""
+    values = table.values
+    n = len(values)
+    # T_k[n]: coordinate k's penalty term at step n, less s_k steps[n].
+    onehot = np.zeros((3, n, 3))
+    for k in range(3):
+        onehot[k, :, k] = values
+    terms = _omega_rows(onehot.reshape(-1, 3), reg, np.tile(table.xlogx, 3)).reshape(3, n)
+    terms -= s.values[:, np.newaxis] * values
+    scale = float(np.sum(np.abs(terms).max(axis=1) + np.abs(s.values)))
+    low, high = _SCREEN_SCALES
+    if not low <= scale <= high:  # also NaN, and +-inf in a table
+        return None
+    t0, t1, t2 = terms
+    margin = 2.0 * _SCREEN_MARGIN * scale
+    # Row i's sums t1[j] + t2[R - i - j] are t1 plus the window at i of t2
+    # reversed, padded with +inf past the row's end.
+    reversed_t2 = np.concatenate([t2[::-1], np.full(n - 1, np.inf)])
+    windows = np.lib.stride_tricks.sliding_window_view(reversed_t2, n)
+    row_minima = np.empty(n)
+    for lo in range(0, n, _SCREEN_ROWS):
+        rows = slice(lo, lo + _SCREEN_ROWS)
+        sums = windows[rows, : n - lo] + t1[: n - lo]
+        row_minima[rows] = t0[rows] + sums.min(axis=1)
+    limit = row_minima.min() + margin
+    chunks = set()
+    for i in np.flatnonzero(row_minima <= limit).tolist():
+        width = n - i
+        j = np.flatnonzero(t0[i] + (t1[:width] + reversed_t2[i:n]) <= limit)
+        chunks.update(((starts[i] + j) // _GRID_CHUNK_ROWS).tolist())
+    return sorted(chunks)
 
 
 @np.errstate(over="ignore")  # as in the descent, an overflowing objective is inf
 def grid_search_simplex(s: Scores, reg: RegularizerSpec, resolution: int) -> OracleResult:
     """Exhaustive minimum over the barycentric grid with the given number
-    of subdivisions; only feasible for m <= 3.
+    of subdivisions; only feasible for m <= 3, and for at most 2^24 grid
+    points (8x the suites' largest grid), which bounds the search's time and
+    its coordinate table at 16 bytes per step.
 
     The returned point is within O(1/resolution) of the true optimum, and
     its objective can never beat the true minimum, which makes this a
-    one-sided sandwich check for every closed form.
+    one-sided sandwich check for every closed form.  It is the first
+    minimum (or NaN) ``np.argmin`` picks among the grid's objective values,
+    each value -(p @ s) + Omega(p) evaluated on chunks of 2^14 rows, which
+    are gathered from a table of the coordinates n / resolution (kept for
+    the last resolution searched): no array is grid-sized.
+
+    At m=3 only the chunks that can hold that minimum are evaluated.  Every
+    penalty is a sum of per-coordinate terms that vanish at 0, so per-
+    coordinate tables T_k[n] (coordinate k's term at step n, less s_k n/R,
+    from ``_omega_rows`` on one-hot rows) give a screened objective
+    S = T_0[i] + (T_1[j] + T_2[k]) at every point; each row's minimum over
+    j is one sliding-window pass.  With scale = sum_k(max|T_k| + |s_k|),
+    S and the evaluated value E are each a few roundings (numpy's log
+    within 4 ulp) of terms bounded by a few times scale, so both lie within
+    delta ~ 20u scale of the exact objective of the same coordinates, far
+    below mu = 2^-40 scale.  Hence the grid's first minimum p* has
+    S(p*) <= E(p*) + delta <= E(q) + delta <= S(q) + 2 delta for every q,
+    so S(p*) <= S_min + mu; and any q with S(q) > S_min + 2 mu has
+    E(q) >= S(q) - delta > S(p*) + mu - delta >= E(p*) + mu - 2 delta > E(p*).
+    So the first minimum, in index order, over the chunks holding a point
+    within 2 mu of S_min is the whole grid's.  The screen stands down, and
+    every chunk is evaluated, when a table entry or the scale is not
+    finite or the scale lies outside [2^-900, 2^1020], where subnormal
+    roundings or an overflow could break those bounds.
     """
     m = len(s)
     if m > 3:
         raise ValueError("grid search is exhaustive and limited to m <= 3")
     resolution = _check_count(resolution, "resolution", 100)
-    _check_pair(s, reg)  # before the grid is dropped or built
-    global _last_grid
-    key = (m, resolution)
-    kept = _last_grid
-    if kept is not None and kept[0] == key:
-        grid = kept[1]
-    else:
-        kept = _last_grid = None  # the old grid is freed before the build
-        grid = _build_grid(m, resolution)
-        if grid.points.nbytes + grid.xlogx.nbytes <= _GRID_KEEP_BYTES:
-            _last_grid = key, grid
+    size = _grid_size(m, resolution)
+    if size > _GRID_MAX_POINTS:
+        raise ValueError(
+            f"grid search at m={m}, resolution {resolution} visits {size} points, "
+            f"more than {_GRID_MAX_POINTS}"
+        )
+    _check_pair(s, reg)  # before the table is dropped or built
+    # m=1's one point is 1/1 at any resolution.
+    table = _coordinate_table(resolution) if m > 1 else _build_table(1)
+    starts = chunks = None
+    if m == 3:
+        starts = _block_starts(resolution)
+        chunks = _screen(s, reg, table, starts)
+    if chunks is None:
+        chunks = range(-(-size // _GRID_CHUNK_ROWS))
     # The first minimum (or NaN) of each chunk, then the first among them:
     # np.argmin's pick on the whole array.
     picks = []
-    for chunk in _grid_chunks(grid.points.shape[0]):
-        points = grid.points[chunk]
-        objectives = -(points @ s.values) + _omega_rows(points, reg, grid.xlogx[chunk])
+    for c in chunks:
+        start = c * _GRID_CHUNK_ROWS
+        chunk = slice(start, min(start + _GRID_CHUNK_ROWS, size))
+        points, xlogx = _grid_rows(m, table, chunk, starts)
+        objectives = -(points @ s.values) + _omega_rows(points, reg, xlogx)
         best = int(np.argmin(objectives))
-        picks.append((objectives[best], chunk.start + best))
-    value, best = picks[int(np.argmin([value for value, _ in picks]))]
-    return OracleResult(
-        SimplexDistribution(grid.points[best]),
-        float(value),
-        iterations=grid.points.shape[0],
-        converged=True,
-    )
+        picks.append((objectives[best], points[best].copy()))  # not a view on the chunk
+    value, point = picks[int(np.argmin([value for value, _ in picks]))]
+    return OracleResult(SimplexDistribution(point), float(value), iterations=size, converged=True)
 
 
 def fenchel_conjugate(

@@ -180,11 +180,11 @@ def test_grid_rejects_large_m_and_small_resolution():
 def test_grid_resolution_is_an_integer_checked_before_the_search(monkeypatch):
     # The resolution is validated as SolverConfig.max_iterations is: a
     # number, then an integer, with no truncation and no overflow escaping.
-    def no_build(m, resolution):
-        raise AssertionError("a rejected resolution must not reach the grid build")
+    def no_build(resolution):
+        raise AssertionError("a rejected resolution must not reach the table build")
 
-    monkeypatch.setattr(oracle, "_build_grid", no_build)
-    oracle._last_grid = None
+    monkeypatch.setattr(oracle, "_build_table", no_build)
+    oracle._last_steps = None
     s, l2 = Scores([1.0, 2.0]), RegularizerSpec.l2()
     for resolution in ("300", b"300", True, np.True_):
         with pytest.raises(TypeError):
@@ -196,24 +196,24 @@ def test_grid_resolution_is_an_integer_checked_before_the_search(monkeypatch):
     for resolution in (150, np.int64(150), np.int32(150)):
         found = grid_search_simplex(s, l2, resolution)
         assert found.iterations == 151
-        assert oracle._last_grid[0] == (2, 150) and type(oracle._last_grid[0][1]) is int
+        assert oracle._last_steps[0] == 150 and type(oracle._last_steps[0]) is int
 
 
 def test_grid_checks_the_prior_length_before_touching_the_grid(monkeypatch):
-    # A mismatched prior is rejected before the kept grid is dropped or a
-    # new one built.
+    # A mismatched prior is rejected before the kept coordinate table is
+    # dropped or a new one built.
     s2 = Scores([1.0, 2.0])
     grid_search_simplex(s2, RegularizerSpec.l2(), 150)
-    kept = oracle._last_grid
+    kept = oracle._last_steps
 
-    def no_build(m, resolution):
-        raise AssertionError("a mismatched prior must not reach the grid build")
+    def no_build(resolution):
+        raise AssertionError("a mismatched prior must not reach the table build")
 
-    monkeypatch.setattr(oracle, "_build_grid", no_build)
+    monkeypatch.setattr(oracle, "_build_table", no_build)
     prior = SimplexDistribution([0.5, 0.5])
     with pytest.raises(ValueError, match="length mismatch: prior 2 vs scores 3"):
         grid_search_simplex(Scores([1.0, 2.0, 0.5]), RegularizerSpec.kl_prior(prior, 1.0), 2000)
-    assert oracle._last_grid is kept
+    assert oracle._last_steps is kept
 
 
 def test_grid_softmax_m2():
@@ -250,29 +250,74 @@ def test_grid_can_never_beat_the_closed_form():
             assert best <= found.objective + 1e-12
 
 
-def test_grid_search_peak_allocation_on_the_kept_grid():
-    # The search works through the kept 2,003,001-point grid in chunks, so
-    # its temporaries are one chunk's, not grid-sized.
-    s = Scores([0.3, -1.2, 2.0])
-    grid_search_simplex(s, RegularizerSpec.l2(), 2000)
-    regs = [
-        RegularizerSpec.shannon(0.7),
-        RegularizerSpec.l2(),
-        *(RegularizerSpec.tsallis(alpha) for alpha in (1.05, 1.5, 2.0, 3.0)),
-        RegularizerSpec.alibi(0.3, 2, 0.7),
-        RegularizerSpec.kl_prior([0.2, 0.3, 0.5], 0.7),
-    ]
+_PEAK_REGULARIZERS = [
+    RegularizerSpec.shannon(0.7),
+    RegularizerSpec.l2(),
+    *(RegularizerSpec.tsallis(alpha) for alpha in (1.05, 1.5, 2.0, 3.0)),
+    RegularizerSpec.alibi(0.3, 2, 0.7),
+    RegularizerSpec.kl_prior([0.2, 0.3, 0.5], 0.7),
+]
+
+
+def _grid_search_peaks(s, resolution, cold):
     peaks = {}
-    for reg in regs:
+    for reg in _PEAK_REGULARIZERS:
+        if cold:
+            oracle._last_steps = None
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            grid_search_simplex(s, reg, 2000)
+            grid_search_simplex(s, reg, resolution)
             peaks[reg.kind, reg.alpha] = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-    assert oracle._last_grid[0] == (3, 2000)
+    return peaks
+
+
+def test_grid_search_peak_allocation_on_the_kept_grid():
+    # The search works through the 2,003,001-point grid in chunks gathered
+    # from the kept coordinate table, so its temporaries are one chunk's,
+    # not grid-sized.
+    s = Scores([0.3, -1.2, 2.0])
+    grid_search_simplex(s, RegularizerSpec.l2(), 2000)
+    peaks = _grid_search_peaks(s, 2000, cold=False)
+    assert oracle._last_steps[0] == 2000
     assert all(peak <= 2e6 for peak in peaks.values()), peaks
+
+
+@pytest.mark.parametrize("s", [Scores([0.3, -1.2, 2.0]), Scores([1.0, 1.0, 1.0])])
+def test_grid_search_peak_allocation_from_cold(s):
+    # No array of a search is grid-sized, the table and the screen included:
+    # a search that builds its table peaks as low as one on a kept table.
+    peaks = _grid_search_peaks(s, 2000, cold=True)
+    assert all(peak <= 2e6 for peak in peaks.values()), peaks
+
+
+def test_grid_rejects_a_grid_too_large_to_search(monkeypatch):
+    # Rejected at validation, after the resolution's own check and before
+    # any table is built: such a search is never run.
+    def no_build(resolution):
+        raise AssertionError("an oversized grid must not reach the table build")
+
+    monkeypatch.setattr(oracle, "_build_table", no_build)
+    limit = oracle._GRID_MAX_POINTS
+    assert limit >= 8 * 2_003_001
+    l2 = RegularizerSpec.l2()
+    for x, resolution, points in (
+        ([0.1, 0.2, 0.3], 10**5, 5_000_150_001),
+        ([0.1, 0.2, 0.3], 5792, 16_782_321),
+        ([0.1, 0.2], limit, limit + 1),
+    ):
+        with pytest.raises(ValueError, match=f"visits {points} points, more than {limit}"):
+            grid_search_simplex(Scores(x), l2, resolution)
+    with pytest.raises(ValueError, match="resolution must be an integer >= 100"):
+        grid_search_simplex(Scores([0.1, 0.2]), l2, 1e30)
+    prior = SimplexDistribution([0.5, 0.5])
+    with pytest.raises(ValueError, match="more than"):  # before the prior's length
+        grid_search_simplex(Scores([0.1, 0.2, 0.3]), RegularizerSpec.kl_prior(prior, 1.0), 10**4)
+    # A grid of one point is never too large.
+    monkeypatch.undo()
+    assert grid_search_simplex(Scores([0.5]), l2, 10**9).iterations == 1
 
 
 # ------------------------------------------------------- fenchel conjugate
@@ -419,19 +464,21 @@ def _reference_minimize(s, reg, cfg=None):
     return w, best, iterations, converged, tuple(trace)
 
 
-def _reference_grid_search(s, reg, resolution):
-    m = len(s)
+def _reference_grid(m, resolution):
+    # The barycentric grid as one whole-array evaluation builds it.
     if m == 1:
-        grid = np.ones((1, 1))
-    elif m == 2:
+        return np.ones((1, 1))
+    if m == 2:
         i = np.arange(resolution + 1, dtype=np.float64)
-        grid = np.column_stack([i, resolution - i]) / resolution
-    else:
-        counts = np.arange(resolution + 1, 0, -1)
-        i = np.repeat(np.arange(resolution + 1), counts)
-        starts = np.repeat(np.cumsum(counts) - counts, counts)
-        j = np.arange(i.size) - starts
-        grid = np.column_stack([i, j, resolution - i - j]).astype(np.float64) / resolution
+        return np.column_stack([i, resolution - i]) / resolution
+    counts = np.arange(resolution + 1, 0, -1)
+    i = np.repeat(np.arange(resolution + 1), counts)
+    j = np.arange(i.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.column_stack([i, j, resolution - i - j]).astype(np.float64) / resolution
+
+
+def _reference_grid_search(s, reg, resolution):
+    grid = _reference_grid(len(s), resolution)
     objectives = objective_rows(grid, s, reg)
     best = int(np.argmin(objectives))
     return grid[best], float(objectives[best]), grid.shape[0]
@@ -531,41 +578,44 @@ def _assert_same_grid_result(found, reference):
     assert found.converged
 
 
-def test_grid_search_is_bit_identical_cold_warm_and_uncached(monkeypatch):
+def test_grid_search_is_bit_identical_cold_warm_and_uncached():
+    # Cold: the table is built for the search; warm: the kept table is
+    # reused; uncached: a search at another resolution replaced it first.
     for s, reg, resolution in _grid_guard_cases():
         reference = _reference_grid_search(s, reg, resolution)
-        oracle._last_grid = None
+        oracle._last_steps = None
         _assert_same_grid_result(grid_search_simplex(s, reg, resolution), reference)
-        assert oracle._last_grid[0] == (len(s), resolution)
+        kept = oracle._last_steps
+        assert kept[0] == resolution
         _assert_same_grid_result(grid_search_simplex(s, reg, resolution), reference)
-    monkeypatch.setattr(oracle, "_GRID_KEEP_BYTES", 0)
-    oracle._last_grid = None
+        assert oracle._last_steps is kept
     for s, reg, resolution in _grid_guard_cases():
         reference = _reference_grid_search(s, reg, resolution)
+        grid_search_simplex(s, reg, resolution + 1)
         _assert_same_grid_result(grid_search_simplex(s, reg, resolution), reference)
-        assert oracle._last_grid is None
 
 
-# ---------------------------------------------------------- the kept grid
-
-
-def _grid_bytes(grid):
-    return grid.points.nbytes + grid.xlogx.nbytes
+# ------------------------------------------------- the kept coordinate table
 
 
 def test_grid_cache_is_read_only_and_bounded():
-    oracle._last_grid = None
+    # One table is kept, the last resolution's, at 16 bytes per step; a
+    # grid's steps never outnumber its points, which are bounded.
+    oracle._last_steps = None
     s2, s3 = Scores([0.3, -0.2]), Scores([0.3, -0.2, 1.0])
     for s, resolution in ((s2, 100), (s3, 100), (s2, 200), (s3, 300)):
         grid_search_simplex(s, RegularizerSpec.l2(), resolution)
-        key, grid = oracle._last_grid
-        assert key == (len(s), resolution)
-        assert _grid_bytes(grid) <= oracle._GRID_KEEP_BYTES
-    for array in grid:
+        key, table = oracle._last_steps
+        assert key == resolution
+        assert sum(array.nbytes for array in table) == 16 * (resolution + 1)
+        assert resolution + 1 <= oracle._grid_size(len(s), resolution)
+    grid_search_simplex(Scores([0.3]), RegularizerSpec.l2(), 500)  # m=1 keeps none
+    assert oracle._last_steps[1] is table
+    for array in table:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0.5
-    assert oracle._GRID_KEEP_BYTES <= 64 * 2**20
+    assert 16 * oracle._GRID_MAX_POINTS <= 256 * 2**20
 
 
 def test_grid_cache_under_concurrent_callers():
@@ -576,7 +626,7 @@ def test_grid_cache_under_concurrent_callers():
     for m, resolution in keys:
         point, objective, _ = _reference_grid_search(scores[m], reg, resolution)
         expected[m, resolution] = (point.tobytes(), objective.hex())
-    points = {key: oracle._barycentric_grid(*key).tobytes() for key in keys}
+    tables = {resolution: oracle._build_table(resolution) for _, resolution in keys}
     failures = []
 
     def worker(offset):
@@ -587,13 +637,13 @@ def test_grid_cache_under_concurrent_callers():
                 got = (found.distribution.weights.tobytes(), found.objective.hex())
                 if got != expected[m, resolution]:
                     failures.append((m, resolution))
-                kept = oracle._last_grid
-                if kept is not None and kept[1].points.tobytes() != points[kept[0]]:
+                kept = oracle._last_steps
+                if kept is not None and list(map(bytes, kept[1])) != list(map(bytes, tables[kept[0]])):
                     failures.append(kept[0])
         except Exception as exc:  # a torn slot would surface here
             failures.append(exc)
 
-    oracle._last_grid = None
+    oracle._last_steps = None
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -612,9 +662,9 @@ def test_oracle_equivalence_report_is_the_same_with_a_cold_or_warm_cache():
     def canonical():
         return repr(dataclasses.replace(run_suite("oracle-equivalence", 0, 2), wall_time_ms=0))
 
-    oracle._last_grid = None
+    oracle._last_steps = None
     cold = canonical()
-    assert oracle._last_grid is not None
+    assert oracle._last_steps is not None
     assert canonical() == cold
 
 
@@ -868,47 +918,53 @@ def test_lockstep_step_size_below_the_floor_stops_at_once():
 
 
 def test_grid_entries_carry_their_entropy_terms():
-    oracle._last_grid = None
+    # Every chunk's rows, gathered from the kept table, are the grid's, and
+    # carry sum_j p_j log p_j as np.sum forms it on the grid.
+    oracle._last_steps = None
     l2 = RegularizerSpec.l2()
-    for m, resolution in ((2, 150), (3, 120)):
+    chunk = oracle._GRID_CHUNK_ROWS
+    for m, resolution in ((2, 150), (3, 120), (2, chunk), (3, 180)):
         found = grid_search_simplex(Scores(np.zeros(m)), l2, resolution)
-        key, entry = oracle._last_grid
-        assert key == (m, resolution)
-        points = oracle._barycentric_grid(m, resolution)
-        assert entry.points.tobytes() == points.tobytes()
-        assert len(points) == found.iterations
-        safe = np.where(points > 0.0, points, 1.0)
-        assert entry.xlogx.tobytes() == np.sum(points * np.log(safe), axis=1).tobytes()
-        assert not entry.xlogx.flags.writeable
+        key, table = oracle._last_steps
+        assert key == resolution
+        assert table.values.tobytes() == (np.arange(resolution + 1) / resolution).tobytes()
+        points = _reference_grid(m, resolution)
+        assert len(points) == found.iterations == oracle._grid_size(m, resolution)
+        starts = oracle._block_starts(resolution)
+        for lo in range(0, len(points), chunk):
+            rows = slice(lo, min(lo + chunk, len(points)))
+            gathered, xlogx = oracle._grid_rows(m, table, rows, starts)
+            assert gathered.tobytes() == points[rows].tobytes()
+            safe = np.where(points[rows] > 0.0, points[rows], 1.0)
+            assert xlogx.tobytes() == np.sum(points[rows] * np.log(safe), axis=1).tobytes()
+        assert not table.xlogx.flags.writeable
     assert grid_search_simplex(Scores([0.5]), l2, 100).iterations == 1
 
 
 def test_grid_cache_makes_room_before_building(monkeypatch):
     reg = RegularizerSpec.shannon(1.0)
     grid_search_simplex(Scores([0.1, 0.2]), reg, 100)
-    previous = weakref.ref(oracle._last_grid[1].points)
-    # The kept grid is dropped and freed before the next one is built: the
+    previous = weakref.ref(oracle._last_steps[1].values)
+    # The kept table is dropped and freed before the next one is built: the
     # two are never held together.
     held = []
-    build = oracle._build_grid
+    build = oracle._build_table
 
-    def recording_build(m, resolution):
-        held.append(oracle._last_grid)
+    def recording_build(resolution):
+        held.append(oracle._last_steps)
         assert previous() is None
-        return build(m, resolution)
+        return build(resolution)
 
-    monkeypatch.setattr(oracle, "_build_grid", recording_build)
-    grid_search_simplex(Scores([0.1, 0.2, 0.3]), reg, 100)
+    monkeypatch.setattr(oracle, "_build_table", recording_build)
+    grid_search_simplex(Scores([0.1, 0.2, 0.3]), reg, 200)
     assert held == [None]
-    key, kept = oracle._last_grid
-    assert key == (3, 100)
-    # A grid over the cap is built for its call and not kept: the search
-    # leaves the slot empty.
-    monkeypatch.setattr(oracle, "_GRID_KEEP_BYTES", _grid_bytes(kept))
-    found = grid_search_simplex(Scores([0.1, 0.2, 0.3]), reg, 400)
-    assert found.iterations == len(oracle._barycentric_grid(3, 400))
-    assert held == [None, None]
-    assert oracle._last_grid is None
+    key, kept = oracle._last_steps
+    assert key == 200
+    # Both sizes at one resolution share its table: no build.
+    found = grid_search_simplex(Scores([0.1, 0.2]), reg, 200)
+    assert found.iterations == 201
+    assert held == [None]
+    assert oracle._last_steps[1] is kept
 
 
 # ------------------------------------- many instances (one descent per group)
@@ -1189,9 +1245,9 @@ def test_grid_search_follows_the_oracles_rules_at_the_double_range(monkeypatch):
     # error, raised before any grid is built; an objective past the double
     # range is inf, as in the descent, without a warning.
     builds = []
-    build = oracle._build_grid
-    monkeypatch.setattr(oracle, "_build_grid", lambda *args: builds.append(args) or build(*args))
-    monkeypatch.setattr(oracle, "_last_grid", None)
+    build = oracle._build_table
+    monkeypatch.setattr(oracle, "_build_table", lambda *args: builds.append(args) or build(*args))
+    monkeypatch.setattr(oracle, "_last_steps", None)
     s, reg = Scores([1.0, 2.0]), RegularizerSpec.alibi(1e308, 5, 1.0)
     prior = SimplexDistribution([0.5, 0.5])
     with warnings.catch_warnings():

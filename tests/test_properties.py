@@ -10,6 +10,7 @@ import functools
 import math
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -629,12 +630,43 @@ def test_grid_search_picks_the_whole_grids_argmin(size, kind, scores, seed):
         found = grid_search_simplex(s, reg, resolution)
         objectives = objective_rows(points, s, reg)
     best = int(np.argmin(objectives))
-    kept = oracle._last_grid[1]
-    assert kept.points.tobytes() == points.tobytes()
-    assert kept.xlogx.tobytes() == xlogx.tobytes()
     assert found.distribution.weights.tobytes() == points[best].tobytes()
     assert found.objective.hex() == float(objectives[best]).hex()
     assert found.iterations == len(points)
+
+
+@hypothesis.settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@hypothesis.given(
+    size=st.sampled_from(_GRID_SIZES),
+    kind=st.sampled_from(
+        ["shannon", "l2", "tsallis 1.5", "tsallis 2", "tsallis 3", "tsallis 1.05"]
+        + ["alibi", "overflowing alibi", "kl_prior"]
+    ),
+    scores=st.sampled_from(["uniform", "equal", "large"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grid_search_with_the_screen_forced_off_is_bit_identical(size, kind, scores, seed):
+    # The screen only skips chunks: evaluating every chunk finds the same
+    # point, objective and iteration count, and the same warnings.
+    m, resolution = size
+    rng = np.random.default_rng(seed)
+    x = {
+        "uniform": lambda: rng.uniform(-5.0, 5.0, m),
+        "equal": lambda: np.full(m, 2.0 ** int(rng.integers(-3, 4))),
+        "large": lambda: rng.uniform(-1e300, 1e300, m),
+    }[scores]()
+    s, reg = Scores(x), _grid_regularizer(kind, m, rng)
+
+    def search():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            found = grid_search_simplex(s, reg, resolution)
+        weights = found.distribution.weights.tobytes()
+        return weights, found.objective.hex(), found.iterations, [str(w.message) for w in caught]
+
+    screened = search()
+    with mock.patch.object(oracle, "_screen", lambda *args: None):
+        assert search() == screened
 
 
 @pytest.mark.parametrize("kind", ["shannon", "l2", "tsallis 1.5", "tsallis 2", "tsallis 3"])
@@ -649,6 +681,24 @@ def test_grid_search_takes_the_first_of_minima_tied_across_a_chunk_boundary(kind
     assert objectives[CHUNK - 1] == objectives[CHUNK] == objectives.min()
     found = grid_search_simplex(s, reg, resolution)
     assert found.distribution.weights.tobytes() == points[CHUNK - 1].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["shannon", "l2", "tsallis 1.05", "tsallis 1.5", "tsallis 2", "tsallis 3"])
+def test_grid_search_m3_takes_the_first_of_minima_tied_across_chunks(kind):
+    # Under equal scores the m=3 grid's minima near the uniform point are
+    # one point's permutations, which at these resolutions straddle a chunk
+    # boundary: the screen keeps both chunks, and the first minimum of the
+    # whole grid is found, whichever chunk holds it.
+    for resolution in (241, 242, 419, 1000):
+        points, _ = _reference_grid(3, resolution)
+        for value in (1.0, -0.25, 0.3, 7.0, 1e-3):
+            s = Scores(np.full(3, value))
+            reg = _grid_regularizer(kind, 3, np.random.default_rng(0))
+            objectives = objective_rows(points, s, reg)
+            best = int(np.argmin(objectives))
+            found = grid_search_simplex(s, reg, resolution)
+            assert found.distribution.weights.tobytes() == points[best].tobytes()
+            assert found.objective.hex() == float(objectives[best]).hex()
 
 
 # ------------------------------------------- validated types, pass by pass

@@ -58,7 +58,10 @@ each searched twice in a row: m from 1 to 3, every kind (tsallis at alphas
 1.5, 2 and 3), at resolutions 100, 2000 and, for m <= 2, 1e6; and around
 the search's 2^14-row chunks: m=2 grids of 2^14 - 1, 2^14 and 2^14 + 1
 points, an m=3 grid just over one chunk, and equal scores whose tied
-minima straddle a chunk boundary.  It hashes
+minima straddle a chunk boundary (at m=2, and at m=3, where the search's
+screen keeps more than one chunk); and m=3 searches near the double range
+(scores near +-1e300 and +-DBL_MAX, an overflowing alibi penalty, kl_prior
+at tau 1e308), most of which evaluate every chunk.  It hashes
 the output bytes (or the error) of ``advantage_gradient``,
 ``chain_rule_gradient``, ``softmax_jacobian`` and ``fisher_matrix`` on 40
 seeded rows at m=16, and of ``cost_matrix``, ``attention_matrix`` and
@@ -322,6 +325,37 @@ for m, resolution in ((2, 2**14 - 2), (2, 2**14 - 1), (2, 2**14), (2, 2**15 - 1)
                 continue
             digest.update(search_bytes(grid_search(Scores(x), reg, resolution)))
     print(json.dumps([f"grid searches m={m} resolution={resolution} chunk edges", digest.hexdigest()]), flush=True)
+
+# m=3 searches whose screen keeps more than one chunk: equal scores, whose
+# near-uniform minima (one point's permutations) straddle a chunk boundary
+# at resolutions 241 and 1000; and m=3 searches near the double range:
+# scores near +-1e300 under every kind, whose screen keeps one chunk or,
+# tied along an edge, every chunk, and ones whose screen stands down, so
+# every chunk is evaluated: scores near +-DBL_MAX, an alibi penalty that
+# overflows (NaN objectives) and kl_prior at tau 1e308.  Warnings are
+# silenced: the NaN objectives warn on every tree.
+import warnings
+for resolution in (241, 1000):
+    digest = hashlib.sha256()
+    for x in (np.full(3, 1.0), np.full(3, -0.25)):
+        for reg in regularizers(np.random.default_rng([resolution, 13]), 3):
+            if reg.kind == "tsallis" and reg.alpha not in (1.5, 2.0, 3.0):
+                continue
+            digest.update(search_bytes(grid_search(Scores(x), reg, resolution)))
+    print(json.dumps([f"grid searches m=3 resolution={resolution} tied across chunks", digest.hexdigest()]), flush=True)
+digest = hashlib.sha256()
+rng = np.random.default_rng(14)
+prior = SimplexDistribution.renormalized(0.9 * rng.dirichlet(np.ones(3)) + 0.1 / 3)
+with warnings.catch_warnings(), np.errstate(all="ignore"):
+    warnings.simplefilter("ignore")
+    for resolution in (180, 2000):
+        x = rng.uniform(-5.0, 5.0, 3)
+        cases = [(x, RegularizerSpec.alibi(1.7e308, 1, 1.7e308)), (x, RegularizerSpec.kl_prior(prior, 1e308))]
+        for large in (rng.uniform(-1e300, 1e300, 3), np.array([1e300, -1e300, 1e300]), np.array([1.7e308, -1.7e308, 1e308])):
+            cases += [(large, reg) for reg in regularizers(rng, 3) if reg.kind != "tsallis" or reg.alpha == 2.0]
+        for x, reg in cases:
+            digest.update(search_bytes(grid_search(Scores(x), reg, resolution)))
+print(json.dumps(["grid searches m=3 near the double range", digest.hexdigest()]), flush=True)
 
 # entmax on tied rows and on rows with one dominant score.
 for m, rows in ((16, 40), (1000, 4)):
