@@ -125,6 +125,28 @@ class Scores:
         return self.values.size
 
 
+def _check_simplex(w: np.ndarray) -> float:
+    """Checks that ``w`` is finite, nonnegative and sums to 1, and returns
+    its minimum.  A caller that wrote exact +0.0 everywhere else in a row
+    may pass only the entries it wrote: every decision is the row's, and
+    only the sum's grouping changes."""
+    # A min >= 0 rules out NaN, -inf and negative entries and a max <= 2
+    # rules out +inf and a sum that overflows: such a row is finite
+    # without a pass of its own.  Any other row is checked finite, then
+    # nonnegative, so only a finite nonnegative row is ever summed.
+    low = float(np.minimum.reduce(w))
+    if not (low >= 0.0 and np.maximum.reduce(w) <= 2.0):
+        _check_finite(w, "weights")
+        if low < 0.0:
+            raise ValueError("simplex entries must be nonnegative")
+    total = float(np.add.reduce(w))
+    if abs(total - 1.0) > SIMPLEX_SUM_ATOL:
+        raise ValueError(
+            f"simplex entries must sum to 1 within {SIMPLEX_SUM_ATOL}, got sum {total!r}"
+        )
+    return low
+
+
 @dataclass(frozen=True)
 class SimplexDistribution:
     """Attention weights: nonnegative entries summing to one."""
@@ -132,21 +154,8 @@ class SimplexDistribution:
     weights: np.ndarray
 
     def __post_init__(self):
-        # A min >= 0 rules out NaN, -inf and negative entries and a max <= 2
-        # rules out +inf and a sum that overflows: such a row is finite
-        # without a pass of its own.  Any other row is checked finite, then
-        # nonnegative, so only a finite nonnegative row is ever summed.
         w = _array(self.weights, "weights")
-        low = np.minimum.reduce(w)
-        if not (low >= 0.0 and np.maximum.reduce(w) <= 2.0):
-            _check_finite(w, "weights")
-            if low < 0.0:
-                raise ValueError("simplex entries must be nonnegative")
-        total = float(np.add.reduce(w))
-        if abs(total - 1.0) > SIMPLEX_SUM_ATOL:
-            raise ValueError(
-                f"simplex entries must sum to 1 within {SIMPLEX_SUM_ATOL}, got sum {total!r}"
-            )
+        _check_simplex(w)
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 

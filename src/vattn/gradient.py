@@ -23,6 +23,7 @@ from .core import (
     UtilityVector,
     ValueSet,
     _Adopt,
+    _array,
     _check_finite,
     _check_lengths,
     _check_positive_real,
@@ -94,31 +95,50 @@ def _exceeds(residual: float, atol: float, e: np.ndarray) -> bool:
     return residual > atol and residual > atol * float(np.abs(e).max())
 
 
-def _freeze_covariance(matrix, name: str) -> tuple[np.ndarray, bool]:
+def _freeze_covariance(
+    matrix, name: str, gershgorin: bool = False
+) -> tuple[np.ndarray, float, bool]:
     """The checks a Jacobian and a Fisher matrix share: finite, square,
     symmetric, rows summing to 0, a valid temperature.  Stores both frozen
-    and returns the entries, and whether they are exactly symmetric, for
-    the caller's own check."""
-    e = _frozen(matrix.entries, name, 2)
+    and returns the entries, the scale M = max(1, max|e|) of their
+    tolerances, and, when ``gershgorin`` is set, whether the entries are
+    exactly symmetric and Gershgorin's bound certifies them (see
+    ``FisherMatrix``).  One pass of |e| serves the finiteness test (its
+    maximum.reduce propagates NaN, and a finite largest magnitude makes
+    every entry finite), the scale, and Gershgorin's row sums; its buffer
+    then holds the asymmetry."""
+    e = _array(matrix.entries, name, 2)
+    magnitudes = np.abs(e)
+    largest = float(np.maximum.reduce(magnitudes, axis=None))
+    if not math.isfinite(largest):
+        _check_finite(e, name)
+    e.flags.writeable = False
     if e.shape[0] != e.shape[1]:
         raise ValueError(f"{name} must be a square matrix")
-    asymmetry = e - e.T
-    skew = np.max(np.abs(asymmetry, out=asymmetry))
-    if _exceeds(skew, _MATRIX_ATOL, e):
+    scale = max(1.0, largest)
+    certified = gershgorin and _gershgorin_certifies(e, magnitudes, scale)
+    asymmetry = np.subtract(e, e.T, out=magnitudes)
+    skew = float(np.maximum.reduce(np.abs(asymmetry, out=asymmetry), axis=None))
+    if skew > _MATRIX_ATOL * scale:
         raise ValueError(f"{name} must be symmetric")
-    if _exceeds(np.max(np.abs(e.sum(axis=1))), _MATRIX_ATOL, e):
+    if _largest_sum(e, 1) > _MATRIX_ATOL * scale:
         raise ValueError(f"{name} rows must sum to 0")
     object.__setattr__(matrix, "entries", e)
     object.__setattr__(matrix, "temperature", _check_positive_real(matrix.temperature))
-    return e, skew == 0.0
+    return e, scale, certified and skew == 0.0
 
 
-def _gershgorin_certifies(e: np.ndarray) -> bool:
+def _largest_sum(e: np.ndarray, axis: int) -> float:
+    # max |sum of e along axis|
+    sums = np.add.reduce(e, axis=axis)
+    return float(np.maximum.reduce(np.abs(sums, out=sums)))
+
+
+def _gershgorin_certifies(e: np.ndarray, magnitudes: np.ndarray, scale: float) -> bool:
     """Whether min_i (e_ii - sum_{j != i} |e_ij|), computed as
     min_i (e_ii + |e_ii| - sum_j |e_ij|), is at least -A M / 2 (see
-    ``FisherMatrix``); False, undecided, where a row sum could overflow."""
-    magnitudes = np.abs(e)
-    scale = max(1.0, float(np.maximum.reduce(magnitudes, axis=None)))
+    ``FisherMatrix``), given |e| and M; False, undecided, where a row sum
+    could overflow."""
     if not scale * e.shape[0] < 0.5 * _DOUBLE_MAX:
         return False
     diagonal = e.diagonal()
@@ -136,8 +156,8 @@ class JacobianMatrix:
     temperature: float
 
     def __post_init__(self):
-        e, _ = _freeze_covariance(self, "Jacobian")
-        if _exceeds(np.max(np.abs(e.sum(axis=0))), _MATRIX_ATOL, e):
+        e, scale, _ = _freeze_covariance(self, "Jacobian")
+        if _largest_sum(e, 0) > _MATRIX_ATOL * scale:
             raise ValueError("Jacobian columns must sum to 0")
 
 
@@ -163,10 +183,10 @@ class FisherMatrix:
     temperature: float
 
     def __post_init__(self):
-        e, symmetric = _freeze_covariance(self, "Fisher matrix")
-        if symmetric and _gershgorin_certifies(e):
+        e, scale, certified = _freeze_covariance(self, "Fisher matrix", gershgorin=True)
+        if certified:
             return
-        if _exceeds(-float(np.linalg.eigvalsh(e)[0]), _EIGENVALUE_ATOL, e):
+        if -float(np.linalg.eigvalsh(e)[0]) > _EIGENVALUE_ATOL * scale:
             raise ValueError("Fisher matrix must be positive semidefinite")
 
 

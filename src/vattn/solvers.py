@@ -29,8 +29,8 @@ from .core import (
     _check_positive_real,
     _check_positive_distribution,
     _check_query_position,
+    _check_simplex,
     _OVERFLOWS,
-    _Adopt,
     key_distances,
     objective_value,
 )
@@ -67,6 +67,12 @@ _EXP_CUT = -746.0
 # under ALiBi, the gather and the masked exp cost the same at 8-12%.
 _GATHER_BELOW = 0.1
 _EPS = float(np.finfo(np.float64).eps)
+# ``alibi_softmax`` evaluates only the keys within reach of its query when
+# they are at most this share of the row.  Timed raw on a 2-vCPU host at
+# m = 1e3 to 1.6e4, the window against the whole row: 15-56% faster at a
+# 5% window, -42 to +1% at 20%, -15 to +10% at 50%, -3 to +14% at 80%.
+_ALIBI_WINDOW_SHARE = 0.25
+_DOUBLE_MAX = float(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
@@ -83,13 +89,25 @@ class SolveResult:
             raise ValueError("support_size must count the strictly positive entries")
 
 
-def _result(weights: np.ndarray, potential: float | None) -> SolveResult:
-    # The support is counted here, once: the constructor's check would
-    # count the same weights again.
+def _result(
+    weights: np.ndarray, potential: float | None, written: np.ndarray | None = None
+) -> SolveResult:
+    """The weights, checked as ``SimplexDistribution`` checks them, with their
+    potential and support size.  ``written``, when given, holds every entry
+    the solver computed (a view into ``weights`` or a copy of those
+    entries); every other entry is an exact +0.0 the solver wrote, so the
+    check and the count run over ``written`` alone.  A row whose minimum is
+    positive needs no count."""
+    checked = weights if written is None else written
+    low = _check_simplex(checked)
+    weights.flags.writeable = False
+    distribution = object.__new__(SimplexDistribution)
+    object.__setattr__(distribution, "weights", weights)
     result = object.__new__(SolveResult)
-    object.__setattr__(result, "distribution", SimplexDistribution(_Adopt(weights)))
+    object.__setattr__(result, "distribution", distribution)
     object.__setattr__(result, "potential", potential)
-    object.__setattr__(result, "support_size", int(np.count_nonzero(weights)))
+    support = checked.size if low > 0.0 else int(np.count_nonzero(checked))
+    object.__setattr__(result, "support_size", support)
     return result
 
 
@@ -161,16 +179,22 @@ def softmax(s: Scores, temperature: float) -> SolveResult:
     return _softmax(s.values, _check_positive_real(temperature))
 
 
-def _softmax(v: np.ndarray, t: float, kind: str = SHANNON) -> SolveResult:
+def _softmax(v: np.ndarray, t: float, kind: str = SHANNON, m: int = 0, lo: int = 0) -> SolveResult:
     # Logits the library made, at a checked tau.  A -inf logit, where the
     # kind's penalty overflowed, takes the guarded path and gets weight 0.
+    # Given m > len(v), v holds keys lo, lo + 1, ... of an m-key row whose
+    # every other weight is exactly +0.0, and whose shifted exp takes v's path.
     top = float(v.max())
     if top == -math.inf:
         raise ValueError(_OVERFLOWS.format(kind))
-    e = _row_exp(v, t, top)
-    total = e.sum()
-    e /= total
-    return _result(e, top + t * float(np.log(total)))
+    e = written = _row_exp(v, t, top)
+    if m > v.size:
+        e = np.zeros(m)
+        e[lo : lo + v.size] = written
+        written = e[lo : lo + v.size]
+    total = e.sum()  # the whole row: numpy's pairwise grouping, so the same bits
+    written /= total
+    return _result(e, top + t * float(np.log(total)), written)
 
 
 def sparsemax(s: Scores) -> SolveResult:
@@ -242,17 +266,18 @@ def sparsemax(s: Scores) -> SolveResult:
     else:
         v -= top  # the candidates, gathered: a copy
     v -= theta
-    return _result(_scatter(m, keys, np.maximum(v, 0.0, out=v)), None)
+    return _sparse_result(m, keys, np.maximum(v, 0.0, out=v))
 
 
-def _scatter(m: int, keys: np.ndarray | None, weights: np.ndarray) -> np.ndarray:
-    """``weights`` if ``keys`` is None, else a row of m exact zeros that
-    holds them at ``keys``."""
+def _sparse_result(m: int, keys: np.ndarray | None, weights: np.ndarray) -> SolveResult:
+    """The result whose weights are ``weights`` if ``keys`` is None, else a
+    row of m exact zeros that holds them at ``keys``, checked over
+    ``weights`` alone."""
     if keys is None:
-        return weights
+        return _result(weights, None)
     row = np.zeros(m)
     row[keys] = weights
-    return row
+    return _result(row, None, weights)
 
 
 def entmax(s: Scores, alpha: float) -> SolveResult:
@@ -326,7 +351,7 @@ def entmax(s: Scores, alpha: float) -> SolveResult:
     """
     a = _check_alpha(alpha)
     if a == 1.5:
-        return _result(_entmax15(s.values), None)
+        return _entmax15(s.values)
     m = len(s)
     a1 = a - 1.0
     power = 1.0 / a1
@@ -350,7 +375,8 @@ def entmax(s: Scores, alpha: float) -> SolveResult:
         nonlocal w, held
         x = np.exp(a1 * y) + slope_keys
         np.maximum(x, 0.0, out=x)
-        x **= power  # keeps numpy's fast paths for the square and the root
+        if power != 1.0:  # at alpha 2 the power is the identity
+            x **= power  # keeps numpy's fast paths for the square and the root
         if keys is None:
             w = x
         else:
@@ -486,7 +512,7 @@ def entmax(s: Scores, alpha: float) -> SolveResult:
     return _result(w if weights is weights_at and arg == held else weights(arg), None)
 
 
-def _entmax15(v: np.ndarray) -> np.ndarray:
+def _entmax15(v: np.ndarray) -> SolveResult:
     # Entmax at alpha 1.5 by sorting (see ``entmax``).
     x = v * 0.5  # exact, so x - top / 2 rounds (s - max(s)) / 2 once
     x -= 0.5 * float(v.max())
@@ -515,7 +541,7 @@ def _entmax15(v: np.ndarray) -> np.ndarray:
     x -= tau
     np.maximum(x, 0.0, out=x)
     x *= x
-    return _scatter(v.size, keys, x)
+    return _sparse_result(v.size, keys, x)
 
 
 def alibi_softmax(
@@ -528,14 +554,74 @@ def alibi_softmax(
     locality cost.  The penalized logit decides: a key whose logit
     overflows to -inf, through gamma * |i - j| or the subtraction, gets
     weight exactly 0, and a ``ValueError`` is raised when every key's does.
+
+    At long context the penalty pushes almost every shifted logit below
+    -746, where the weight is exactly +0.0, and only the keys within reach
+    of the query are evaluated.  Let v_j = fl(s_j - fl(gamma d_j)) be the
+    computed logits, d_j = |i - j|, top their max, j0 = min(i, m) the key
+    nearest the query and B = max|s| + gamma max_j d_j.  With B and B / tau
+    below DBL_MAX / 8 every logit, every quotient v_j / tau and top / tau,
+    and the lowest shifted logit are finite, so the whole row would take
+    the plain path, q_j = fl(fl(v_j / tau) - fl(top / tau)).  With
+    u = 2^-53, each rounding errs by at most u times its result (plus
+    2^-1075 for an underflowed quotient), and top >= v_j0, so
+    q_j tau <= max(s) - v_j0 - gamma d_j + 4 u B (1 + 4u) + 2^-1074 tau.
+    Hence every key with gamma d_j > R = (max(s) - v_j0 + 746 tau)(1 + 8 eps)
+    + 16 eps B has q_j <= -746 (rounding is monotone and -746 is a
+    double), and its weight is +0.0 on the full row.  Its q_j is not 0, so
+    it does not hold top: the keys with d_j <= R / gamma, a window around
+    the query that always holds j0, hold the row's max.  The window's own
+    logits, quotients, exp and cut are the full row's entry for entry; its
+    weights are written into a row of m exact zeros, which is summed whole,
+    so the normalizer, the potential and every weight keep the bits of
+    evaluating every key.  R, R / gamma and B are formed with their own
+    rounding inside the margins.  Where gamma max_j d_j <= 746 tau no key can
+    lie beyond reach and no bound is formed; where a bound fails, where the
+    window would hold more than a quarter of the keys (the keys within
+    746 tau / gamma of the query, inside it, are counted before any pass),
+    or where the query lies past 2^53, where distances round, every key is
+    evaluated.
     """
     i = _check_query_position(query_position)
     g = _check_gamma(gamma)
     t = _check_positive_real(temperature)
-    penalized = key_distances(i, len(s))
+    lo, hi = _alibi_window(s.values, i, g, t)
+    penalized = key_distances(i - lo, hi - lo)  # |i - j| for keys lo + 1 .. hi
     with np.errstate(over="ignore"):  # an overflowing penalty: a logit of -inf
-        np.subtract(s.values, np.multiply(penalized, g, out=penalized), out=penalized)
-    return _softmax(penalized, t, ALIBI)
+        np.subtract(s.values[lo:hi], np.multiply(penalized, g, out=penalized), out=penalized)
+    return _softmax(penalized, t, ALIBI, len(s), lo)
+
+
+def _alibi_window(v: np.ndarray, i: int, g: float, t: float) -> tuple[int, int]:
+    # The keys lo + 1 .. hi (1-based) outside which every weight is exactly
+    # +0.0, as bounded in ``alibi_softmax``; all m keys where no bound holds
+    # or the window would hold more than ``_ALIBI_WINDOW_SHARE`` of them.
+    m = v.size
+    far = max(i - 1, m - i)
+    if i > 2**53 or not g * far > -_EXP_CUT * t:
+        return 0, m
+    # The keys within 746 tau / gamma of the query lie inside the window.
+    if _keys_within(i, m, far, -_EXP_CUT * t / g) == (0, m):
+        return 0, m
+    high = float(np.maximum.reduce(v))
+    j0 = min(i, m)
+    nearest = float(v[j0 - 1]) - g * float(i - j0)  # v_j0, as the full row forms it
+    bound = max(high, -float(np.minimum.reduce(v))) + g * far
+    if not (bound <= 0.125 * _DOUBLE_MAX and bound / t <= 0.125 * _DOUBLE_MAX):
+        return 0, m
+    reach = ((high - nearest) - _EXP_CUT * t) * (1.0 + 8.0 * _EPS) + 16.0 * _EPS * bound
+    return _keys_within(i, m, far, reach / g * (1.0 + 4.0 * _EPS))
+
+
+def _keys_within(i: int, m: int, far: int, radius: float) -> tuple[int, int]:
+    # The keys j with |i - j| <= radius, and key min(i, m), as lo + 1 .. hi;
+    # all m keys where those are more than ``_ALIBI_WINDOW_SHARE`` of them.
+    if radius < far:
+        r = int(radius)
+        lo, hi = min(max(0, i - 1 - r), m - 1), min(m, i + r)
+        if hi - lo <= _ALIBI_WINDOW_SHARE * m:
+            return lo, hi
+    return 0, m
 
 
 def prior_softmax(s: Scores, prior: SimplexDistribution, temperature: float) -> SolveResult:

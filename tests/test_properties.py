@@ -15,7 +15,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from test_solvers import _reference_entmax
+from test_solvers import _alibi_outcome, _reference_alibi_softmax, _reference_entmax
 from vattn import (
     NumericalFailure,
     QueryKeyBatch,
@@ -259,6 +259,40 @@ def test_alibi_softmax_solves_every_row(m, scale_exponent, tied, seed, tau_expon
         warnings.simplefilter("error")
         result = alibi_softmax(s, position, gamma, 10.0**tau_exponent)
     _assert_simplex(result, m)
+
+
+@hypothesis.settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@hypothesis.given(
+    m=st.one_of(st.integers(1, 64), st.sampled_from([1000, 5000, 20000])),
+    scale_exponent=st.one_of(
+        st.sampled_from([0.0, 300.0]), st.floats(-3.0, 3.0), st.floats(-300.0, 300.0)
+    ),
+    tied=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    tau_exponent=st.one_of(
+        st.sampled_from([-300.0, 300.0]), st.floats(-3.0, 3.0), st.floats(-300.0, 300.0)
+    ),
+    gamma_exponent=st.one_of(
+        st.none(), st.just(math.log10(1.7e308)), st.floats(-3.0, 3.0), st.floats(-300.0, 300.0)
+    ),
+    reach=st.one_of(st.none(), st.floats(1e-4, 0.5)),
+    position=st.one_of(st.sampled_from(["first", "middle", "last", "past", "far"]), st.integers(1, 10**6)),
+)
+def test_alibi_window_keeps_the_full_rows_bits_everywhere(
+    m, scale_exponent, tied, seed, tau_exponent, gamma_exponent, reach, position
+):
+    # The windowed ALiBi against the full-row reference, bit for bit, or the same
+    # exception, on rows where the window engages and where it stands down.
+    # Given ``reach``, gamma puts the cut at that share of the farthest key.
+    s = _row(m, scale_exponent, tied, np.random.default_rng(seed))
+    ends = {"first": 1, "middle": max(1, m // 2), "last": m, "past": m + 5, "far": 10**15}
+    i = ends.get(position, position)
+    gamma = 0.0 if gamma_exponent is None else min(10.0**gamma_exponent, 1.7e308)
+    t = 10.0**tau_exponent
+    if reach is not None:
+        gamma = min(746.0 * t / (reach * max(i - 1, m - i, 1)), 1.7e308)
+    expected = _alibi_outcome(_reference_alibi_softmax, s, i, gamma, t)
+    assert _alibi_outcome(alibi_softmax, s, i, gamma, t) == expected
 
 
 @hypothesis.settings(derandomize=True, max_examples=200, deadline=None, database=None)
@@ -950,22 +984,37 @@ def test_solve_result_and_the_matrices_still_check_their_inputs():
         FisherMatrix([[-1.0, 1.0], [1.0, -1.0]], 1.0)
 
 
-@pytest.mark.parametrize("m", [1, 16, 10**6])
+@pytest.mark.parametrize("m", [1, 16, 1000, 10**6])
 def test_solve_counts_the_support_once(m):
-    # support_size is counted once, in ``_result``; it must be the count.
+    # support_size comes from ``_result``'s check, over the entries the
+    # solver wrote: each closed form's result must be the one the public
+    # constructors build, on dense rows and on rows whose weights underflow.
     rng = np.random.default_rng(m)
     x = rng.uniform(-5.0, 5.0, m)
     prior = rng.dirichlet(np.ones(m)) * 0.9 + 0.1 / m
+    tiny = rng.dirichlet(np.ones(m))
+    tiny[rng.random(m) < 0.3] = 1e-300
     regs = [
         RegularizerSpec.shannon(0.5),
+        RegularizerSpec.shannon(1e-3),
         RegularizerSpec.l2(),
         *(RegularizerSpec.tsallis(alpha) for alpha in (1.5, 2.0, 3.0)),
         RegularizerSpec.alibi(1.0, max(1, m // 2), 0.5),
+        RegularizerSpec.alibi(2.0, m + 5, 0.01),
         RegularizerSpec.kl_prior(prior / prior.sum(), 0.5),
+        RegularizerSpec.kl_prior(tiny / tiny.sum(), 1e-3),
     ]
+    dense = set()
     for reg in regs:
         result = solve(Scores(x), reg)
-        assert result.support_size == np.count_nonzero(result.distribution.weights)
+        weights = result.distribution.weights
+        public = SolveResult(
+            SimplexDistribution(weights), result.potential, int(np.count_nonzero(weights))
+        )
+        assert public.distribution.weights.tobytes() == weights.tobytes()
+        assert (public.potential, public.support_size) == (result.potential, result.support_size)
+        dense.add(result.support_size == m)
+    assert dense == ({True} if m == 1 else {False, True})
 
 
 def _reference_exp_cut(x: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import vattn.core
 from vattn import (
     NumericalFailure,
     RegularizerSpec,
@@ -21,7 +22,17 @@ from vattn import (
     solve,
     sparsemax,
 )
-from vattn.core import _check_alpha, objective_rows, objective_value
+from vattn import solvers
+from vattn.core import (
+    ALIBI,
+    _check_alpha,
+    _check_gamma,
+    _check_positive_real,
+    _check_query_position,
+    key_distances,
+    objective_rows,
+    objective_value,
+)
 from vattn.solvers import (
     ENTMAX_MASS_ATOL,
     ENTMAX_MAX_BISECTIONS,
@@ -356,6 +367,137 @@ def test_alibi_validates_arguments():
         alibi_softmax(s, 1, -1.0, 1.0)
 
 
+# The full-row ALiBi, which evaluates every key, kept verbatim: the windowed
+# one must return its bits, or raise its exception, on every input.
+def _reference_alibi_softmax(
+    s: Scores, query_position: int, gamma: float, temperature: float
+) -> SolveResult:
+    i = _check_query_position(query_position)
+    g = _check_gamma(gamma)
+    t = _check_positive_real(temperature)
+    penalized = key_distances(i, len(s))
+    with np.errstate(over="ignore"):  # an overflowing penalty: a logit of -inf
+        np.subtract(s.values, np.multiply(penalized, g, out=penalized), out=penalized)
+    return solvers._softmax(penalized, t, ALIBI)
+
+
+def _alibi_outcome(solve_alibi, s, position, gamma, t):
+    # The weight bytes, potential and support size, or the exception's type
+    # and message; every warning raised as an exception.
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = solve_alibi(s, position, gamma, t)
+    except Exception as error:  # noqa: BLE001 - compared, not handled
+        return type(error).__name__, str(error)
+    weights = result.distribution.weights
+    return weights.tobytes(), result.potential.hex(), result.support_size
+
+
+ALIBI_GAMMAS = (0.0, 1e-300, 1e-3, 1.0, 1e300, 1.7e308)
+ALIBI_TEMPERATURES = (1e-300, 1e-100, 1e-3, 1.0, 1e3, 1e100, 1e300)
+
+
+@pytest.mark.parametrize("m", [1, 16, 1000, 10**5, 10**6])
+def test_alibi_window_keeps_the_full_rows_bits(m):
+    rng = np.random.default_rng([m, 41])
+    x = rng.uniform(-5.0, 5.0, m)
+    temperatures = ALIBI_TEMPERATURES if m < 10**6 else (1e-300, 1.0, 1e300)
+    windows = set()
+    for scale in (1.0, 1e300):
+        s = Scores(x * scale)
+        for position in sorted({1, max(1, m // 2), m, m + 5, 10**15}):
+            for gamma in ALIBI_GAMMAS:
+                for t in temperatures:
+                    lo, hi = solvers._alibi_window(s.values, position, gamma, t)
+                    windows.add(hi - lo < m)
+                    expected = _alibi_outcome(_reference_alibi_softmax, s, position, gamma, t)
+                    got = _alibi_outcome(alibi_softmax, s, position, gamma, t)
+                    assert got == expected, (scale, position, gamma, t)
+    assert windows == ({False} if m == 1 else {False, True})
+
+
+@pytest.mark.parametrize("m", [10**4, 10**5])
+def test_alibi_window_edges_keep_the_full_rows_bits(m):
+    # Keys at the window's edge whose shifted logits lie just above or
+    # below -746, the query at either end, inside and past the row.
+    rng = np.random.default_rng([m, 42])
+    windows = set()
+    for position in (1, m // 3, m, m + 5, m + 2000):
+        for t in (0.5, 1.0, 2.0):
+            for gamma in (1.0, 1.0 + 1e-12, 1.0 - 1e-12, 4.0):
+                x = rng.uniform(-5.0, 5.0, m)
+                nearest = min(position, m)
+                x[nearest - 1] = 5.0
+                lo, hi = solvers._alibi_window(x, position, gamma, t)
+                windows.add(hi - lo < m)
+                for edge in (lo - 1, lo, hi - 1, hi):  # just outside and inside
+                    if 0 <= edge < m:
+                        # The penalized logit lands within 1e-9 of the
+                        # top's minus 746 tau, on either side.
+                        d = abs(position - (edge + 1))
+                        x[edge] = 5.0 + gamma * d - 746.0 * t + rng.uniform(-1e-9, 1e-9)
+                s = Scores(x)
+                expected = _alibi_outcome(_reference_alibi_softmax, s, position, gamma, t)
+                assert _alibi_outcome(alibi_softmax, s, position, gamma, t) == expected
+    assert True in windows
+
+
+def test_alibi_windows_every_overflow_alike():
+    # Penalties that overflow at far keys (the guarded path) or at every
+    # key (the ValueError): the window stands down on both.
+    for m in (16, 10**5):
+        s = Scores(np.full(m, -1.7e308))
+        for position, gamma in ((m + 5, 1.7e308), (1, 1.7e308), (1, 1e308), (m // 2, 1e305)):
+            for t in (1e-300, 1.0, 1e300):
+                assert solvers._alibi_window(s.values, position, gamma, t) == (0, m)
+                expected = _alibi_outcome(_reference_alibi_softmax, s, position, gamma, t)
+                assert _alibi_outcome(alibi_softmax, s, position, gamma, t) == expected
+    with pytest.raises(ValueError, match="the alibi penalty overflows at every key"):
+        alibi_softmax(Scores(np.full(10**5, -1.7e308)), 10**5 + 5, 1.7e308, 1.0)
+
+
+class _Recorded:
+    """A numpy function or ufunc that records the size of its first argument,
+    called or reduced."""
+
+    def __init__(self, function, sizes):
+        self.function, self.sizes = function, sizes
+
+    def __call__(self, x, *args, **kwargs):
+        self.sizes.append(np.size(x))
+        return self.function(x, *args, **kwargs)
+
+    def reduce(self, x, *args, **kwargs):
+        self.sizes.append(np.size(x))
+        return self.function.reduce(x, *args, **kwargs)
+
+
+class _NumpySpy:
+    """numpy, with the sizes given to the named functions recorded."""
+
+    def __init__(self, *names):
+        self.sizes = []
+        self._recorded = {name: _Recorded(getattr(np, name), self.sizes) for name in names}
+
+    def __getattr__(self, name):
+        return self._recorded.get(name) or getattr(np, name)
+
+
+def test_alibi_exponentiates_only_its_window(monkeypatch):
+    m = 10**6
+    s = Scores(np.random.default_rng(43).uniform(-5.0, 5.0, m))
+    lo, hi = solvers._alibi_window(s.values, m // 2, 2.0, 0.5)
+    assert 0 < hi - lo <= 400
+    spy = _NumpySpy("exp")
+    monkeypatch.setattr(solvers, "np", spy)
+    result = alibi_softmax(s, m // 2, 2.0, 0.5)
+    monkeypatch.undo()
+    assert spy.sizes and max(spy.sizes) <= hi - lo
+    expected = _reference_alibi_softmax(s, m // 2, 2.0, 0.5)
+    assert result.distribution.weights.tobytes() == expected.distribution.weights.tobytes()
+
+
 # ---------------------------------------------------------- prior softmax
 
 
@@ -539,6 +681,60 @@ def test_single_key_returns_exactly_one():
     s = Scores([3.7])
     for reg in _all_regularizers(rng, 1):
         assert solve(s, reg).distribution.weights[0] == 1.0
+
+
+# ------------------------------------ results checked over written entries
+
+
+def _outcome_of(build):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            built = build()
+    except ValueError as error:
+        return str(error)
+    return built.distribution.weights.tobytes(), built.support_size
+
+
+@pytest.mark.parametrize(
+    "written",
+    [
+        [0.5, np.nan, 0.5],
+        [0.5, 0.75, -0.25],
+        [1.0, -0.0, 0.0],
+        [0.25, 0.75 + 2e-12, 0.0],
+        [0.25, 0.75 - 2e-12, 0.0],
+        [0.25, 0.75 + 1e-13, 0.0],
+        [np.inf, 0.0, 0.0],
+        [0.5, 0.5, 1e-320],
+    ],
+)
+def test_a_result_checked_over_its_candidates_decides_as_the_whole_row(written):
+    written = np.array(written)
+    keys = np.array([3, 600, 1500])
+    row = np.zeros(2048)
+    row[keys] = written
+    expected = _outcome_of(
+        lambda: SolveResult(SimplexDistribution(row), None, int(np.count_nonzero(row)))
+    )
+    assert _outcome_of(lambda: solvers._result(row.copy(), None, written.copy())) == expected
+    window = row.copy()
+    assert _outcome_of(lambda: solvers._result(window, None, window[3:1501])) == expected
+
+
+@pytest.mark.parametrize("solve_sparse", [sparsemax, lambda s: entmax(s, 1.5)])
+def test_sparse_forms_reduce_no_full_row_after_the_scatter(monkeypatch, solve_sparse):
+    m = 10**6
+    s = Scores(np.random.default_rng(45).uniform(-5.0, 5.0, m))
+    expected = solve_sparse(s)
+    spy = _NumpySpy("minimum", "maximum", "add", "count_nonzero")
+    monkeypatch.setattr(solvers, "np", spy)
+    monkeypatch.setattr(vattn.core, "np", spy)
+    result = solve_sparse(s)
+    monkeypatch.undo()
+    assert spy.sizes and max(spy.sizes) < m // 2
+    assert result.distribution.weights.tobytes() == expected.distribution.weights.tobytes()
+    assert result.support_size == int(np.count_nonzero(expected.distribution.weights))
 
 
 # --------------------------------------- softmax and lse at extreme scores

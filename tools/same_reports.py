@@ -53,7 +53,13 @@ spread overflows; and entmax at alpha 1.5 on rows of 1025, 4096 and 1e5
 keys where more than 1024 entries pass its first cut (so its K-th largest
 bound applies), on rows of 16, 1000 and 1e5 keys with one dominant score
 over a plateau (also at alphas 2 and 3), and on rows of 16, 1024 and 1e5
-keys whose spread overflows.  It hashes the grid searches of a seeded list,
+keys whose spread overflows; alibi at m = 1e4, 1e5 and 1e6 where only
+the keys within reach of the query are evaluated (the query at either
+end, in the middle, just past the row and far past it, and keys at the
+window's edges whose shifted logits lie within 1e-9 of -746) and where
+every key is (gamma 0, and far keys whose penalty overflows); and softmax
+rows of 16, 1000 and 1e5 keys whose weights underflow to exact zeros, so
+the support is counted.  It hashes the grid searches of a seeded list,
 each searched twice in a row: m from 1 to 3, every kind (tsallis at alphas
 1.5, 2 and 3), at resolutions 100, 2000 and, for m <= 2, 1e6; and around
 the search's 2^14-row chunks: m=2 grids of 2^14 - 1, 2^14 and 2^14 + 1
@@ -529,6 +535,38 @@ for m in (1023, 1024, 10**5):
     rows = {"uniform": x, "tied": np.round(x * 4.0) / 4.0, "tied integers": np.round(x)}
     for name, row in rows.items():
         cases.append((f"l2 {name} m={m}", row, RegularizerSpec.l2()))
+# ALiBi rows whose window engages: the query at both ends, in the middle and
+# past the row, with keys at the window's edges whose shifted logits lie
+# within 1e-9 of -746 on either side; rows where it stands down: gamma 0,
+# and far keys whose penalty overflows, so the guarded path runs.  And
+# dense rows whose weights underflow to exact zeros, so the support is
+# counted.
+for m in (10**4, 10**5, 10**6):
+    rng = np.random.default_rng([m, 33])
+    x = rng.uniform(-5.0, 5.0, m)
+    for position in (1, m // 2, m, m + 5, m + 3000, 10**15):
+        for gamma, t in ((1.0, 1.0), (2.0, 0.5), (0.3, 1.5)):
+            cases.append((f"alibi window m={m} query {position} gamma {gamma} t={t}", x, RegularizerSpec.alibi(gamma, position, t)))
+    for position in (1, m // 3, m + 5):
+        for gamma, t in ((1.0, 1.0), (1.0 + 1e-12, 0.5)):
+            edged = x.copy()
+            nearest = min(position, m)
+            edged[nearest - 1] = 5.0
+            reach = int((position - nearest) + 746.0 * t / gamma)  # about the window's radius
+            for key in range(position - reach - 2, position + reach + 3):
+                if abs(abs(position - key) - reach) <= 2 and 1 <= key <= m:
+                    d = abs(position - key)
+                    edged[key - 1] = 5.0 + gamma * d - 746.0 * t + rng.uniform(-1e-9, 1e-9)
+            cases.append((f"alibi window edges m={m} query {position} gamma {gamma} t={t}", edged, RegularizerSpec.alibi(gamma, position, t)))
+    for position in (1, m // 2, m + 5):
+        cases.append((f"alibi gamma 0 m={m} query {position}", x, RegularizerSpec.alibi(0.0, position, 1.0)))
+        for gamma in (1e305, 1.7e308):
+            cases.append((f"alibi overflowing far keys m={m} query {position} gamma {gamma}", x, RegularizerSpec.alibi(gamma, position, 1.0)))
+for m in (16, 1000, 10**5):
+    x = np.random.default_rng([m, 34]).uniform(-5.0, 5.0, m)
+    for t in (0.01, 0.05):
+        cases.append((f"shannon underflowing m={m} t={t}", x, RegularizerSpec.shannon(t)))
+    cases.append((f"shannon underflowing wide m={m}", x * 200.0, RegularizerSpec.shannon(1.0)))
 for label, x, reg in cases:
     try:
         result = solvers.solve(Scores(x), reg)
