@@ -375,10 +375,9 @@ def key_distances(query_position: int, m: int) -> np.ndarray:
 
 
 def shannon_entropy(p: SimplexDistribution) -> float:
-    """H(p) = -sum p_j log p_j, with the 0 log 0 = 0 convention by branch."""
+    """H(p) = -sum p_j log p_j, with 0 log 0 = 0, summed over the support."""
     w = p.weights
-    pos = w > 0.0
-    return float(-np.sum(w[pos] * np.log(w[pos])))
+    return float(-np.sum(_xlogx(w)[w > 0.0]))
 
 
 def kl_divergence(p: SimplexDistribution, q: SimplexDistribution) -> float:
@@ -426,11 +425,13 @@ def _row_sums(q: np.ndarray) -> np.ndarray:
     return total
 
 
-def _xlogx_rows(P: np.ndarray) -> np.ndarray:
+def _xlogx(P: np.ndarray) -> np.ndarray:
+    """P log P entrywise, as a new array, with 0 log 0 = 0 (a zero's log is
+    taken of 1.0); every x log x of the library is this product."""
     terms = np.where(P > 0.0, P, 1.0)
     np.log(terms, out=terms)
     terms *= P
-    return _row_sums(terms)
+    return terms
 
 
 # Below this alpha the Tsallis penalty sums p expm1((a-1) log p), as
@@ -454,7 +455,7 @@ def _tsallis_terms(P: np.ndarray, a: float) -> np.ndarray:
 def _omega_rows(P: np.ndarray, reg: RegularizerSpec, xlogx: np.ndarray | None = None) -> np.ndarray:
     kind = reg.kind
     if xlogx is None and _KINDS[kind].entropic:
-        xlogx = _xlogx_rows(P)
+        xlogx = _row_sums(_xlogx(P))
     if kind == SHANNON:
         return reg.temperature * xlogx
     if kind == L2:

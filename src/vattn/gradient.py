@@ -79,6 +79,14 @@ def _divisor(temperature, squared: bool = False) -> float:
     return t
 
 
+def _check_step(h) -> float:
+    # The step, rejected where a stencil's divisor 2h, h*h or 4h*h is 0 or inf.
+    h = _check_positive_real(h, "step h")
+    if not all(0.0 < d < math.inf for d in (2.0 * h, h * h, 4.0 * h * h)):
+        raise ValueError(f"step h must be a positive finite real, as must 2h, h*h and 4h*h: {h!r}")
+    return h
+
+
 def _weight_covariance(w: np.ndarray) -> np.ndarray:
     """diag(p) - p p^T, the matrix behind both the Jacobian and the Fisher
     metric; continuous in p, so it extends to saturated (underflowed)
@@ -305,7 +313,7 @@ def finite_difference_gradient(
     f: Callable[[np.ndarray], float], x, h: float
 ) -> np.ndarray:
     """Central differences (f(x + h e_j) - f(x - h e_j)) / 2h per coordinate."""
-    h = _check_positive_real(h, "step h")
+    h = _check_step(h)
     x = np.asarray(x, dtype=np.float64)
     grad = np.empty(x.size)
     for j in range(x.size):
@@ -323,7 +331,7 @@ def finite_difference_hessian(
     f: Callable[[np.ndarray], float], x, h: float
 ) -> np.ndarray:
     """Central second differences; the off-diagonal uses the 4-point stencil."""
-    h = _check_positive_real(h, "step h")
+    h = _check_step(h)
     x = np.asarray(x, dtype=np.float64)
     m = x.size
     hess = np.empty((m, m))

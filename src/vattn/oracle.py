@@ -36,7 +36,7 @@ from .core import (
     _check_positive_real,
     _omega_rows,
     _tsallis_terms,
-    _xlogx_rows,
+    _xlogx,
     key_distances,
 )
 
@@ -607,9 +607,9 @@ def _minimize_many(
 
 class _Steps(NamedTuple):
     """The coordinates n / resolution, n = 0..resolution, and each one's
-    x log x, formed as ``_xlogx_rows`` forms an entry; read-only.  Every
-    coordinate of a barycentric grid point is one of these steps, so the
-    grid's rows and their entropy terms are gathered from this table."""
+    x log x (``_xlogx``); read-only.  Every coordinate of a barycentric
+    grid point is one of these steps, so the grid's rows and their entropy
+    terms are gathered from this table."""
 
     values: np.ndarray
     xlogx: np.ndarray
@@ -617,9 +617,7 @@ class _Steps(NamedTuple):
 
 def _build_table(resolution: int) -> _Steps:
     values = np.arange(resolution + 1) / resolution
-    xlogx = np.where(values > 0.0, values, 1.0)
-    np.log(xlogx, out=xlogx)
-    xlogx *= values
+    xlogx = _xlogx(values)
     values.flags.writeable = False
     xlogx.flags.writeable = False
     return _Steps(values, xlogx)
@@ -664,7 +662,7 @@ def _block_starts(resolution: int) -> np.ndarray:
 
 def _grid_rows(m: int, table: _Steps, chunk: slice, starts=None):
     """The barycentric grid's rows ``chunk``, and their sum_j p_j log p_j
-    as ``_xlogx_rows`` sums them.  The grid holds every point of the simplex
+    as ``_omega_rows`` sums them.  The grid holds every point of the simplex
     in R^m (m <= 3) whose coordinates are multiples of 1/resolution, ordered
     by the first coordinate's numerator, then the second's."""
     values, xlogx = table

@@ -62,10 +62,6 @@ _SPARSEMAX_CANDIDATE_MIN_KEYS = 1024
 # exp(x) rounds to exactly +0.0 for every x <= _EXP_CUT: half the smallest
 # subnormal is exp(-745.133...).  numpy's exp is slow on such entries.
 _EXP_CUT = -746.0
-# ``_exp_cut`` gathers the entries above the cut when fewer than this share
-# survive: on rows of 1e3 to 1e6 keys whose survivors form one window, as
-# under ALiBi, the gather and the masked exp cost the same at 8-12%.
-_GATHER_BELOW = 0.1
 _EPS = float(np.finfo(np.float64).eps)
 # ``alibi_softmax`` evaluates only the keys within reach of its query when
 # they are at most this share of the row.  Timed raw on a 2-vCPU host at
@@ -121,19 +117,13 @@ def _shifted_gap(v: np.ndarray, top, t: float) -> np.ndarray:
 
 def _exp_cut(x: np.ndarray) -> np.ndarray:
     """exp(x) in place, with entries at or below ``_EXP_CUT`` set to +0.0,
-    their exp, without exponentiating them: every entry keeps its bits and
-    its place, so later sums see the same array.  Few survivors are
-    gathered, exponentiated and scattered back into zeros; more are
-    exponentiated in place under the mask."""
+    their exp, without exponentiating them: the exp runs under the mask of
+    the entries above the cut, so every entry keeps its bits and its place.
+    Gathering few survivors is faster (1e6 keys, 1% above the cut: 1.4 vs
+    2.1 ms raw), but the rows that reach the cut keep most keys above it."""
     keep = x > _EXP_CUT
-    if np.count_nonzero(keep) < _GATHER_BELOW * keep.size:
-        survivors = keep.nonzero()
-        kept = np.exp(x[survivors])
-        x.fill(0.0)
-        x[survivors] = kept
-    else:
-        np.exp(x, out=x, where=keep)
-        np.copyto(x, 0.0, where=np.logical_not(keep, out=keep))
+    np.exp(x, out=x, where=keep)
+    np.copyto(x, 0.0, where=np.logical_not(keep, out=keep))
     return x
 
 
@@ -151,30 +141,42 @@ def _shifted_exp(v: np.ndarray, t: float, top, plain: bool, cut: bool) -> np.nda
     return np.exp(e, out=e)
 
 
-def _softmax_rows(v: np.ndarray, t: float, top, plain: bool, cut: bool) -> np.ndarray:
-    """Softmax along the last axis of ``v``: ``_shifted_exp`` over its row sums."""
-    e = _shifted_exp(v, t, top, plain, cut)
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
-
-
 def _row_exp(v: np.ndarray, t: float, top: float) -> np.ndarray:
     # One row's shifted exp; its lowest shifted quotient picks the path.
     low = float(v.min()) / t - top / t
     return _shifted_exp(v, t, top, math.isfinite(low), not low > _EXP_CUT)
 
 
+def _softmax_rows(v: np.ndarray, t: float) -> np.ndarray:
+    """Softmax along each row of the finite matrix ``v`` at a checked tau, each
+    row with the bits ``_softmax`` gives it alone.  As in ``_row_exp``, the
+    rows whose lowest shifted quotient is finite take the plain path, cut
+    when any reaches ``_EXP_CUT``; the others take the guarded path, cut."""
+    top, bottom = v.max(axis=1, keepdims=True), v.min(axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # guarded rows: NaN, redone below
+        low = bottom / t - top / t
+        e = _shifted_exp(v, t, top, True, not float(low.min()) > _EXP_CUT)  # NaN: cut
+    guarded = ~np.isfinite(low[:, 0])
+    if guarded.any():
+        e[guarded] = _shifted_exp(v[guarded], t, top[guarded], False, True)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
+
+
+def _potential(top: float, t: float, total) -> float:
+    # The dual potential of a row whose max is top and whose shifted exps sum to total.
+    return top + t * float(np.log(total))
+
+
 def softmax(s: Scores, temperature: float) -> SolveResult:
     """exp(s_j / tau) / sum_l exp(s_l / tau), computed max-shifted.
 
     One exp per row: the terms exp(s_j / tau - top / tau), top = max s,
-    are summed once; the sum normalizes the weights and gives the
-    attached potential top + tau * log(sum), whose gradient the weights
-    are.  ``lse`` computes it on the same path, bit for bit.  Scores
-    whose quotients by tau, or their spread, overflow take an
-    overflow-safe path.  Shifted entries at or below -746, whose exp
-    rounds to exactly +0.0, get that zero without an exp; the lowest
-    shifted entry, bottom / tau - top / tau, says whether a row has any.
+    are summed once; the sum normalizes the weights and gives the potential
+    top + tau * log(sum) (``_potential``), whose gradient the weights are.
+    The lowest shifted entry, bottom / tau - top / tau, picks the path: an
+    overflow-safe one where it is not finite, and entries at or below -746
+    get their exp, exactly +0.0, without one where it reaches them.
     """
     return _softmax(s.values, _check_positive_real(temperature))
 
@@ -194,7 +196,7 @@ def _softmax(v: np.ndarray, t: float, kind: str = SHANNON, m: int = 0, lo: int =
         written = e[lo : lo + v.size]
     total = e.sum()  # the whole row: numpy's pairwise grouping, so the same bits
     written /= total
-    return _result(e, top + t * float(np.log(total)), written)
+    return _result(e, _potential(top, t, total), written)
 
 
 def sparsemax(s: Scores) -> SolveResult:
@@ -647,14 +649,13 @@ def lse(s: Scores, temperature: float) -> float:
 
     This is the dual potential of the entropy-regularized problem: its
     gradient is the softmax distribution and its value is the negative of
-    ``primal_value``.  It is top + tau * log of the normalizer of
-    ``softmax``'s weights, sum_l exp(s_l / tau - top / tau) with top =
-    max s, computed on the same path (overflow guard and exp cut), so it
-    equals ``softmax(s, temperature).potential`` bit for bit.
+    ``primal_value``.  It is top + tau * log of ``softmax``'s normalizer,
+    formed on the same path (``_row_exp``, ``_potential``), so it equals
+    ``softmax(s, temperature).potential`` bit for bit.
     """
     t = _check_positive_real(temperature)
     top = float(s.values.max())
-    return top + t * float(np.log(_row_exp(s.values, t, top).sum()))
+    return _potential(top, t, _row_exp(s.values, t, top).sum())
 
 
 def primal_value(s: Scores, temperature: float) -> float:

@@ -24,6 +24,7 @@ from .core import (
     _check_lengths,
     _check_positive_real,
     _frozen,
+    _xlogx,
 )
 
 __all__ = [
@@ -83,19 +84,11 @@ def cost_matrix(batch: QueryKeyBatch) -> CostMatrix:
 
 
 def attention_matrix(batch: QueryKeyBatch, temperature: float) -> TransportPlan:
-    """Softmax of the similarity matrix along its rows, as one array
-    expression; each row has the bits ``solvers.softmax`` gives it alone."""
+    """Softmax of the similarity matrix along its rows (``solvers._softmax_rows``
+    picks each row's path); each row has the bits ``solvers.softmax`` gives it."""
     t = _check_positive_real(temperature)
     scores = _frozen(_Adopt(_similarities(batch)), "scores", 2)
-    top, bottom = scores.max(axis=1, keepdims=True), scores.min(axis=1, keepdims=True)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflowing rows: NaN, redone below
-        low = bottom / t - top / t
-        plain = np.isfinite(low)[:, 0]
-        cut = not float(low.min()) > solvers._EXP_CUT  # NaN: a guarded row, cut
-        weights = solvers._softmax_rows(scores, t, top, True, cut)
-    if not plain.all():
-        weights[~plain] = solvers._softmax_rows(scores[~plain], t, top[~plain], False, True)
-    return TransportPlan(_Adopt(weights))
+    return TransportPlan(_Adopt(solvers._softmax_rows(scores, t)))
 
 
 def eot_matrix_objective(plan: TransportPlan, cost: CostMatrix, epsilon: float) -> float:
@@ -110,8 +103,7 @@ def eot_matrix_objective(plan: TransportPlan, cost: CostMatrix, epsilon: float) 
         )
     eps = _check_positive_real(epsilon, "epsilon")
     P = plan.entries
-    safe = np.where(P > 0.0, P, 1.0)
-    return float(np.sum(P * cost.entries) + eps * np.sum(P * np.log(safe)))
+    return float(np.sum(P * cost.entries) + eps * np.sum(_xlogx(P)))
 
 
 def solve_full_eot(

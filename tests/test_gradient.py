@@ -426,10 +426,12 @@ def test_an_overflowing_fisher_product_is_rejected_without_warnings():
     ids=["gradient", "hessian", "lse_hessian_check", "envelope_check"],
 )
 def test_an_infinite_step_is_rejected_by_name(call):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="step h must be a positive finite real"):
-            call(math.inf)
+    # And finite steps whose divisor 2h, h*h or 4h*h overflows or underflows.
+    for h in (math.inf, 1e308, 1e200, 1e-170):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="step h must be a positive finite real"):
+                call(h)
 
 
 @pytest.mark.parametrize("t", [5e-8, 1e-11, 1e-100])

@@ -1025,11 +1025,10 @@ def _reference_exp_cut(x: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("length", [1, 2, 7, 9, 10, 11, 19, 20, 21, 63, 100, 1001, 4099])
 def test_exp_cut_gathered_or_masked_is_the_plain_exp(length):
-    # Survivor counts on both sides of the gather share, as one window or
-    # scattered, in views at every offset from an 8-entry boundary.
+    # Survivor counts from none, one and a few to half and all, as one
+    # window or scattered, in views at every offset from an 8-entry boundary.
     rng = np.random.default_rng(length)
-    crossover = solvers._GATHER_BELOW * length
-    counts = {0, 1, length, int(crossover) - 1, int(crossover), math.ceil(crossover), length // 2}
+    counts = {0, 1, 2, 3, length // 10 - 1, length // 10, length // 10 + 1, length // 2, length}
     buffer = np.empty(length + 8)
     for count in sorted(c for c in counts if 0 <= c <= length):
         for layout in ("window", "scattered"):

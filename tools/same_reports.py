@@ -76,7 +76,16 @@ x m in {1x1, 1x7, 7x1, 13x37, 512x512} and temperatures 1e-8, 1 and 1e8,
 and on a 13x37 batch whose rows at scale 1e308 take the overflow-guarded
 path; the ``solve_full_eot`` plans (or the errors' type and text) of 12
 seeded finite batches at budgets 1, 5 and 300; and the error text of a
-batch whose similarities overflow.  It
+batch whose similarities overflow.  It hashes the softmax family where few
+shifted quotients survive the exp cut: softmax (with its potential, ``lse``
+and ``primal_value``) and kl_prior on rows of 1e3, 1e5 and 1e6 keys where
+0.1%, 1% and 9% survive, as one window or scattered, at tau 1 and 1e-3,
+and alibi at those shares with its window engaged and standing down
+(scores near 3e307, a query past 2^53); ``attention_matrix`` at tau 1e-3
+and 1 on a batch whose cut rows keep under a tenth of their entries,
+beside plain and guarded rows; and ``eot_matrix_objective``,
+``objective_value`` and ``regularizer_value`` as ``float.hex`` on plans
+and weights with exact zeros, every kind.  It
 hashes the outcomes (the accepted bytes, or the exception's type and
 message, every warning raised as an exception) of ``SimplexDistribution``
 and of ``SolveResult`` with the right support size and one off either
@@ -567,6 +576,34 @@ for m in (16, 1000, 10**5):
     for t in (0.01, 0.05):
         cases.append((f"shannon underflowing m={m} t={t}", x, RegularizerSpec.shannon(t)))
     cases.append((f"shannon underflowing wide m={m}", x * 200.0, RegularizerSpec.shannon(1.0)))
+# The softmax family on rows of 1e3, 1e5 and 1e6 keys where 0.1%, 1% and 9%
+# of the shifted quotients lie above the cut, as one window or scattered:
+# softmax, lse and kl_prior (a prior within a factor of 3 of uniform) at tau
+# 1 and 1e-3; alibi with the window engaged (query mid-row) and standing
+# down: scores near 3e307, whose bound fails, and a query past 2^53.
+for m in (10**3, 10**5, 10**6):
+    rng = np.random.default_rng([m, 35])
+    prior = rng.uniform(0.5, 1.5, m)
+    prior = SimplexDistribution(prior / prior.sum())
+    for share in (0.001, 0.01, 0.09):
+        count = max(1, round(share * m))
+        for layout in ("window", "scattered"):
+            q = rng.uniform(-3000.0, -746.5, m)
+            alive = np.arange(m) < count if layout == "window" else rng.permutation(m) < count
+            q[alive] = rng.uniform(-700.0, 0.0, count)
+            q[alive.nonzero()[0][0]] = 0.0
+            for t in (1.0, 1e-3):
+                name = f"m={m} share {share} {layout} t={t}"
+                cases.append((f"shannon cut {name}", q * t, RegularizerSpec.shannon(t)))
+                cases.append((f"kl_prior cut {name}", q * t, RegularizerSpec.kl_prior(prior, t)))
+        x = rng.uniform(-5.0, 5.0, m)
+        radius = share * m / 2.0
+        gamma = (746.0 + 10.0) / radius
+        cases.append((f"alibi cut window m={m} share {share}", x, RegularizerSpec.alibi(gamma, m // 2, 1.0)))
+        t = 1e295  # scores 3e307 + t * U(-5, 5): B > DBL_MAX / 8
+        cases.append((f"alibi cut near 3e307 m={m} share {share}", 3e307 + x * t, RegularizerSpec.alibi(gamma * t, m // 2, t)))
+        position = 2**53 + 2 * m
+        cases.append((f"alibi cut past 2^53 m={m} share {share}", x, RegularizerSpec.alibi(gamma / 2.0, position, 1.0)))
 for label, x, reg in cases:
     try:
         result = solvers.solve(Scores(x), reg)
@@ -580,7 +617,7 @@ for label, x, reg in cases:
 # The gradient and transport outputs on a fixed seeded list: 40 rows at
 # m=16, every fourth at scale 1000, where softmax weights can underflow to
 # exact zeros, and one 64x64 batch.
-from vattn import QueryKeyBatch, UtilityVector, ValueSet, gradient
+from vattn import QueryKeyBatch, UtilityVector, ValueSet, core, gradient
 
 def output_bytes(out):
     # An array, or a validated type's fields in order.
@@ -628,8 +665,52 @@ scale = np.where(np.arange(13) % 3 == 0, 1e308, 1.0)[:, np.newaxis]
 batch = QueryKeyBatch(rng.uniform(-1.0, 1.0, (13, 37)) * scale, np.eye(37))
 for t in (1e-8, 0.5):
     record(f"attention_matrix guarded 13x37 t={t}", lambda: transport.attention_matrix(batch, t))
+# attention_matrix where under a tenth of each cut row survives, with cut,
+# plain and guarded rows in one matrix: the similarities are the queries
+# themselves (keys = I), shifted quotients times tau.
+for t in (1e-3, 1.0):
+    rng = np.random.default_rng([24, 300, 36])
+    rows = []
+    for k in range(24):
+        q = rng.uniform(-3000.0, -746.5, 300)
+        if k % 4 == 3:
+            q = rng.uniform(-1.0, 1.0, 300) * 1e308  # guarded: its spread overflows
+        elif k % 4 == 2:
+            q = rng.uniform(-700.0, 0.0, 300)  # plain, no entry at the cut
+        else:
+            alive = rng.permutation(300) < (3, 15, 27)[k % 3]
+            q[alive] = rng.uniform(-700.0, 0.0, int(alive.sum()))
+        rows.append(q * t if k % 4 != 3 else q)
+    batch = QueryKeyBatch(np.array(rows), np.eye(300))
+    record(f"attention_matrix cut and guarded 24x300 t={t}", lambda: transport.attention_matrix(batch, t))
 for label, digest in digests.items():
     print(json.dumps([f"{label} outputs", digest.hexdigest()]), flush=True)
+# eot_matrix_objective, objective_value and regularizer_value as float.hex on
+# plans and weights with exact zeros: attention plans whose rows underflow,
+# sparse rows, one-hot rows, every kind.
+values = []
+rng = np.random.default_rng([37])
+for n, m, t in ((5, 9, 1e-3), (13, 37, 0.05), (64, 64, 0.7)):
+    batch = QueryKeyBatch(rng.uniform(-1.0, 1.0, (n, 8)) * 4.0, rng.uniform(-1.0, 1.0, (m, 8)))
+    plan, cost = transport.attention_matrix(batch, t), transport.cost_matrix(batch)
+    values += [transport.eot_matrix_objective(plan, cost, eps).hex() for eps in (t, 0.5, 3.0)]
+    sparse = np.zeros((n, m))
+    sparse[np.arange(n), rng.integers(0, m, n)] = 1.0
+    sparse[0] = solvers.sparsemax(Scores(rng.uniform(-1.0, 1.0, m))).distribution.weights
+    values.append(transport.eot_matrix_objective(transport.TransportPlan(sparse), cost, 0.5).hex())
+for m in (1, 3, 16, 1000):
+    rng = np.random.default_rng([m, 38])
+    x = rng.uniform(-5.0, 5.0, m)
+    rows = [solvers.sparsemax(Scores(x * scale)).distribution for scale in (0.1, 1.0, 10.0)]
+    rows.append(solvers.softmax(Scores(x * 100.0), 0.1).distribution)
+    onehot = np.zeros(m)
+    onehot[m // 2] = 1.0
+    rows.append(SimplexDistribution(onehot))
+    regs = [reg for reg in regularizers(rng, m) if reg.kind != "tsallis" or reg.alpha in (1.0001, 1.5, 2.0, 3.0)]
+    for p in rows:
+        for reg in regs:
+            values.append((core.objective_value(p, Scores(x), reg).hex(), core.regularizer_value(p, reg).hex()))
+print(json.dumps(["objectives on weights with exact zeros", hashlib.sha256(repr(values).encode()).hexdigest()]), flush=True)
 # solve_full_eot plans of seeded finite batches under small and default
 # budgets: the plan bytes, or the error's type and text.
 for budget in (1, 5, 300):
